@@ -5,18 +5,20 @@ For coefficients obeying the flow, the spread of lambda over random
 interior perturbations contracts at second order in the lattice spacing.
 For frozen (non-flowing) coefficients it does not contract at all.  This
 script prints both columns side by side and fits the convergence orders.
+Each spread covers the straight line and its perturbations and comes from
+the same exact-expansion helper as the `waveline lambda` check.
 """
 
 import argparse
 
 import numpy as np
 
-from waveline.eigenvalue import lambda_lattice
+from waveline.checks import independence_spread, seed_displacements
 from waveline.minkowski import interval_squared
 from waveline.phase_flow import FlowInitialData, frozen_coefficients, sample_closed_form
 from waveline.report import write_csv
 from waveline.stationarity import optimal_C, optimal_sigma1
-from waveline.worldline import perturb_interior, straight_line
+from waveline.worldline import straight_line
 
 
 def parse_args():
@@ -34,11 +36,6 @@ def parse_args():
     return p.parse_args()
 
 
-def spread(base, flow, m, amp, seeds):
-    lams = [lambda_lattice(perturb_interior(base, amp, seed=s), flow, m) for s in seeds]
-    return float(np.ptp(lams))
-
-
 def main():
     args = parse_args()
     a, b = np.array(args.a), np.array(args.b)
@@ -46,14 +43,19 @@ def main():
     init = FlowInitialData(optimal_sigma1(args.sigma2, a, b, c_run), args.sigma2)
     amp = args.amplitude * np.sqrt(interval_squared(a, b))
     seeds = range(args.seed, args.seed + args.perturbations)
+    displacements = seed_displacements(amp, seeds, c_run)
 
     print(f"{'N':>7}  {'flowing spread':>15}  {'frozen spread':>15}")
     rows = []
     flowing, frozen = [], []
     for n in args.sizes:
         base = straight_line(a, b, c_run, n)
-        s_flow = spread(base, sample_closed_form(init, base.grid), args.m, amp, seeds)
-        s_froz = spread(base, frozen_coefficients(init, base.grid), args.m, amp, seeds)
+        s_flow = independence_spread(
+            base, sample_closed_form(init, base.grid), args.m, displacements
+        )
+        s_froz = independence_spread(
+            base, frozen_coefficients(init, base.grid), args.m, displacements
+        )
         flowing.append(s_flow)
         frozen.append(s_froz)
         rows.append((n, s_flow, s_froz))

@@ -16,6 +16,7 @@ from .errors import (
     NoConvergence,
     NonPositiveLapse,
     NonTimelikeVelocity,
+    NotMeasured,
     NullSeparation,
     NumericalUnderflow,
     SpacelikeSeparation,

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import WavelineError
+from .errors import NotMeasured, WavelineError
 from .eigenvalue import (
     WaveParameters,
     apply_action_operator,
+    expansion_deltas,
     lambda_boundary_form,
     lambda_closed_form,
     lambda_lattice,
+    lattice_expansion,
     predicted_action_eigenvalue,
 )
 from .minkowski import interval_squared
@@ -50,7 +52,12 @@ from .stationarity import (
     reduced_lambda,
     stationary_lambda,
 )
-from .worldline import perturb_interior, straight_line
+from .worldline import (
+    interior_modes,
+    perturb_interior,
+    perturbation_coefficients,
+    straight_line,
+)
 
 # Fixed benchmark for integrator fidelity: one decaying, one flat, two
 # growing curvatures on the unit duration, plus a generic sigma1_0.
@@ -212,7 +219,39 @@ def lambda_agreement_checks(cfg):
     ]
 
 
-def _independence_spreads(cfg, coefficients_for):
+def seed_displacements(amplitude, seeds, C):
+    """Mode coefficients of each seed's perturbation field, scaled to ``amplitude``.
+
+    Returns a (P, modes, 4) stack: ``interior_modes(w) @ out[k]`` is the
+    displacement ``perturb_interior(w, amplitude, seeds[k])`` adds to any
+    lattice ``w`` of duration ``C``, so one stack serves every lattice.
+    """
+    out = []
+    for seed in seeds:
+        coef, peak = perturbation_coefficients(seed, C)
+        out.append((amplitude / peak if peak > 0 else 0.0) * coef)
+    return np.array(out)
+
+
+def independence_spread(base, flow, m, displacements):
+    """Spread of the lattice eigenvalue over ``base`` and its displaced copies.
+
+    Every copy's eigenvalue comes from the exact quadratic expansion of
+    :func:`lambda_lattice` around ``base`` (see
+    :func:`waveline.eigenvalue.lattice_expansion`), anchored at the base
+    line's own lattice eigenvalue.
+    """
+    g, q = lattice_expansion(base, flow, interior_modes(base, displacements.shape[1]))
+    lam0 = lambda_lattice(base, flow, m)
+    return float(np.ptp(np.append(lam0 + expansion_deltas(g, q, displacements), lam0)))
+
+
+def _independence_displacements(cfg):
+    seeds = range(cfg.seed + 1, cfg.seed + 1 + cfg.n_perturbations)
+    return seed_displacements(_amplitude(cfg), seeds, cfg.run_duration())
+
+
+def _independence_spreads(cfg, coefficients_for, displacements):
     """Spread of the lattice eigenvalue over random interior perturbations.
 
     ``coefficients_for(init, grid)`` supplies the coefficient samples, so the
@@ -222,32 +261,28 @@ def _independence_spreads(cfg, coefficients_for):
     s2 = cfg.sigma2_0 if abs(cfg.sigma2_0) > 1e-9 else 0.5
     c_run = cfg.run_duration()
     init = FlowInitialData(optimal_sigma1(s2, cfg.a, cfg.b, c_run), s2)
-    amp = _amplitude(cfg)
     ladder = _n_ladder(cfg.N)
     spreads = []
     for n in ladder:
         base = straight_line(cfg.a, cfg.b, c_run, n)
         flow = coefficients_for(init, base.grid)
-        lams = [
-            lambda_lattice(perturb_interior(base, amp, cfg.seed + 1 + k), flow, cfg.m)
-            for k in range(cfg.n_perturbations)
-        ]
-        lams.append(lambda_lattice(base, flow, cfg.m))
-        spreads.append(float(np.ptp(lams)))
+        spreads.append(independence_spread(base, flow, cfg.m, displacements))
     return np.array(ladder), np.array(spreads)
 
 
 def _fitted_order(ns, spreads):
     if np.any(spreads <= 0):
-        return float("inf")  # exactly independent already
+        # Perturbations that move nothing (zero amplitude) measure nothing;
+        # an exactly zero spread is not evidence of independence.
+        raise NotMeasured(f"perturbation spreads {spreads.tolist()} include zero")
     slope = np.polyfit(np.log(ns), np.log(spreads), 1)[0]
     return float(-slope)
 
 
-def independence_checks(cfg):
+def independence_checks(cfg, displacements):
     """Eigenvalue must stop caring about the interior as the lattice refines."""
     coeffs = frozen_coefficients if cfg.negative_control else sample_closed_form
-    ns, spreads = _independence_spreads(cfg, coeffs)
+    ns, spreads = _independence_spreads(cfg, coeffs, displacements)
     order = _fitted_order(ns, spreads)
     rows = [(int(n), float(s)) for n, s in zip(ns, spreads)]
     checks = [
@@ -262,9 +297,9 @@ def independence_checks(cfg):
     return checks, rows
 
 
-def violation_control_checks(cfg):
+def violation_control_checks(cfg, displacements):
     """Meta-check: the independence measurement must catch frozen coefficients."""
-    ns, spreads = _independence_spreads(cfg, frozen_coefficients)
+    ns, spreads = _independence_spreads(cfg, frozen_coefficients, displacements)
     order = _fitted_order(ns, spreads)
     detected = order < 1.0 and spreads[-1] > 10.0 * cfg.tolerances.lambda_tol
     return [
@@ -285,8 +320,12 @@ def lambda_suite(cfg, with_control=False):
         checks.extend(lambda_agreement_checks(cfg))
     except WavelineError as exc:
         checks.append(failed_check("lambda_three_form_agreement", exc))
+    # Both independence measurements share one set of seed displacements; it
+    # is retried (and fails the same way) only when the first attempt raised.
+    displacements = None
     try:
-        indep, rows = independence_checks(cfg)
+        displacements = _independence_displacements(cfg)
+        indep, rows = independence_checks(cfg, displacements)
         checks.extend(indep)
         artifacts["lambda_spreads.csv"] = (
             "csv", (("N", "perturbation_spread"), rows)
@@ -295,7 +334,9 @@ def lambda_suite(cfg, with_control=False):
         checks.append(failed_check("lambda_worldline_independence_order", exc))
     if with_control and not cfg.negative_control:
         try:
-            checks.extend(violation_control_checks(cfg))
+            if displacements is None:
+                displacements = _independence_displacements(cfg)
+            checks.extend(violation_control_checks(cfg, displacements))
         except WavelineError as exc:
             checks.append(failed_check("lambda_violation_detected", exc))
 

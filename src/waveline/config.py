@@ -124,6 +124,13 @@ def parse_branch(value):
 
 
 def _coerce(name, value):
+    try:
+        return _coerce_value(name, value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: cannot use {value!r} ({exc})") from exc
+
+
+def _coerce_value(name, value):
     if name == "branch":
         return parse_branch(value)
     if name == "tolerances":

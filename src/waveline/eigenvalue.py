@@ -32,7 +32,7 @@ from .errors import NumericalUnderflow, ZeroDuration
 from .minkowski import METRIC_DIAG, as_four_vector, dot
 from .phase_flow import (
     FlowInitialData,
-    denominator,
+    checked_denominator,
     require_shared_grid,
     sample_closed_form,
 )
@@ -134,10 +134,7 @@ def lambda_closed_form(init, a, b, m, C):
         raise ZeroDuration("eigenvalue needs a nonzero invariant duration")
     a = as_four_vector(a)
     b = as_four_vector(b)
-    from .phase_flow import closed_form_at  # local to avoid import noise at top
-
-    s1C, _ = closed_form_at(init, C)  # validates D > 0 and reuses its error
-    d = float(denominator(init, C))
+    d = checked_denominator(init, C)
     return (
         dot(init.sigma1_0, b / d - a)
         + 0.5 * init.sigma2_0 * (dot(b, b) / d - dot(a, a))
@@ -181,6 +178,51 @@ def lambda_lattice(w, flow, m):
     sp = flow.sigma1 + flow.sigma2[:, None] * x
     integrand = _inner(velocities(w), sp) - _inner(sp, sp)
     return float(np.trapezoid(integrand, w.grid)) + m * m * w.C
+
+
+def _trapezoid_weights(grid):
+    """Weights v with v @ y == np.trapezoid(y, grid) up to summation order."""
+    half = 0.5 * np.diff(grid)
+    weights = np.zeros(grid.size)
+    weights[:-1] += half
+    weights[1:] += half
+    return weights
+
+
+def lattice_expansion(w, flow, modes):
+    """Exact quadratic expansion of :func:`lambda_lattice` in mode coefficients.
+
+    Moving the nodes of ``w`` by ``modes @ coef``, where ``modes`` is
+    (N+1, K) with zero endpoint rows and ``coef`` is (K, 4), changes the
+    lattice eigenvalue by exactly
+
+        sum_mu eta_mu ( g[:, mu] . coef[:, mu] + coef[:, mu] . Q coef[:, mu] )
+
+    with eta the metric diagonal.  This is an identity of the discrete
+    functional for any coefficient samples, flowing or not: the integrand is
+    quadratic in the nodes, and the trapezoid weights, the velocity stencil
+    and the metric are linear or diagonal.  Returns ``(g, Q)`` with shapes
+    (K, 4) and (K, K), built in O(K^2 N).
+    """
+    require_shared_grid(w.grid, flow.grid)
+    weights = _trapezoid_weights(w.grid)
+    s2 = flow.sigma2
+    sp = flow.sigma1 + s2[:, None] * w.points
+    dmodes = np.gradient(modes, w.dc, axis=0, edge_order=2)
+    ws2 = weights * s2
+    g = dmodes.T @ (weights[:, None] * sp) + modes.T @ (
+        ws2[:, None] * (velocities(w) - 2.0 * sp)
+    )
+    cross = dmodes.T @ (ws2[:, None] * modes)
+    q = 0.5 * (cross + cross.T) - modes.T @ ((ws2 * s2)[:, None] * modes)
+    return g, q
+
+
+def expansion_deltas(g, q, coefs):
+    """Eigenvalue changes for a (P, K, 4) stack of mode coefficients."""
+    linear = np.einsum("pkm,km,m->p", coefs, g, METRIC_DIAG)
+    quadratic = np.einsum("pkm,kl,plm,m->p", coefs, q, coefs, METRIC_DIAG)
+    return linear + quadratic
 
 
 def lambda_lattice_full(w, flow, real, m, hbar_tilde):

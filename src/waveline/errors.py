@@ -64,6 +64,10 @@ class NoConvergence(WavelineError):
     """Iterative search exhausted its iteration budget."""
 
 
+class NotMeasured(WavelineError):
+    """A check's measurement came out degenerate, so it measured nothing."""
+
+
 class DegenerateQ(WavelineError):
     """Logarithmic duration is zero, so the rescaled parametrization collapses."""
 

@@ -97,13 +97,19 @@ def singularity_time(init):
     return None
 
 
-def closed_form_at(init, c):
-    """Exact (sigma1, sigma2) at invariant time ``c``."""
+def checked_denominator(init, c):
+    """D(c) as a float, raising FlowSingularity at or past the pole."""
     d = float(denominator(init, c))
     if d <= DENOMINATOR_FLOOR:
         raise FlowSingularity(
             f"flow is singular at c={c!r} (D={d!r})", c_star=singularity_time(init)
         )
+    return d
+
+
+def closed_form_at(init, c):
+    """Exact (sigma1, sigma2) at invariant time ``c``."""
+    d = checked_denominator(init, c)
     return init.sigma1_0 / d, init.sigma2_0 / d
 
 

@@ -71,27 +71,47 @@ def straight_line(a, b, C, N):
     return Worldline(float(C), int(N), pts)
 
 
+def _sine_modes(c, C, modes):
+    """sin(k*pi*c/C) for k = 1..modes, shape (len(c), modes)."""
+    return np.sin(np.pi * np.outer(c / C, np.arange(1, modes + 1)))
+
+
+def perturbation_coefficients(seed, C, modes=6):
+    """Sine-mode coefficients drawn from ``seed`` and the peak norm of their field.
+
+    Returns ``(coef, peak)``: ``coef`` is (modes, 4), one column per
+    component, and ``peak`` is the largest Euclidean norm over c of the
+    field sum_k coef[k] sin(k*pi*c/C), measured on a fixed fine reference
+    grid so one seed denotes one continuum field on every lattice.
+    """
+    coef = np.random.default_rng(seed).standard_normal((modes, 4))
+    ref = _sine_modes(np.linspace(0.0, C, _NORM_GRID + 1), C, modes) @ coef
+    return coef, np.linalg.norm(ref, axis=1).max()
+
+
+def interior_modes(w, modes=6):
+    """Sine-mode matrix on the lattice of ``w``, shape (N+1, modes).
+
+    Row i holds sin(k*pi*c_i/C); the endpoint rows are exactly zero, so
+    ``interior_modes(w) @ coef`` is a displacement that leaves the ends fixed.
+    """
+    out = np.zeros((w.N + 1, modes))
+    out[1:-1] = _sine_modes(w.grid[1:-1], w.C, modes)
+    return out
+
+
 def perturb_interior(base, amplitude, seed, modes=6):
     """Add a random smooth displacement field that vanishes at both endpoints.
 
     The field is a superposition of ``modes`` sine bumps sin(k*pi*c/C) with
-    coefficients drawn from ``seed``, scaled so its peak Euclidean norm over
-    c is ``amplitude``.  The peak is measured on a fixed fine reference grid,
-    so one seed denotes one continuum trajectory: resampling the same seed on
-    finer lattices converges to it instead of chasing a moving target.
+    coefficients drawn from ``seed`` (see :func:`perturbation_coefficients`),
+    scaled so its peak Euclidean norm over c is ``amplitude``.
     """
-    coef = np.random.default_rng(seed).standard_normal((modes, 4))
-    k = np.arange(1, modes + 1)
-
-    def field(c):
-        return np.sin(np.pi * np.outer(c / base.C, k)) @ coef  # (len(c), 4)
-
-    ref = field(np.linspace(0.0, base.C, _NORM_GRID + 1))
-    peak = np.linalg.norm(ref, axis=1).max()
+    coef, peak = perturbation_coefficients(seed, base.C, modes)
     if peak == 0.0 or amplitude == 0.0:
         return base
     pts = base.points.copy()
-    pts[1:-1] += (amplitude / peak) * field(base.grid[1:-1])
+    pts[1:-1] += (amplitude / peak) * (_sine_modes(base.grid[1:-1], base.C, modes) @ coef)
     return Worldline(base.C, base.N, pts)
 
 

@@ -237,6 +237,34 @@ class TestCli:
         path.write_text(json.dumps({"nope": 1}))
         assert main(["flow", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"m": "abc"},
+            {"tolerances": {"lambda_tol": "x"}},
+            {"a": ["x", 0, 0, 0]},
+        ],
+    )
+    def test_mistyped_value_exits_2(self, tmp_path, payload, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_zero_amplitude_fails_independence_as_not_measured(self, tmp_path):
+        # Zero-amplitude perturbations move nothing; the spread is exactly 0
+        # and the order check must fail instead of reporting an infinite order.
+        cfgp = write_quick_config(tmp_path, amplitude=0)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfgp, "--out", str(out)]) == 1
+        report = json.loads((out / "run_report.json").read_text())
+        check = next(
+            c for c in report["checks"]
+            if c["name"] == "lambda_worldline_independence_order"
+        )
+        assert check["status"] == "fail"
+        assert check["detail"].startswith("NotMeasured")
+
     def test_bad_sigma2_flag_exits_2(self):
         assert main(["flow", "--sigma2", "zero"]) == 2
 
