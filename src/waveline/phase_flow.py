@@ -118,7 +118,7 @@ def sample_closed_form(init, grid):
     grid = np.asarray(grid, dtype=float)
     d = denominator(init, grid)
     if np.any(d <= DENOMINATOR_FLOOR):
-        bad = grid[d <= DENOMINATOR_FLOOR][0]
+        bad = float(grid[d <= DENOMINATOR_FLOOR][0])
         raise FlowSingularity(
             f"flow is singular inside the grid near c={bad!r}",
             c_star=singularity_time(init),
@@ -153,43 +153,72 @@ def rk4_step(f, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate_flow(init, C, N):
-    """Fixed-step RK4 solution of the coefficient system on N steps over [0, C].
-
-    The pole is checked up front (so a singular target interval fails fast
-    with its c*) and the running denominator is re-checked each step, which
-    catches initial data placed close enough to the pole that the discrete
-    trajectory wanders onto it.
-    """
+def flow_grid(C, N):
+    """The RK4 lattice: N steps of equal width over [0, C]."""
     if N < 2:
         raise BadGrid(f"need at least 2 steps, got N={N!r}")
     if not (C > 0) or not np.isfinite(C):
         raise BadGrid(f"duration must be positive and finite, got {C!r}")
+    return np.linspace(0.0, float(C), N + 1)
+
+
+def pole_error(init, grid):
+    """The FlowSingularity that integrating ``init`` on ``grid`` meets, else None.
+
+    A pole inside [0, C] is reported with its c*.  Otherwise the exact
+    D(c) is checked at every grid node past c = 0, so initial data whose
+    pole sits just past C (D(C) at or below the floor) is refused too.
+    """
+    C = float(grid[-1])
     c_star = singularity_time(init)
     if c_star is not None and c_star <= C:
-        raise FlowSingularity(
-            f"pole at c*={c_star!r} lies inside [0, {C!r}]", c_star=c_star
-        )
+        return FlowSingularity(f"pole at c*={c_star!r} lies inside [0, {C!r}]", c_star=c_star)
+    hit = np.flatnonzero(denominator(init, grid[1:]) <= DENOMINATOR_FLOOR)
+    if hit.size:
+        c = float(grid[1 + hit[0]])
+        return FlowSingularity(f"stepped onto the pole near c={c!r}", c_star=c_star)
+    return None
 
-    grid = np.linspace(0.0, float(C), N + 1)
+
+def integrate_flow(init, C, N):
+    """Fixed-step RK4 solution of the coefficient system on N steps over [0, C].
+
+    ``init`` is one FlowInitialData or a sequence of them; a sequence of K
+    initial data is stepped together as one (K, 5) state on the shared grid
+    and a list of K FlowCoefficients comes back.  Each row sees exactly the
+    arithmetic of a lone integration, so batching never changes a result.
+
+    Every row is checked against the pole before the first step (see
+    ``pole_error``); the first singular row raises its FlowSingularity.
+    """
+    single = isinstance(init, FlowInitialData)
+    inits = [init] if single else list(init)
+    grid = flow_grid(C, N)
+    for row in inits:
+        err = pole_error(row, grid)
+        if err is not None:
+            raise err
     h = grid[1] - grid[0]
 
     def rhs(y):
-        ds1, ds2 = flow_rhs(y[:4], y[4])
-        return np.concatenate([ds1, [ds2]])
+        # (-2 sigma2) times (sigma1, sigma2): flow_rhs, one row per initial datum
+        return (-2.0 * y[:, 4:]) * y
 
-    y = np.concatenate([init.sigma1_0, [init.sigma2_0]])
-    s1 = np.empty((N + 1, 4))
-    s2 = np.empty(N + 1)
-    s1[0], s2[0] = y[:4], y[4]
+    y = np.array([np.append(row.sigma1_0, row.sigma2_0) for row in inits]).reshape(-1, 5)
+    path = np.empty((N + 1,) + y.shape)
+    path[0] = y
     for i in range(N):
         y = rk4_step(rhs, y, h)
-        if denominator(init, grid[i + 1]) <= DENOMINATOR_FLOOR:
-            raise FlowSingularity(
-                f"stepped onto the pole near c={grid[i + 1]!r}", c_star=c_star
-            )
-        s1[i + 1], s2[i + 1] = y[:4], y[4]
-    return FlowCoefficients(grid=grid, sigma1=s1, sigma2=s2)
+        path[i + 1] = y
+    flows = [
+        FlowCoefficients(
+            grid=grid,
+            sigma1=np.ascontiguousarray(path[:, k, :4]),
+            sigma2=np.ascontiguousarray(path[:, k, 4]),
+        )
+        for k in range(len(inits))
+    ]
+    return flows[0] if single else flows
 
 
 def flow_to_rows(flow):

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DegenerateQ, FlowSingularity
 from .eigenvalue import _inner
@@ -105,6 +104,9 @@ def resample_on_log_clock(w, sigma2_0, n_q=None):
     n_q = w.N if n_q is None else int(n_q)
     q_grid = np.linspace(0.0, q_total, n_q + 1)
     c_of_q = np.clip(np.expm1(q_grid) / (2.0 * float(sigma2_0)), 0.0, w.C)
+    # scipy is loaded here only, so importing waveline does not pay for it
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(w.grid, w.points, axis=0)
     return q_grid, spline(c_of_q)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import BadGrid, IndexOutOfRange, NonPositiveLapse
 from .minkowski import as_four_vector
@@ -149,7 +148,7 @@ def reparametrize(chi, T=1.0):
     if np.any(chi < 0):
         raise NonPositiveLapse(f"lapse dips to {chi.min()!r}")
     tau = np.linspace(0.0, float(T), chi.size)
-    c = cumulative_trapezoid(chi, tau, initial=0.0)
+    c = np.concatenate([[0.0], np.cumsum(np.diff(tau) * (chi[1:] + chi[:-1]) / 2.0)])
     if np.any(np.diff(c) <= 0):
         raise NonPositiveLapse("lapse fails to advance the invariant clock on some step")
     return tau, c

@@ -227,6 +227,32 @@ class TestCli:
         report = json.loads((out / "run_report.json").read_text())
         assert any("NullSeparation" in c.get("detail", "") for c in report["checks"])
 
+    def test_singular_curvature_fails_only_its_own_flow_checks(self, tmp_path):
+        # -0.5 puts the pole at c* = C = 1; it also pins sigma2_0 for the trace
+        out = tmp_path / "mixed"
+        assert main(["flow", "--sigma2=-0.5,0.5", "--N", "200", "--out", str(out)]) == 1
+        checks = json.loads((out / "run_report.json").read_text())["checks"]
+        failed = {c["name"] for c in checks if c["status"] == "fail"}
+        assert failed == {"flow_accuracy[sigma2_0=-0.5]", "flow_trace[sigma2_0=-0.5]"}
+
+        solo = tmp_path / "solo"
+        assert main(["flow", "--sigma2=0.5", "--N", "200", "--out", str(solo)]) == 0
+        solo_checks = json.loads((solo / "run_report.json").read_text())["checks"]
+
+        def value(rows):
+            name = "flow_accuracy[sigma2_0=0.5]"
+            return next(c["value"] for c in rows if c["name"] == name)
+
+        assert value(checks) == value(solo_checks)
+
+    def test_pole_message_prints_a_plain_float(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["flow", "--sigma2=-0.49999999999998,0.5", "--N", "200", "--out", str(out)]
+        assert main(argv) == 1
+        checks = json.loads((out / "run_report.json").read_text())["checks"]
+        detail = next(c["detail"] for c in checks if c["name"] == "flow_accuracy[sigma2_0=-0.5]")
+        assert detail == "FlowSingularity: stepped onto the pole near c=1.0"
+
     def test_bad_config_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{oops")

@@ -10,11 +10,14 @@ from waveline.phase_flow import (
     FlowInitialData,
     closed_form_at,
     denominator,
+    flow_grid,
     flow_rhs,
     flow_to_rows,
     frozen_coefficients,
     integrate_flow,
+    pole_error,
     require_shared_grid,
+    rk4_step,
     sample_closed_form,
     singularity_time,
 )
@@ -143,6 +146,78 @@ class TestIntegrator:
             integrate_flow(init, 1.0, 1)
         with pytest.raises(BadGrid):
             integrate_flow(init, -1.0, 100)
+
+
+
+def scalar_rk4(init, C, N):
+    """One initial datum stepped alone as a (5,) state: the pre-batching loop."""
+    grid = np.linspace(0.0, float(C), N + 1)
+    h = grid[1] - grid[0]
+
+    def rhs(y):
+        ds1, ds2 = flow_rhs(y[:4], y[4])
+        return np.concatenate([ds1, [ds2]])
+
+    y = np.concatenate([init.sigma1_0, [init.sigma2_0]])
+    s1 = np.empty((N + 1, 4))
+    s2 = np.empty(N + 1)
+    s1[0], s2[0] = y[:4], y[4]
+    for i in range(N):
+        y = rk4_step(rhs, y, h)
+        s1[i + 1], s2[i + 1] = y[:4], y[4]
+    return grid, s1, s2
+
+
+class TestBatchedIntegrator:
+    SIGMA2 = (-0.49, -0.4, 0.0, 0.5, 2.0)
+
+    @pytest.mark.parametrize("n", [4, 250, 1000])
+    def test_rows_match_scalar_loop_bit_for_bit(self, n):
+        inits = [FlowInitialData(S1 * (k + 1), s2) for k, s2 in enumerate(self.SIGMA2)]
+        flows = integrate_flow(inits, 1.0, n)
+        assert len(flows) == len(inits)
+        for init, flow in zip(inits, flows):
+            grid, s1, s2 = scalar_rk4(init, 1.0, n)
+            assert np.array_equal(flow.grid, grid)
+            assert np.array_equal(flow.sigma1, s1)
+            assert np.array_equal(flow.sigma2, s2)
+
+    def test_single_init_is_the_one_row_batch(self):
+        init = FlowInitialData(S1, 0.5)
+        alone = integrate_flow(init, 1.0, 250)
+        assert isinstance(alone, FlowCoefficients)
+        (row,) = integrate_flow([init], 1.0, 250)
+        assert np.array_equal(alone.sigma1, row.sigma1)
+        assert np.array_equal(alone.sigma2, row.sigma2)
+
+    def test_one_singular_row_refuses_the_batch(self):
+        inits = [FlowInitialData(S1, 0.5), FlowInitialData(S1, -0.7)]
+        with pytest.raises(FlowSingularity) as info:
+            integrate_flow(inits, 1.0, 100)
+        assert info.value.c_star == pytest.approx(1.0 / 1.4)
+
+    def test_pole_error_matches_integrate_flow(self):
+        grid = flow_grid(1.0, 100)
+        assert pole_error(FlowInitialData(S1, -0.49), grid) is None
+        err = pole_error(FlowInitialData(S1, -0.5), grid)
+        assert isinstance(err, FlowSingularity)
+        assert str(err) == "pole at c*=1.0 lies inside [0, 1.0]"
+
+    def test_pole_just_past_C_is_refused_with_a_plain_c(self):
+        # c* = 1 + 4e-14 passes the up-front check, but D(1) = 4e-14 is
+        # under the floor at the last node
+        init = FlowInitialData(S1, -0.49999999999998)
+        assert singularity_time(init) > 1.0
+        with pytest.raises(FlowSingularity) as info:
+            integrate_flow(init, 1.0, 200)
+        assert str(info.value) == "stepped onto the pole near c=1.0"
+        assert info.value.c_star == singularity_time(init)
+
+    def test_closed_form_pole_message_prints_a_plain_c(self):
+        init = FlowInitialData(S1, -0.5)
+        with pytest.raises(FlowSingularity) as info:
+            sample_closed_form(init, np.linspace(0.0, 2.0, 5))
+        assert str(info.value) == "flow is singular inside the grid near c=1.0"
 
 
 class TestContainersAndControls:
