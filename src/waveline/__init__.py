@@ -34,6 +34,7 @@ from .minkowski import (
     interval_squared,
     lower_index,
     raise_index,
+    timelike_interval_squared,
 )
 from .worldline import (
     Worldline,
@@ -62,7 +63,6 @@ from .eigenvalue import (
     lambda_boundary_form,
     lambda_closed_form,
     lambda_lattice,
-    lambda_lattice_full,
     operator_residual,
     predicted_action_eigenvalue,
     reality_residual,

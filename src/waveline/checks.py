@@ -24,6 +24,7 @@ from .eigenvalue import (
 from .minkowski import interval_squared
 from .phase_flow import (
     FlowInitialData,
+    denominator,
     flow_grid,
     flow_to_rows,
     frozen_coefficients,
@@ -139,7 +140,7 @@ def flow_suite(cfg):
         for k, init in enumerate(inits):
             if k in failures:
                 continue
-            err = pole_error(init, grid)
+            err = pole_error(init.sigma2_0, grid)
             if err is None:
                 live.append(k)
             else:
@@ -147,7 +148,7 @@ def flow_suite(cfg):
         batch = [inits[k] for k in live]
         if n == n_top:
             # the flow.csv trace rides along as the last row of the top rung
-            trace_error = pole_error(trace_init, grid)
+            trace_error = pole_error(trace_init.sigma2_0, grid)
             if trace_error is None:
                 batch.append(trace_init)
         nums = integrate_flow(batch, FLOW_BENCH_C, n) if batch else []
@@ -207,7 +208,7 @@ def _random_lambda_set(rng):
     c = rng.uniform(0.3, 1.2)
     while True:
         s2 = rng.uniform(-0.25, 1.2)
-        if 1.0 + 2.0 * s2 * c >= 0.4:
+        if denominator(s2, c) >= 0.4:
             break
     s1 = rng.uniform(-1.0, 1.0, size=4)
     a = rng.uniform(-0.5, 0.5, size=4)
@@ -502,10 +503,7 @@ def operator_suite(cfg):
                 threshold_check(name, rel, case_tol, detail="relative to the predicted value")
             )
         # The imaginary part of the probe must reproduce the reality
-        # quadrature; reuse the richest case for it.
-        params = cases[-1][1]
-        predicted = predicted_action_eigenvalue(params, w)
-        probed = apply_action_operator(params, w, h=OPERATOR_STEP)
+        # quadrature; the last (richest) case's values serve for it.
         rel = abs(probed.imag - predicted.imag) / max(1.0, abs(predicted.imag))
         checks.append(
             threshold_check("operator_imaginary_part", rel, tol,
@@ -595,3 +593,48 @@ SUITES = {
     "phase": phase_suite,
     "verify": verify_suite,
 }
+
+# Every check name each suite can emit, * standing for a swept parameter.
+# The last names of a suite appear only when a measurement raised.
+CHECK_NAMES = {
+    "flow": (
+        "flow_accuracy[sigma2_0=*]",
+        "flow_step_halving_contraction",
+        "flow_trace[sigma2_0=*]",
+    ),
+    "lambda": (
+        "lambda_three_form_agreement",
+        "lambda_worldline_independence_order",
+        "lambda_breakdown",
+    ),
+    "stationary": (
+        "stationary_duration",
+        "stationary_eigenvalue",
+        "curvature_degeneracy",
+        "classical_limit_identity[branch=+1]",
+        "classical_limit_identity[branch=-1]",
+        "stationary_search",
+    ),
+    "operator": (
+        "operator_exact_free",
+        "operator_phase_only",
+        "operator_phase_and_modulus",
+        "operator_imaginary_part",
+        "operator_oracle",
+    ),
+    "phase": (
+        "phase_two_clock_consistency",
+        "phase_trajectory_independence",
+        "phase_center_identity",
+        "phase_consistency",
+    ),
+}
+# verify runs every suite, the lambda one with its negative-control meta-check
+CHECK_NAMES["verify"] = (
+    CHECK_NAMES["flow"]
+    + CHECK_NAMES["lambda"]
+    + ("lambda_violation_detected",)
+    + CHECK_NAMES["stationary"]
+    + CHECK_NAMES["operator"]
+    + CHECK_NAMES["phase"]
+)

@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from .checks import SUITES
+from .checks import CHECK_NAMES, SUITES
 from .config import load_config
 from .errors import ConfigError
 from .report import RunReport, format_check_line, write_json
@@ -24,43 +24,6 @@ COMMANDS = {
     "phase": "check the two-clock phase identity and its trajectory independence",
     "verify": "run every check family plus the negative-control meta-check",
 }
-
-# Check names (with * for swept parameters) per command, for --list.
-CHECK_FAMILIES = {
-    "flow": (
-        "flow_accuracy[sigma2_0=*]",
-        "flow_step_halving_contraction",
-    ),
-    "lambda": (
-        "lambda_three_form_agreement",
-        "lambda_worldline_independence_order",
-    ),
-    "stationary": (
-        "stationary_duration",
-        "stationary_eigenvalue",
-        "curvature_degeneracy",
-        "classical_limit_identity[branch=+1]",
-        "classical_limit_identity[branch=-1]",
-    ),
-    "phase": (
-        "phase_two_clock_consistency",
-        "phase_trajectory_independence",
-        "phase_center_identity",
-    ),
-}
-CHECK_FAMILIES["verify"] = (
-    CHECK_FAMILIES["flow"]
-    + CHECK_FAMILIES["lambda"]
-    + ("lambda_violation_detected",)
-    + CHECK_FAMILIES["stationary"]
-    + (
-        "operator_exact_free",
-        "operator_phase_only",
-        "operator_phase_and_modulus",
-        "operator_imaginary_part",
-    )
-    + CHECK_FAMILIES["phase"]
-)
 
 
 def build_parser():
@@ -106,7 +69,7 @@ def _overrides_from(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.list_checks:
-        for name in CHECK_FAMILIES[args.command]:
+        for name in CHECK_NAMES[args.command]:
             print(name)
         return 0
 

@@ -130,6 +130,13 @@ def _coerce(name, value):
         raise ConfigError(f"{name}: cannot use {value!r} ({exc})") from exc
 
 
+def _finite(value):
+    out = float(value)
+    if not np.isfinite(out):
+        raise ValueError(f"{out!r} is not a finite number")
+    return out
+
+
 def _coerce_value(name, value):
     if name == "branch":
         return parse_branch(value)
@@ -140,15 +147,11 @@ def _coerce_value(name, value):
         bad = set(value) - known
         if bad:
             raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
-        return Tolerances(**{k: float(v) for k, v in value.items()})
-    if name in ("a", "b", "sigma1_0"):
+        return Tolerances(**{k: _finite(v) for k, v in value.items()})
+    if name in ("a", "b", "sigma1_0", "sigma2_values"):
         if value is None:
             return None
-        return tuple(float(x) for x in value)
-    if name == "sigma2_values":
-        if value is None:
-            return None
-        return tuple(float(x) for x in value)
+        return tuple(_finite(x) for x in value)
     if name in ("N", "operator_N", "seed", "n_perturbations",
                 "n_phase_perturbations", "n_lambda_sets"):
         if isinstance(value, bool) or int(value) != value:
@@ -160,7 +163,7 @@ def _coerce_value(name, value):
         return value
     if name == "C" and value is None:
         return None
-    return float(value)
+    return _finite(value)
 
 
 def load_config(path=None, overrides=None):

@@ -42,13 +42,6 @@ from .worldline import velocities
 MODULUS_FLOOR = 1e-300
 
 
-def _inner(u, v):
-    """Minkowski contraction that preserves dtype (complex-safe), broadcasting."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    return u[..., 0] * v[..., 0] - np.sum(u[..., 1:] * v[..., 1:], axis=-1)
-
-
 @dataclass(frozen=True)
 class RealCoefficients:
     """Real-part coefficients sampled on a grid: r1 is (M, 4), r2 is (M,)."""
@@ -134,7 +127,7 @@ def lambda_closed_form(init, a, b, m, C):
         raise ZeroDuration("eigenvalue needs a nonzero invariant duration")
     a = as_four_vector(a)
     b = as_four_vector(b)
-    d = checked_denominator(init, C)
+    d = checked_denominator(init.sigma2_0, C)
     return (
         dot(init.sigma1_0, b / d - a)
         + 0.5 * init.sigma2_0 * (dot(b, b) / d - dot(a, a))
@@ -161,22 +154,29 @@ def lambda_boundary_form(flow, a, b, m):
         - dot(flow.sigma1[0], a)
         - 0.5 * flow.sigma2[0] * dot(a, a)
     )
-    quad = -float(np.trapezoid(_inner(flow.sigma1, flow.sigma1), flow.grid))
+    quad = -float(np.trapezoid(dot(flow.sigma1, flow.sigma1), flow.grid))
     return LambdaBreakdown(boundary=float(bracket), quadrature=quad, mass=m * m * flow.C)
 
 
-def lambda_lattice(w, flow, m):
+def lambda_lattice(w, flow, m, real=None, hbar_tilde=1.0):
     """Eigenvalue by direct trapezoid quadrature on a sampled world line.
 
     The integrand is xdot . (sigma1 + sigma2 x) - |sigma1 + sigma2 x|^2;
     the mass term is added analytically.  When the coefficients obey the
     flow this is independent of the interior of the world line up to the
-    O(dc^2) quadrature error.
+    O(dc^2) quadrature error.  Given ``real`` coefficients, the modulus
+    contributions hb^2 [ |r1 + r2 x|^2 + 4 r2 delta(0) ] join the integrand,
+    with delta(0) -> 1/dc on the lattice.
     """
     require_shared_grid(w.grid, flow.grid)
     x = w.points
     sp = flow.sigma1 + flow.sigma2[:, None] * x
-    integrand = _inner(velocities(w), sp) - _inner(sp, sp)
+    integrand = dot(velocities(w), sp) - dot(sp, sp)
+    if real is not None:
+        require_shared_grid(w.grid, real.grid)
+        rp = real.r1 + real.r2[:, None] * x
+        hb2 = hbar_tilde * hbar_tilde
+        integrand = integrand + hb2 * (dot(rp, rp) + 4.0 * real.r2 / w.dc)
     return float(np.trapezoid(integrand, w.grid)) + m * m * w.C
 
 
@@ -225,26 +225,6 @@ def expansion_deltas(g, q, coefs):
     return linear + quadratic
 
 
-def lambda_lattice_full(w, flow, real, m, hbar_tilde):
-    """Lattice eigenvalue including the real-part (modulus) contributions.
-
-    Adds hb^2 [ |r1 + r2 x|^2 + 4 r2 delta(0) ] to the integrand of
-    :func:`lambda_lattice`, with delta(0) -> 1/dc on the lattice.
-    """
-    require_shared_grid(w.grid, flow.grid)
-    require_shared_grid(w.grid, real.grid)
-    x = w.points
-    sp = flow.sigma1 + flow.sigma2[:, None] * x
-    rp = real.r1 + real.r2[:, None] * x
-    hb2 = hbar_tilde * hbar_tilde
-    integrand = (
-        _inner(velocities(w), sp)
-        - _inner(sp, sp)
-        + hb2 * (_inner(rp, rp) + 4.0 * real.r2 / w.dc)
-    )
-    return float(np.trapezoid(integrand, w.grid)) + m * m * w.C
-
-
 def reality_residual(flow, real, w):
     """Quadrature of the condition that keeps the eigenvalue real.
 
@@ -263,7 +243,7 @@ def reality_residual(flow, real, w):
     sp = flow.sigma1 + flow.sigma2[:, None] * x
     rp = real.r1 + real.r2[:, None] * x
     integrand = (
-        _inner(velocities(w), rp) - 2.0 * _inner(sp, rp) - 4.0 * flow.sigma2 / w.dc
+        dot(velocities(w), rp) - 2.0 * dot(sp, rp) - 4.0 * flow.sigma2 / w.dc
     )
     return float(np.trapezoid(integrand, w.grid))
 
@@ -272,7 +252,7 @@ def predicted_action_eigenvalue(params, w):
     """(I Psi)/Psi predicted by the coefficient algebra: lambda_full - i hb R."""
     flow = sample_closed_form(params.flow_init, w.grid)
     real = constant_real_part(params.r1_0, params.r2_0, w.grid)
-    lam = lambda_lattice_full(w, flow, real, params.m, params.hbar_tilde)
+    lam = lambda_lattice(w, flow, params.m, real, params.hbar_tilde)
     res = reality_residual(flow, real, w)
     return complex(lam, -params.hbar_tilde * res)
 
@@ -320,7 +300,7 @@ def apply_action_operator(params, w, h=1e-4):
     r1, r2 = real.r1, real.r2
 
     # Modulus exponent of Psi at the base point; differences divide by Psi.
-    r_exponent = float(np.trapezoid(_inner(r1, x) + 0.5 * r2 * _inner(x, x), w.grid))
+    r_exponent = float(np.trapezoid(dot(r1, x) + 0.5 * r2 * dot(x, x), w.grid))
     if r_exponent < np.log(MODULUS_FLOOR):
         raise NumericalUnderflow(
             f"|Psi| ~ exp({r_exponent:.1f}) is below {MODULUS_FLOOR:g}"
@@ -354,8 +334,8 @@ def apply_action_operator(params, w, h=1e-4):
     for i in (0, w.N):
         grad = (1j / hb) * sp[i] + rp[i]  # raised components, complex
         trace = ((1j / hb) * s2[i] + r2[i]) * 4.0 / dc
-        integrand[i] = (hb / 1j) * _inner(v[i], grad) + hb * hb * (
-            _inner(grad, grad) + trace
+        integrand[i] = (hb / 1j) * dot(v[i], grad) + hb * hb * (
+            dot(grad, grad) + trace
         )
 
     # Mass term added analytically so the free functional is handled exactly.

@@ -40,13 +40,17 @@ def dot(u, v):
     """Invariant product u0*v0 - u.v of raised components.
 
     Accepts single vectors or (..., 4) stacks and broadcasts; a pair of
-    (4,) inputs yields a plain float.
+    (4,) inputs yields a plain Python number.  Integer and list input is
+    promoted to float, and complex input stays complex.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u = np.asarray(u)
+    v = np.asarray(v)
+    dtype = np.result_type(u, v, float)
+    u = u.astype(dtype, copy=False)
+    v = v.astype(dtype, copy=False)
     out = u[..., 0] * v[..., 0] - np.sum(u[..., 1:] * v[..., 1:], axis=-1)
     if out.ndim == 0:
-        return float(out)
+        return out.item()
     return out
 
 
@@ -97,6 +101,21 @@ def hamiltonian_constraint(p, m):
     return dot(p_up, p_up) - m * m
 
 
+def timelike_interval_squared(a, b):
+    """Squared interval of endpoint events that must be strictly timelike.
+
+    Both endpoints are validated as four-vectors; spacelike and (within
+    NULL_TOL) null separations raise.
+    """
+    ds2 = interval_squared(as_four_vector(a), as_four_vector(b))
+    kind = classify_interval(ds2)
+    if kind is IntervalClass.SPACELIKE:
+        raise SpacelikeSeparation(f"squared interval {ds2!r} is negative")
+    if kind is IntervalClass.NULL:
+        raise NullSeparation("endpoints are lightlike-separated")
+    return ds2
+
+
 def classical_action(a, b, m, branch=1):
     """Extremal action +/- m * sqrt((b-a)^2) for a free particle between events.
 
@@ -107,10 +126,4 @@ def classical_action(a, b, m, branch=1):
         raise ValueError("branch must be +1 or -1")
     if m <= 0:
         raise ZeroMass("classical action needs m > 0")
-    ds2 = interval_squared(a, b)
-    kind = classify_interval(ds2)
-    if kind is IntervalClass.SPACELIKE:
-        raise SpacelikeSeparation(f"squared interval {ds2!r} is negative")
-    if kind is IntervalClass.NULL:
-        raise NullSeparation("endpoints are lightlike-separated")
-    return branch * m * np.sqrt(ds2)
+    return branch * m * np.sqrt(timelike_interval_squared(a, b))

@@ -85,44 +85,46 @@ def flow_rhs(sigma1, sigma2):
     return -2.0 * sigma2 * sigma1, -2.0 * sigma2 * sigma2
 
 
-def denominator(init, c):
+def denominator(sigma2_0, c):
     """D(c) = 1 + 2 sigma2_0 c, the single scale factor of the exact flow."""
-    return 1.0 + 2.0 * init.sigma2_0 * np.asarray(c, dtype=float)
+    return 1.0 + 2.0 * sigma2_0 * np.asarray(c, dtype=float)
 
 
-def singularity_time(init):
+def singularity_time(sigma2_0):
     """Pole location c* for decaying initial curvature, else None."""
-    if init.sigma2_0 < 0:
-        return -1.0 / (2.0 * init.sigma2_0)
+    if sigma2_0 < 0:
+        return -1.0 / (2.0 * sigma2_0)
     return None
 
 
-def checked_denominator(init, c):
-    """D(c) as a float, raising FlowSingularity at or past the pole."""
-    d = float(denominator(init, c))
+def checked_denominator(sigma2_0, c):
+    """D(c) as a float, raising FlowSingularity at or past the pole.
+
+    D is linear with D(0) = 1, so a D(c) at or below the floor puts the pole
+    c* = -1 / (2 sigma2_0) between 0 and c (on either side of 0); that is
+    the c* reported.
+    """
+    d = float(denominator(sigma2_0, c))
     if d <= DENOMINATOR_FLOOR:
         raise FlowSingularity(
-            f"flow is singular at c={c!r} (D={d!r})", c_star=singularity_time(init)
+            f"flow is singular at c={float(c)!r} (D={d!r})", c_star=-1.0 / (2.0 * sigma2_0)
         )
     return d
 
 
 def closed_form_at(init, c):
     """Exact (sigma1, sigma2) at invariant time ``c``."""
-    d = checked_denominator(init, c)
+    d = checked_denominator(init.sigma2_0, c)
     return init.sigma1_0 / d, init.sigma2_0 / d
 
 
 def sample_closed_form(init, grid):
     """Exact flow on a whole grid as FlowCoefficients."""
     grid = np.asarray(grid, dtype=float)
-    d = denominator(init, grid)
-    if np.any(d <= DENOMINATOR_FLOOR):
-        bad = float(grid[d <= DENOMINATOR_FLOOR][0])
-        raise FlowSingularity(
-            f"flow is singular inside the grid near c={bad!r}",
-            c_star=singularity_time(init),
-        )
+    err = pole_error(init.sigma2_0, grid, sampled=True)
+    if err is not None:
+        raise err
+    d = denominator(init.sigma2_0, grid)
     return FlowCoefficients(
         grid=grid,
         sigma1=init.sigma1_0[None, :] / d[:, None],
@@ -162,21 +164,23 @@ def flow_grid(C, N):
     return np.linspace(0.0, float(C), N + 1)
 
 
-def pole_error(init, grid):
-    """The FlowSingularity that integrating ``init`` on ``grid`` meets, else None.
+def pole_error(sigma2_0, grid, sampled=False):
+    """The FlowSingularity the flow from c = 0 meets on ``grid``, else None.
 
-    A pole inside [0, C] is reported with its c*.  Otherwise the exact
-    D(c) is checked at every grid node past c = 0, so initial data whose
-    pole sits just past C (D(C) at or below the floor) is refused too.
+    A pole inside [0, C] is reported with its c*, since no step may cross
+    it.  Otherwise the exact D(c) is checked at every node, which refuses a
+    pole just past C (D(C) at or below the floor) too.  ``sampled`` is the
+    closed form's check: it evaluates nothing between the nodes, so only the
+    node check applies and the first bad node is reported.
     """
     C = float(grid[-1])
-    c_star = singularity_time(init)
-    if c_star is not None and c_star <= C:
+    c_star = singularity_time(sigma2_0)
+    if not sampled and c_star is not None and c_star <= C:
         return FlowSingularity(f"pole at c*={c_star!r} lies inside [0, {C!r}]", c_star=c_star)
-    hit = np.flatnonzero(denominator(init, grid[1:]) <= DENOMINATOR_FLOOR)
+    hit = np.flatnonzero(denominator(sigma2_0, grid) <= DENOMINATOR_FLOOR)
     if hit.size:
-        c = float(grid[1 + hit[0]])
-        return FlowSingularity(f"stepped onto the pole near c={c!r}", c_star=c_star)
+        where = "flow is singular inside the grid" if sampled else "stepped onto the pole"
+        return FlowSingularity(f"{where} near c={float(grid[hit[0]])!r}", c_star=c_star)
     return None
 
 
@@ -195,7 +199,7 @@ def integrate_flow(init, C, N):
     inits = [init] if single else list(init)
     grid = flow_grid(C, N)
     for row in inits:
-        err = pole_error(row, grid)
+        err = pole_error(row.sigma2_0, grid)
         if err is not None:
             raise err
     h = grid[1] - grid[0]

@@ -23,10 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateQ, FlowSingularity
-from .eigenvalue import _inner
+from .errors import BadGrid, DegenerateQ
 from .minkowski import as_four_vector, dot
-from .phase_flow import FlowInitialData, require_shared_grid, sample_closed_form
+from .phase_flow import (
+    FlowInitialData,
+    checked_denominator,
+    require_shared_grid,
+    sample_closed_form,
+)
 from .stationarity import optimal_sigma1
 
 # |Q| below this leaves the rescaled clock with no room to tick.
@@ -45,13 +49,7 @@ class PhaseGeometry:
 
 def log_duration(sigma2_0, C):
     """Q = ln(1 + 2 sigma2_0 C); requires the flow regular on [0, C]."""
-    d = 1.0 + 2.0 * float(sigma2_0) * float(C)
-    if d <= 0:
-        raise FlowSingularity(
-            f"D(C)={d!r} is not positive",
-            c_star=None if sigma2_0 >= 0 else -0.5 / float(sigma2_0),
-        )
-    return float(np.log(d))
+    return float(np.log(checked_denominator(sigma2_0, C)))
 
 
 def shift_point(a, b, Q):
@@ -78,7 +76,7 @@ def phase_eval_c(w, flow):
     """Invariant-clock phase quadrature for a sampled world line."""
     require_shared_grid(w.grid, flow.grid)
     x = w.points
-    integrand = _inner(flow.sigma1, x) + 0.5 * flow.sigma2 * _inner(x, x)
+    integrand = dot(flow.sigma1, x) + 0.5 * flow.sigma2 * dot(x, x)
     return float(np.trapezoid(integrand, w.grid))
 
 
@@ -89,7 +87,7 @@ def phase_eval_q(points, q_grid, x_tilde):
     ``q_grid`` (sigma2_0 < 0, so Q < 0) yields the correctly signed value.
     """
     d = np.asarray(points, dtype=float) - as_four_vector(x_tilde)
-    return float(np.trapezoid(0.25 * _inner(d, d), np.asarray(q_grid, dtype=float)))
+    return float(np.trapezoid(0.25 * dot(d, d), np.asarray(q_grid, dtype=float)))
 
 
 def resample_on_log_clock(w, sigma2_0, n_q=None):
@@ -107,7 +105,11 @@ def resample_on_log_clock(w, sigma2_0, n_q=None):
     # scipy is loaded here only, so importing waveline does not pay for it
     from scipy.interpolate import CubicSpline
 
-    spline = CubicSpline(w.grid, w.points, axis=0)
+    try:
+        spline = CubicSpline(w.grid, w.points, axis=0)
+    except ValueError as exc:
+        # the slope solve overflows on extreme lattice spacings (C ~ 1e200)
+        raise BadGrid(f"cannot spline the world line over C={w.C!r}: {exc}") from exc
     return q_grid, spline(c_of_q)
 
 

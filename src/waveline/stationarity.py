@@ -20,24 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FlowSingularity,
-    NoConvergence,
-    NullSeparation,
-    SpacelikeSeparation,
-    ZeroDuration,
-    ZeroMass,
-)
+from .errors import NoConvergence, ZeroDuration, ZeroMass
 from .eigenvalue import lambda_closed_form
-from .minkowski import (
-    IntervalClass,
-    as_four_vector,
-    classical_action,
-    classify_interval,
-    dot,
-    interval_squared,
-)
-from .phase_flow import FlowInitialData
+from .minkowski import as_four_vector, classical_action, timelike_interval_squared
+from .phase_flow import FlowInitialData, checked_denominator, denominator
 
 GRAD_STEP = 1e-6  # relative finite-difference step for gradients
 HESS_STEP = 1e-4  # relative finite-difference step for Hessians
@@ -70,18 +56,6 @@ class StationarityReport:
         }
 
 
-def _timelike_displacement(a, b):
-    a = as_four_vector(a)
-    b = as_four_vector(b)
-    ds2 = interval_squared(a, b)
-    kind = classify_interval(ds2)
-    if kind is IntervalClass.SPACELIKE:
-        raise SpacelikeSeparation(f"squared interval {ds2!r} is negative")
-    if kind is IntervalClass.NULL:
-        raise NullSeparation("endpoints are lightlike-separated")
-    return b - a, ds2
-
-
 def optimal_sigma1(sigma2_0, a, b, C):
     """The sigma1_0 that makes lambda stationary at fixed sigma2_0 and C.
 
@@ -92,11 +66,7 @@ def optimal_sigma1(sigma2_0, a, b, C):
         raise ZeroDuration("stationary sigma1_0 needs C != 0")
     a = as_four_vector(a)
     b = as_four_vector(b)
-    d = 1.0 + 2.0 * float(sigma2_0) * float(C)
-    if d <= 0:
-        raise FlowSingularity(
-            f"D(C)={d!r} is not positive", c_star=-0.5 / float(sigma2_0)
-        )
+    d = checked_denominator(sigma2_0, C)
     return (b - a * d) / (2.0 * C)
 
 
@@ -108,8 +78,7 @@ def reduced_lambda(C, a, b, m):
     """
     if C == 0:
         raise ZeroDuration("reduced eigenvalue needs C != 0")
-    delta, _ = _timelike_displacement(a, b)
-    return dot(delta, delta) / (4.0 * C) + m * m * C
+    return timelike_interval_squared(a, b) / (4.0 * C) + m * m * C
 
 
 def optimal_C(a, b, m, branch=1):
@@ -118,8 +87,7 @@ def optimal_C(a, b, m, branch=1):
         raise ValueError("branch must be +1 or -1")
     if m <= 0:
         raise ZeroMass("stationary duration needs m > 0")
-    _, ds2 = _timelike_displacement(a, b)
-    return branch * np.sqrt(ds2) / (2.0 * m)
+    return branch * np.sqrt(timelike_interval_squared(a, b)) / (2.0 * m)
 
 
 def stationary_lambda(a, b, m, branch=1):
@@ -195,13 +163,13 @@ def numeric_stationary_search(
         raise ZeroMass("stationary search needs m > 0")
     a = as_four_vector(a)
     b = as_four_vector(b)
-    _timelike_displacement(a, b)  # fail early on bad endpoint pairs
+    timelike_interval_squared(a, b)  # fail early on bad endpoint pairs
     sigma2_0 = float(sigma2_0)
     if guess_C is None:
         guess_C = 0.5 * abs(b[0] - a[0])
         # The heuristic guess must respect D(C) > 0; when the pole sits on
         # this branch's side, start three quarters of the way toward it.
-        if 1.0 + 2.0 * sigma2_0 * branch * guess_C <= 0:
+        if denominator(sigma2_0, branch * guess_C) <= 0:
             guess_C = 0.75 * abs(0.5 / sigma2_0)
     if not (guess_C > 0) or not np.isfinite(guess_C):
         raise ZeroDuration(f"guess_C must be positive and finite, got {guess_C!r}")
@@ -212,17 +180,13 @@ def numeric_stationary_search(
 
     def admissible(z):
         c = z[4]
-        return branch * c > 0 and 1.0 + 2.0 * sigma2_0 * c > 0
+        return branch * c > 0 and denominator(sigma2_0, c) > 0
 
     c0 = branch * float(guess_C)
-    if not (branch * c0 > 0 and 1.0 + 2.0 * sigma2_0 * c0 > 0):
-        raise FlowSingularity(
-            f"initial guess C={c0!r} is outside the admissible region",
-            c_star=None if sigma2_0 >= 0 else -0.5 / sigma2_0,
-        )
     # Warm-start sigma1_0 at its conditional stationary point for the
-    # guessed C.  Starting from sigma1_0 = 0 instead leaves the Hessian
-    # exactly singular when sigma2_0 = 0 (lambda is linear in C there).
+    # guessed C, which also refuses a guess at or past the pole.  Starting
+    # from sigma1_0 = 0 instead leaves the Hessian exactly singular when
+    # sigma2_0 = 0 (lambda is linear in C there).
     z = np.concatenate([optimal_sigma1(sigma2_0, a, b, c0), [c0]])
 
     grad = _fd_gradient(objective, z)

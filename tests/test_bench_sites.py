@@ -36,3 +36,17 @@ def test_flow_sweep_sites_and_batched_calls(tmp_path):
     # one batched call per ladder rung for all 35 curvatures and the trace
     assert metrics["phase_flow.integrate_flow.calls"] == 3
     assert metrics["phase_flow.integrate_flow.steps"] == 50 + 100 + 200
+
+
+def test_verify_default_sites_and_one_operator_call_per_case(tmp_path):
+    spans = load_spans()
+    config = ROOT / "perfbench" / "workloads" / "verify-default.json"
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        code = cli.main(["verify", "--config", str(config), "--N", "200",
+                         "--out", str(tmp_path / "out")])
+    # N = 200 may miss tolerances set for N = 10000; only the sites matter
+    assert code in (0, 1)
+    metrics = spans.layer_metrics(tracer.spans, "verify-default")
+    # three operator cases; the imaginary-part check reuses the last one
+    assert metrics["eigenvalue.apply_action_operator.calls"] == 3

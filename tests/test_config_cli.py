@@ -1,12 +1,18 @@
 import json
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from waveline.cli import CHECK_FAMILIES, main
-from waveline.config import load_config, parse_branch
+from waveline.checks import CHECK_NAMES
+from waveline.cli import main
+from waveline.config import RunConfig, Tolerances, load_config, parse_branch
 from waveline.errors import ConfigError
 from waveline.report import (
     RunReport,
@@ -84,6 +90,55 @@ class TestConfig:
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"m": float("inf")},
+            {"amplitude": float("inf")},
+            {"sigma2_0": float("nan")},
+            {"C": float("nan")},
+            {"hbar_tilde": float("inf")},
+            {"sigma2_values": [0.5, float("nan")]},
+            {"b": [2.0, 0.6, float("inf"), 0.1]},
+            {"sigma1_0": [float("nan"), 0.0, 0.0, 0.0]},
+            {"tolerances": {"phase_tol": float("inf")}},
+            {"tolerances": {"flow_tol": float("nan")}},
+        ],
+    )
+    def test_non_finite_values_rejected(self, tmp_path, payload):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(payload))  # writes NaN / Infinity literals
+        with pytest.raises(ConfigError, match="not a finite number"):
+            load_config(path)
+
+    @given(
+        st.dictionaries(
+            st.sampled_from([f.name for f in fields(RunConfig)]),
+            st.recursive(
+                st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+                lambda inner: st.lists(inner, max_size=5)
+                | st.dictionaries(
+                    st.sampled_from([f.name for f in fields(Tolerances)] + ["x"]),
+                    inner,
+                    max_size=3,
+                ),
+                max_leaves=8,
+            ),
+            max_size=5,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_json_object_validates_or_raises_config_error(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.json"
+            path.write_text(json.dumps(payload))
+            try:
+                cfg = load_config(path)
+            except ConfigError:
+                return
+        assert cfg.validate() is cfg
+        assert all(np.isfinite(v) for v in (cfg.m, cfg.hbar_tilde, cfg.sigma2_0, cfg.amplitude))
 
     def test_parse_branch(self):
         assert parse_branch("+") == 1
@@ -294,6 +349,39 @@ class TestCli:
     def test_bad_sigma2_flag_exits_2(self):
         assert main(["flow", "--sigma2", "zero"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow", "--sigma2=nan"],
+            ["flow", "--sigma2=inf"],
+            ["phase", "--sigma2=nan"],
+            ["stationary", "--sigma2=nan"],
+            ["lambda", "--sigma2=0.5,-inf"],
+        ],
+    )
+    def test_non_finite_sigma2_flag_exits_2(self, tmp_path, argv, capsys):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert "not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_huge_duration_fails_the_phase_check_without_a_traceback(self, tmp_path):
+        # C = 1e200 overflows the spline's slope solve; the phase suite must
+        # report that as a failed check and the report must still be written
+        cfgp = write_quick_config(tmp_path, C=1e200, N=200)
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "waveline.cli", "verify", "--config", cfgp,
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        checks = json.loads((out / "run_report.json").read_text())["checks"]
+        phase = next(c for c in checks if c["name"] == "phase_consistency")
+        assert phase["status"] == "fail"
+        assert phase["detail"].startswith("BadGrid: cannot spline the world line")
+
     def test_unwritable_out_exits_2(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -304,7 +392,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "lambda_three_form_agreement" in out
         assert "operator_exact_free" in out
-        for name in CHECK_FAMILIES["flow"]:
+        for name in CHECK_NAMES["flow"]:
             assert name in out
 
     def test_report_is_bit_identical_across_reruns(self, tmp_path):

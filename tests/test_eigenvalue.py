@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveline.errors import GridMismatch, ZeroDuration
+from waveline.errors import FlowSingularity, GridMismatch, ZeroDuration
 from waveline.eigenvalue import (
     RealCoefficients,
     WaveParameters,
@@ -11,7 +11,6 @@ from waveline.eigenvalue import (
     lambda_boundary_form,
     lambda_closed_form,
     lambda_lattice,
-    lambda_lattice_full,
     predicted_action_eigenvalue,
     reality_residual,
 )
@@ -41,6 +40,13 @@ class TestClosedForm:
         init = FlowInitialData(np.zeros(4), 0.0)
         with pytest.raises(ZeroDuration):
             lambda_closed_form(init, A, B1, 1.0, 0.0)
+
+    def test_pole_message_prints_a_plain_c(self):
+        init = FlowInitialData(np.zeros(4), -0.5)
+        with pytest.raises(FlowSingularity) as info:
+            lambda_closed_form(init, A, B1, 1.0, np.float64(1.0))
+        assert str(info.value) == "flow is singular at c=1.0 (D=0.0)"
+        assert info.value.c_star == 1.0
 
     @given(
         st.floats(-0.3, 1.5),
@@ -107,11 +113,30 @@ class TestLattice:
         with pytest.raises(GridMismatch):
             lambda_lattice(w, flow, 1.0)
 
+    def test_real_part_grid_mismatch_rejected(self):
+        init, flow = make_flow(B1, 0.0, 0.5, 100)
+        w = straight_line(A, B1, 0.5, 100)
+        real = constant_real_part(np.zeros(4), 0.0, np.linspace(0.0, 0.5, 102))
+        with pytest.raises(GridMismatch):
+            lambda_lattice(w, flow, 1.0, real)
+
+    def test_real_part_adds_the_modulus_terms(self):
+        # constant r1, r2 on a straight line: the added integrand is
+        # hb^2 (|r1 + r2 x|^2 + 4 r2 / dc), integrated here independently
+        init, flow = make_flow(B1, 0.4, 0.8, 200)
+        w = straight_line(A, B1, 0.8, 200)
+        r1, r2, hb = np.array([0.05, 0.02, -0.01, 0.03]), 0.1, 0.7
+        real = constant_real_part(r1, r2, w.grid)
+        rp = r1 + r2 * w.points
+        extra = hb * hb * (rp[:, 0] ** 2 - (rp[:, 1:] ** 2).sum(axis=1) + 4.0 * r2 / w.dc)
+        expected = lambda_lattice(w, flow, 1.0) + np.trapezoid(extra, w.grid)
+        assert lambda_lattice(w, flow, 1.0, real, hb) == pytest.approx(expected, rel=1e-12)
+
     def test_full_reduces_to_phase_only_when_real_part_vanishes(self):
         init, flow = make_flow(B1, 0.4, 0.8, 500)
         w = perturb_interior(straight_line(A, B1, 0.8, 500), 0.2, seed=4)
         real = constant_real_part(np.zeros(4), 0.0, w.grid)
-        assert lambda_lattice_full(w, flow, real, 1.0, 1.0) == lambda_lattice(w, flow, 1.0)
+        assert lambda_lattice(w, flow, 1.0, real, 1.0) == lambda_lattice(w, flow, 1.0)
 
 
 class TestRealityResidual:
@@ -139,7 +164,7 @@ class TestRealityResidual:
         z = predicted_action_eigenvalue(params, w)
         assert z.imag == pytest.approx(-0.7 * reality_residual(flow, real, w), rel=1e-12)
         assert z.real == pytest.approx(
-            lambda_lattice_full(w, flow, real, 1.0, 0.7), rel=1e-12
+            lambda_lattice(w, flow, 1.0, real, 0.7), rel=1e-12
         )
 
 

@@ -20,6 +20,7 @@ from waveline.minkowski import (
     interval_squared,
     lower_index,
     raise_index,
+    timelike_interval_squared,
 )
 
 from conftest import four_vectors, timelike_pairs, timelike_vectors
@@ -47,6 +48,21 @@ class TestDot:
         out = dot(u, u)
         assert out.shape == (2,)
         assert out[0] == dot(u[0], u[0])
+
+    def test_integer_and_list_input_gives_a_python_float(self):
+        for u in ([1, 2, 3, 4], np.array([1, 2, 3, 4])):
+            out = dot(u, u)
+            assert type(out) is float
+            assert out == 1 - 4 - 9 - 16
+        assert dot(np.arange(8).reshape(2, 4), E0).dtype == np.float64
+
+    def test_complex_input_stays_complex(self):
+        u = np.array([1.0 + 1.0j, 2.0j, 0.0, 1.0])
+        assert dot(u, u) == (1.0 + 1.0j) ** 2 - (2.0j) ** 2 - 1.0
+        assert type(dot(u, u)) is complex
+        assert type(dot(u, E0)) is complex
+        stack = np.stack([u, u])
+        assert dot(stack, stack).dtype == np.complex128
 
     @given(four_vectors(), four_vectors())
     def test_symmetry(self, u, v):
@@ -152,6 +168,24 @@ class TestClassicalAction:
     def test_rejects_bad_branch(self):
         with pytest.raises(ValueError):
             classical_action([0, 0, 0, 0], [1, 0, 0, 0], 1.0, branch=2)
+
+
+class TestTimelikeIntervalSquared:
+    def test_returns_the_squared_interval(self):
+        a, b = [0, 0, 0, 0], [2, 0.6, 0.3, 0.1]
+        assert timelike_interval_squared(a, b) == interval_squared(a, b)
+
+    def test_rejects_spacelike_and_null(self):
+        with pytest.raises(SpacelikeSeparation):
+            timelike_interval_squared([0, 0, 0, 0], [0.5, 1, 0, 0])
+        with pytest.raises(NullSeparation):
+            timelike_interval_squared([0, 0, 0, 0], [1, 1, 0, 0])
+
+    def test_validates_the_endpoints(self):
+        with pytest.raises(ValueError):
+            timelike_interval_squared([0, 0, 0], [1, 0, 0, 0])
+        with pytest.raises(ValueError):
+            timelike_interval_squared([0, 0, 0, 0], [np.inf, 0, 0, 0])
 
 
 class TestAsFourVector:

@@ -8,6 +8,7 @@ from waveline.phase_flow import (
     DENOMINATOR_FLOOR,
     FlowCoefficients,
     FlowInitialData,
+    checked_denominator,
     closed_form_at,
     denominator,
     flow_grid,
@@ -54,8 +55,15 @@ class TestClosedForm:
 
     def test_pole_location(self):
         init = FlowInitialData(S1, -0.5)
-        assert singularity_time(init) == pytest.approx(1.0)
-        assert singularity_time(FlowInitialData(S1, 0.25)) is None
+        assert singularity_time(init.sigma2_0) == pytest.approx(1.0)
+        assert singularity_time(0.25) is None
+
+    def test_checked_denominator_prints_a_plain_c(self):
+        with pytest.raises(FlowSingularity) as info:
+            checked_denominator(-0.5, np.float64(1.0))
+        assert str(info.value) == "flow is singular at c=1.0 (D=0.0)"
+        assert info.value.c_star == 1.0
+        assert checked_denominator(-0.25, np.float64(1.0)) == 0.5
 
     def test_raises_at_pole_with_location(self):
         init = FlowInitialData(S1, -0.5)
@@ -75,7 +83,7 @@ class TestClosedForm:
     def test_direction_preserved(self, s2_0, c):
         # sigma1 only rescales: D(c) * sigma1(c) recovers the initial vector
         init = FlowInitialData(S1, s2_0)
-        d = denominator(init, c)
+        d = denominator(s2_0, c)
         if d <= 0.05:
             return
         s1, s2 = closed_form_at(init, c)
@@ -88,7 +96,7 @@ class TestClosedForm:
         # centered finite difference of the exact solution vs the rhs
         init = FlowInitialData(S1, s2_0)
         c, h = 0.4, 1e-6
-        if denominator(init, c + h) <= 0.05:
+        if denominator(s2_0, c + h) <= 0.05:
             return
         s1_p, s2_p = closed_form_at(init, c + h)
         s1_m, s2_m = closed_form_at(init, c - h)
@@ -198,8 +206,8 @@ class TestBatchedIntegrator:
 
     def test_pole_error_matches_integrate_flow(self):
         grid = flow_grid(1.0, 100)
-        assert pole_error(FlowInitialData(S1, -0.49), grid) is None
-        err = pole_error(FlowInitialData(S1, -0.5), grid)
+        assert pole_error(-0.49, grid) is None
+        err = pole_error(-0.5, grid)
         assert isinstance(err, FlowSingularity)
         assert str(err) == "pole at c*=1.0 lies inside [0, 1.0]"
 
@@ -207,11 +215,11 @@ class TestBatchedIntegrator:
         # c* = 1 + 4e-14 passes the up-front check, but D(1) = 4e-14 is
         # under the floor at the last node
         init = FlowInitialData(S1, -0.49999999999998)
-        assert singularity_time(init) > 1.0
+        assert singularity_time(init.sigma2_0) > 1.0
         with pytest.raises(FlowSingularity) as info:
             integrate_flow(init, 1.0, 200)
         assert str(info.value) == "stepped onto the pole near c=1.0"
-        assert info.value.c_star == singularity_time(init)
+        assert info.value.c_star == singularity_time(init.sigma2_0)
 
     def test_closed_form_pole_message_prints_a_plain_c(self):
         init = FlowInitialData(S1, -0.5)

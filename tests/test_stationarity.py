@@ -47,6 +47,13 @@ class TestOptimalSigma1:
         with pytest.raises(FlowSingularity):
             optimal_sigma1(-0.5, A, B1, 1.0)
 
+    def test_negative_branch_reports_its_pole(self):
+        # C < 0 meets the pole of a growing curvature at c* = -1/(2 sigma2_0)
+        with pytest.raises(FlowSingularity) as info:
+            optimal_sigma1(0.5, A, B1, -1.5)
+        assert info.value.c_star == -0.5 / 0.5
+        assert str(info.value) == "flow is singular at c=-1.5 (D=-0.5)"
+
     @given(st.floats(-0.3, 1.5), st.floats(0.3, 1.5))
     @settings(max_examples=60)
     def test_gradient_in_sigma1_vanishes(self, s2, C):
@@ -171,3 +178,11 @@ class TestNumericSearch:
             numeric_stationary_search(A, B1, 1.0, guess_C=-2.0)
         with pytest.raises(ValueError):
             numeric_stationary_search(A, B1, 1.0, branch=3)
+
+    def test_guess_past_the_pole_is_refused(self):
+        with pytest.raises(FlowSingularity) as info:
+            numeric_stationary_search(A, B1, 1.0, sigma2_0=-0.5, guess_C=1.5)
+        assert info.value.c_star == 1.0
+        with pytest.raises(FlowSingularity) as info:
+            numeric_stationary_search(A, B1, 1.0, sigma2_0=0.5, guess_C=1.5, branch=-1)
+        assert info.value.c_star == -1.0
