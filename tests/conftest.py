@@ -36,5 +36,15 @@ def rng():
     return np.random.default_rng(20260817)
 
 
+# A small verify-ready configuration for CLI runs: coarse lattices, few seeds.
+QUICK = {
+    "N": 2000,
+    "n_perturbations": 6,
+    "n_phase_perturbations": 4,
+    "n_lambda_sets": 8,
+    "operator_N": 10,
+}
+
+
 def rel_err(x, y, floor=1.0):
     return abs(x - y) / max(floor, abs(x), abs(y))

@@ -22,6 +22,8 @@ from waveline.report import (
     window_check,
 )
 
+from conftest import QUICK
+
 
 class TestConfig:
     def test_defaults_validate(self):
@@ -137,7 +139,6 @@ class TestConfig:
                 cfg = load_config(path)
             except ConfigError:
                 return
-        assert cfg.validate() is cfg
         assert all(np.isfinite(v) for v in (cfg.m, cfg.hbar_tilde, cfg.sigma2_0, cfg.amplitude))
 
     def test_parse_branch(self):
@@ -201,15 +202,6 @@ class TestReport:
         assert set(payload) == {"command", "overall", "checks", "config"}
         # wall clock must not leak into the file payload
         assert "wall_clock_s" not in json.dumps(payload)
-
-
-QUICK = {
-    "N": 2000,
-    "n_perturbations": 6,
-    "n_phase_perturbations": 4,
-    "n_lambda_sets": 8,
-    "operator_N": 10,
-}
 
 
 def write_quick_config(tmp_path, **extra):
