@@ -18,6 +18,7 @@ from .errors import (
     NonTimelikeVelocity,
     NotMeasured,
     NullSeparation,
+    NumericalOverflow,
     NumericalUnderflow,
     SpacelikeSeparation,
     WavelineError,

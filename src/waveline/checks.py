@@ -35,6 +35,7 @@ from .phase_flow import (
 from .phase_functional import (
     consistency_gap,
     phase_difference,
+    phase_expansion,
     phase_geometry,
     predicted_phase_offset,
 )
@@ -57,6 +58,7 @@ from .stationarity import (
 )
 from .worldline import (
     interior_modes,
+    normalization_modes,
     perturb_interior,
     perturbation_coefficients,
     straight_line,
@@ -251,9 +253,10 @@ def seed_displacements(amplitude, seeds, C):
     displacement ``perturb_interior(w, amplitude, seeds[k])`` adds to any
     lattice ``w`` of duration ``C``, so one stack serves every lattice.
     """
+    reference = normalization_modes(C)
     out = []
     for seed in seeds:
-        coef, peak = perturbation_coefficients(seed, C)
+        coef, peak = perturbation_coefficients(seed, C, reference=reference)
         out.append((amplitude / peak if peak > 0 else 0.0) * coef)
     return np.array(out)
 
@@ -532,11 +535,12 @@ def phase_suite(cfg):
             threshold_check("phase_two_clock_consistency", consistency_gap(w, s2), tol)
         )
 
-        diffs = np.array(
-            [
-                phase_difference(perturb_interior(base, amp, cfg.seed + 1 + k), s2)
-                for k in range(cfg.n_phase_perturbations)
-            ]
+        # Every trajectory's difference comes from the exact quadratic
+        # expansion around the base line, anchored at its direct value.
+        seeds = range(cfg.seed + 1, cfg.seed + 1 + cfg.n_phase_perturbations)
+        g, q = phase_expansion(base, s2, interior_modes(base))
+        diffs = phase_difference(base, s2) + expansion_deltas(
+            g, q, seed_displacements(amp, seeds, c_run)
         )
         mean = float(diffs.mean())
         rel_std = float(diffs.std()) / (1.0 + abs(mean))

@@ -131,6 +131,10 @@ def _coerce(name, value):
 
 
 def _finite(value):
+    # float() would read True as 1.0 and "1e3" as 1000.0; a config number
+    # must be a JSON number
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
     out = float(value)
     if not np.isfinite(out):
         raise ValueError(f"{out!r} is not a finite number")
@@ -151,6 +155,8 @@ def _coerce_value(name, value):
     if name in ("a", "b", "sigma1_0", "sigma2_values"):
         if value is None:
             return None
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list of numbers, got {type(value).__name__}")
         return tuple(_finite(x) for x in value)
     if name in ("N", "operator_N", "seed", "n_perturbations",
                 "n_phase_perturbations", "n_lambda_sets"):

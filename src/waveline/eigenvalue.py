@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalUnderflow, ZeroDuration
+from .errors import NumericalOverflow, NumericalUnderflow, ZeroDuration
 from .minkowski import METRIC_DIAG, as_four_vector, dot
 from .phase_flow import (
     FlowInitialData,
@@ -40,6 +40,8 @@ from .worldline import velocities
 
 # Wave-functional moduli below this are too flat to probe by differences.
 MODULUS_FLOOR = 1e-300
+# exp() of a real part above this overflows a double.
+EXP_CEILING = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,7 @@ def lambda_lattice(w, flow, m, real=None, hbar_tilde=1.0):
     return float(np.trapezoid(integrand, w.grid)) + m * m * w.C
 
 
-def _trapezoid_weights(grid):
+def trapezoid_weights(grid):
     """Weights v with v @ y == np.trapezoid(y, grid) up to summation order."""
     half = 0.5 * np.diff(grid)
     weights = np.zeros(grid.size)
@@ -205,7 +207,7 @@ def lattice_expansion(w, flow, modes):
     (K, 4) and (K, K), built in O(K^2 N).
     """
     require_shared_grid(w.grid, flow.grid)
-    weights = _trapezoid_weights(w.grid)
+    weights = trapezoid_weights(w.grid)
     s2 = flow.sigma2
     sp = flow.sigma1 + s2[:, None] * w.points
     dmodes = np.gradient(modes, w.dc, axis=0, edge_order=2)
@@ -265,6 +267,8 @@ def _cexpm1(z):
     (exp(dE+) + exp(dE-) - 2) accurate at step sizes around 1e-4.
     """
     x = np.real(z)
+    if x > EXP_CEILING:
+        raise NumericalOverflow(f"a probe step scales |Psi| by exp({x:.3g})")
     y = np.imag(z)
     s = np.sin(0.5 * y)
     return np.expm1(x) * np.cos(y) - 2.0 * s * s + 1j * np.exp(x) * np.sin(y)
@@ -288,7 +292,8 @@ def apply_action_operator(params, w, h=1e-4):
         the conjecture is actually tested on lives at the interior nodes.
 
     Raises NumericalUnderflow when the functional's modulus is too small
-    to difference meaningfully.
+    to difference meaningfully, and NumericalOverflow when one probe step
+    scales it past the float range (a huge lattice spacing).
     """
     flow = sample_closed_form(params.flow_init, w.grid)
     real = constant_real_part(params.r1_0, params.r2_0, w.grid)

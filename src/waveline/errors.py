@@ -60,6 +60,10 @@ class NumericalUnderflow(WavelineError):
     """Wave-functional modulus too small for finite-difference probing."""
 
 
+class NumericalOverflow(WavelineError):
+    """A finite-difference probe step moves the modulus past the float range."""
+
+
 class NoConvergence(WavelineError):
     """Iterative search exhausted its iteration budget."""
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigenvalue import trapezoid_weights
 from .errors import BadGrid, DegenerateQ
 from .minkowski import as_four_vector, dot
 from .phase_flow import (
@@ -35,6 +36,9 @@ from .stationarity import optimal_sigma1
 
 # |Q| below this leaves the rescaled clock with no room to tick.
 Q_FLOOR = 1e-12
+# Columns per CubicSpline: its coefficient and solve arrays grow with the
+# column count, and four (one event) keep the resampler's peak memory flat.
+SPLINE_COLUMNS = 4
 
 
 @dataclass(frozen=True)
@@ -90,11 +94,14 @@ def phase_eval_q(points, q_grid, x_tilde):
     return float(np.trapezoid(0.25 * dot(d, d), np.asarray(q_grid, dtype=float)))
 
 
-def resample_on_log_clock(w, sigma2_0, n_q=None):
+def resample_on_log_clock(w, sigma2_0, n_q=None, values=None):
     """World-line events at uniform q nodes, via cubic spline in c.
 
     Returns (q_grid, points).  The map c(q) = expm1(q) / (2 sigma2_0) sends
-    [0, Q] onto [0, C] monotonically for either sign of sigma2_0.
+    [0, Q] onto [0, C] monotonically for either sign of sigma2_0.  Given
+    ``values``, an (N+1, k) array of samples on the lattice of ``w``, those
+    are resampled in place of ``w.points``.  At most SPLINE_COLUMNS columns
+    are splined at a time, which bounds the spline's working memory.
     """
     q_total = log_duration(sigma2_0, w.C)
     if abs(q_total) < Q_FLOOR:
@@ -102,15 +109,27 @@ def resample_on_log_clock(w, sigma2_0, n_q=None):
     n_q = w.N if n_q is None else int(n_q)
     q_grid = np.linspace(0.0, q_total, n_q + 1)
     c_of_q = np.clip(np.expm1(q_grid) / (2.0 * float(sigma2_0)), 0.0, w.C)
+    samples = w.points if values is None else np.asarray(values, dtype=float)
     # scipy is loaded here only, so importing waveline does not pay for it
     from scipy.interpolate import CubicSpline
 
     try:
-        spline = CubicSpline(w.grid, w.points, axis=0)
-    except ValueError as exc:
         # the slope solve overflows on extreme lattice spacings (C ~ 1e200)
+        with np.errstate(over="raise", invalid="raise"):
+            columns = [
+                CubicSpline(w.grid, samples[:, k:k + SPLINE_COLUMNS], axis=0)(c_of_q)
+                for k in range(0, samples.shape[1], SPLINE_COLUMNS)
+            ]
+    except (ValueError, FloatingPointError) as exc:
         raise BadGrid(f"cannot spline the world line over C={w.C!r}: {exc}") from exc
-    return q_grid, spline(c_of_q)
+    return q_grid, np.concatenate(columns, axis=1)
+
+
+def _stationary_setup(w, sigma2_0):
+    """Flow samples with the stationary sigma1_0, and the phase geometry, for ``w``."""
+    sigma1_0 = optimal_sigma1(sigma2_0, w.a, w.b, w.C)
+    flow = sample_closed_form(FlowInitialData(sigma1_0, float(sigma2_0)), w.grid)
+    return flow, phase_geometry(sigma2_0, w.a, w.b, w.C)
 
 
 def phase_difference(w, sigma2_0):
@@ -119,11 +138,40 @@ def phase_difference(w, sigma2_0):
     Across trajectories sharing endpoints this should be the constant
     (Q/4) x_tilde.x_tilde, up to quadrature error.
     """
-    sigma1_0 = optimal_sigma1(sigma2_0, w.a, w.b, w.C)
-    flow = sample_closed_form(FlowInitialData(sigma1_0, float(sigma2_0)), w.grid)
-    geo = phase_geometry(sigma2_0, w.a, w.b, w.C)
+    flow, geo = _stationary_setup(w, sigma2_0)
     q_grid, pts_q = resample_on_log_clock(w, sigma2_0)
     return phase_eval_q(pts_q, q_grid, geo.x_tilde) - phase_eval_c(w, flow)
+
+
+def phase_expansion(base, sigma2_0, modes):
+    """Exact quadratic expansion of :func:`phase_difference` in mode coefficients.
+
+    Moving the nodes of ``base`` by ``modes @ coef``, where ``modes`` is
+    (N+1, K) with zero endpoint rows and ``coef`` is (K, 4), changes the
+    phase difference by exactly ``expansion_deltas(g, Q, coef)``, i.e.
+
+        sum_mu eta_mu ( g[:, mu] . coef[:, mu] + coef[:, mu] . Q coef[:, mu] )
+
+    with eta the metric diagonal.  This is an identity of the discrete
+    functional: the cubic spline is linear in its samples, so the
+    log-clock events are the resampled base plus the resampled mode
+    columns times ``coef``, and both trapezoid rules are fixed weights.
+    The endpoints, and with them sigma1_0 and x_tilde, do not move.
+    Returns ``(g, Q)`` with shapes (K, 4) and (K, K).
+    """
+    flow, geo = _stationary_setup(base, sigma2_0)
+    q_grid, base_q = resample_on_log_clock(base, sigma2_0)
+    _, modes_q = resample_on_log_clock(base, sigma2_0, values=modes)
+    wq = trapezoid_weights(q_grid)
+    wc = trapezoid_weights(base.grid)
+    sp = flow.sigma1 + flow.sigma2[:, None] * base.points
+    g = 0.5 * modes_q.T @ (wq[:, None] * (base_q - geo.x_tilde)) - modes.T @ (
+        wc[:, None] * sp
+    )
+    q = 0.25 * modes_q.T @ (wq[:, None] * modes_q) - 0.5 * modes.T @ (
+        (wc * flow.sigma2)[:, None] * modes
+    )
+    return g, q
 
 
 def predicted_phase_offset(sigma2_0, a, b, C):

@@ -75,17 +75,25 @@ def _sine_modes(c, C, modes):
     return np.sin(np.pi * np.outer(c / C, np.arange(1, modes + 1)))
 
 
-def perturbation_coefficients(seed, C, modes=6):
+def normalization_modes(C, modes=6):
+    """Sine modes on the fixed fine reference grid that sets a field's peak norm."""
+    return _sine_modes(np.linspace(0.0, C, _NORM_GRID + 1), C, modes)
+
+
+def perturbation_coefficients(seed, C, modes=6, reference=None):
     """Sine-mode coefficients drawn from ``seed`` and the peak norm of their field.
 
     Returns ``(coef, peak)``: ``coef`` is (modes, 4), one column per
     component, and ``peak`` is the largest Euclidean norm over c of the
     field sum_k coef[k] sin(k*pi*c/C), measured on a fixed fine reference
     grid so one seed denotes one continuum field on every lattice.
+    ``reference`` is ``normalization_modes(C, modes)``, for callers that
+    draw many seeds and build it once.
     """
     coef = np.random.default_rng(seed).standard_normal((modes, 4))
-    ref = _sine_modes(np.linspace(0.0, C, _NORM_GRID + 1), C, modes) @ coef
-    return coef, np.linalg.norm(ref, axis=1).max()
+    if reference is None:
+        reference = normalization_modes(C, modes)
+    return coef, np.linalg.norm(reference @ coef, axis=1).max()
 
 
 def interior_modes(w, modes=6):

@@ -50,3 +50,22 @@ def test_verify_default_sites_and_one_operator_call_per_case(tmp_path):
     metrics = spans.layer_metrics(tracer.spans, "verify-default")
     # three operator cases; the imaginary-part check reuses the last one
     assert metrics["eigenvalue.apply_action_operator.calls"] == 3
+
+
+def test_phase_resample_sites_and_one_spline_pass(tmp_path):
+    spans = load_spans()
+    config = ROOT / "perfbench" / "workloads" / "phase-resample.json"
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        code = cli.main(["phase", "--config", str(config), "--N", "200",
+                         "--out", str(tmp_path / "out")])
+    # N = 200 may miss tolerances set for N = 10000; only the sites matter
+    assert code in (0, 1)
+    metrics = spans.layer_metrics(tracer.spans, "phase-resample")
+    # the 200 trajectories come from one expansion around the base line;
+    # only the two-clock consistency check perturbs a line directly
+    assert metrics["worldline.perturb_interior.calls"] == 1
+    assert metrics["phase_functional.phase_difference.calls"] == 2
+    # the base line for the anchor and for the expansion, the six mode
+    # columns (splined four at a time inside one call), the consistency line
+    assert metrics["phase_functional.resample_on_log_clock.calls"] == 4

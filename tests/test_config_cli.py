@@ -316,6 +316,14 @@ class TestCli:
             {"m": "abc"},
             {"tolerances": {"lambda_tol": "x"}},
             {"a": ["x", 0, 0, 0]},
+            {"a": "1234"},
+            {"b": "5000"},
+            {"sigma2_values": "05"},
+            {"sigma1_0": {"0": 1, "1": 0, "2": 0, "3": 0}},
+            {"m": True},
+            {"C": False},
+            {"m": "1.5"},
+            {"tolerances": {"phase_tol": True}},
         ],
     )
     def test_mistyped_value_exits_2(self, tmp_path, payload, capsys):
@@ -358,7 +366,8 @@ class TestCli:
 
     def test_huge_duration_fails_the_phase_check_without_a_traceback(self, tmp_path):
         # C = 1e200 overflows the spline's slope solve; the phase suite must
-        # report that as a failed check and the report must still be written
+        # report that as a failed check, write the report and print no overflow
+        # warning
         cfgp = write_quick_config(tmp_path, C=1e200, N=200)
         out = tmp_path / "out"
         proc = subprocess.run(
@@ -369,10 +378,14 @@ class TestCli:
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
         checks = json.loads((out / "run_report.json").read_text())["checks"]
         phase = next(c for c in checks if c["name"] == "phase_consistency")
         assert phase["status"] == "fail"
         assert phase["detail"].startswith("BadGrid: cannot spline the world line")
+        # the modulus probe would overflow exp(); that is a failure, not a NaN
+        oracle = next(c for c in checks if c["name"] == "operator_oracle")
+        assert oracle["detail"].startswith("NumericalOverflow")
 
     def test_unwritable_out_exits_2(self, tmp_path):
         blocker = tmp_path / "file"

@@ -15,7 +15,12 @@ from waveline.eigenvalue import expansion_deltas, lambda_lattice, lattice_expans
 from waveline.minkowski import interval_squared
 from waveline.phase_flow import FlowInitialData, frozen_coefficients, sample_closed_form
 from waveline.stationarity import optimal_C, optimal_sigma1
-from waveline.worldline import interior_modes, perturb_interior, straight_line
+from waveline.worldline import (
+    interior_modes,
+    perturb_interior,
+    perturbation_coefficients,
+    straight_line,
+)
 
 A = np.zeros(4)
 B = np.array([2.0, 0.6, 0.3, 0.1])
@@ -55,6 +60,16 @@ def test_displacements_reproduce_perturb_interior():
     for seed, coef in zip(SEEDS, stack):
         moved = perturb_interior(base, AMP, seed).points - base.points
         np.testing.assert_allclose(interior_modes(base) @ coef, moved, rtol=0, atol=1e-14)
+
+
+def test_shared_normalization_table_keeps_displacements_bit_identical():
+    # seed_displacements builds the 2049-point sine table once per call; each
+    # seed's scaled coefficients must equal those of a per-seed table exactly
+    expected = []
+    for seed in SEEDS:
+        coef, peak = perturbation_coefficients(seed, C_RUN)
+        expected.append((AMP / peak) * coef)
+    np.testing.assert_array_equal(seed_displacements(AMP, SEEDS, C_RUN), np.array(expected))
 
 
 def test_zero_amplitude_gives_zero_displacements():

@@ -10,7 +10,7 @@ the delta(0) -> 1/dc lattice rule.
 import numpy as np
 import pytest
 
-from waveline.errors import FlowSingularity, NumericalUnderflow
+from waveline.errors import FlowSingularity, NumericalOverflow, NumericalUnderflow
 from waveline.eigenvalue import (
     WaveParameters,
     apply_action_operator,
@@ -104,6 +104,13 @@ class TestGuards:
         )
         with pytest.raises(NumericalUnderflow):
             apply_action_operator(params, lattice())
+
+    def test_overflowing_probe_step_rejected(self, recwarn):
+        # at dc ~ 1e198 one probe step scales |Psi| by exp(~1e194)
+        w = straight_line(A, B, 1e200, 8)
+        with pytest.raises(NumericalOverflow):
+            apply_action_operator(SIGMA_AND_R, w)
+        assert not [r for r in recwarn if issubclass(r.category, RuntimeWarning)]
 
     def test_singular_flow_rejected(self):
         params = WaveParameters(FlowInitialData(np.zeros(4), -0.5), m=1.0)
