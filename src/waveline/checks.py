@@ -3,7 +3,7 @@
 Each suite runs one family of checks against the thresholds in the run
 configuration and returns CheckResult rows plus any artifacts (CSV/JSON
 payloads) worth writing next to the report.  The suites are deliberately
-independent of argparse so scripts and tests can drive them directly.
+independent of argparse so tests and library callers can drive them directly.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .eigenvalue import (
 from .minkowski import interval_squared
 from .phase_flow import (
     FlowInitialData,
+    checked_denominator,
     denominator,
     flow_grid,
     flow_to_rows,
@@ -134,25 +135,19 @@ def flow_suite(cfg):
     inits = [FlowInitialData(np.array(FLOW_BENCH_SIGMA1), s2) for s2 in sigma2_set]
     trace_init = FlowInitialData(np.array(FLOW_BENCH_SIGMA1), cfg.sigma2_0)
 
+    # Every rung ends at the same C and D is linear in c, so one grid's
+    # pole screen holds for the whole ladder.
+    grid = flow_grid(FLOW_BENCH_C, n_top)
+    screens = [pole_error(init.sigma2_0, grid) for init in inits]
+    live = [k for k, err in enumerate(screens) if err is None]
+    trace_error = pole_error(trace_init.sigma2_0, grid)
+
     errs = [{} for _ in inits]
-    failures = {}
     for n in ladder:
-        grid = flow_grid(FLOW_BENCH_C, n)
-        live = []
-        for k, init in enumerate(inits):
-            if k in failures:
-                continue
-            err = pole_error(init.sigma2_0, grid)
-            if err is None:
-                live.append(k)
-            else:
-                failures[k] = err
         batch = [inits[k] for k in live]
-        if n == n_top:
+        if n == n_top and trace_error is None:
             # the flow.csv trace rides along as the last row of the top rung
-            trace_error = pole_error(trace_init.sigma2_0, grid)
-            if trace_error is None:
-                batch.append(trace_init)
+            batch.append(trace_init)
         nums = integrate_flow(batch, FLOW_BENCH_C, n) if batch else []
         for k, num in zip(live, nums):
             exact = sample_closed_form(inits[k], num.grid)
@@ -165,8 +160,8 @@ def flow_suite(cfg):
     for k, s2 in enumerate(sigma2_set):
         err_rows.extend((s2, n, e) for n, e in errs[k].items())
         name = f"flow_accuracy[sigma2_0={s2:g}]"
-        if k in failures:
-            checks.append(failed_check(name, failures[k]))
+        if screens[k] is not None:
+            checks.append(failed_check(name, screens[k]))
         else:
             checks.append(threshold_check(name, errs[k][n_top], tol))
 
@@ -274,71 +269,88 @@ def independence_spread(base, flow, m, displacements):
     return float(np.ptp(np.append(lam0 + expansion_deltas(g, q, displacements), lam0)))
 
 
+def _curved_sigma2(cfg):
+    """The run's sigma2_0, or 0.5 when it is zero, and a detail note on the swap.
+
+    A flat flow leaves the frozen control nothing to violate and collapses
+    the logarithmic clock, so those measurements run on a curved one.
+    """
+    if abs(cfg.sigma2_0) > 1e-9:
+        return cfg.sigma2_0, ""
+    return 0.5, "sigma2_0=0 replaced by 0.5"
+
+
+def _noted(detail, note):
+    """``detail`` with ``note`` appended in brackets, or ``note`` alone."""
+    return f"{detail} [{note}]" if detail and note else detail or note
+
+
 def _independence_displacements(cfg):
     seeds = range(cfg.seed + 1, cfg.seed + 1 + cfg.n_perturbations)
     return seed_displacements(_amplitude(cfg), seeds, cfg.run_duration())
 
 
-def _independence_spreads(cfg, coefficients_for, displacements):
-    """Spread of the lattice eigenvalue over random interior perturbations.
+def _independence_ladder(cfg, coefficients_for, displacements):
+    """Spreads of the lattice eigenvalue over the N ladder, and their fitted order.
 
     ``coefficients_for(init, grid)`` supplies the coefficient samples, so the
     same machinery measures both the flowing (should be independent) and the
-    frozen (negative control, must not be) cases.
+    frozen (negative control, must not be) cases.  Returns ``(ns, spreads,
+    order)``.
     """
-    s2 = cfg.sigma2_0 if abs(cfg.sigma2_0) > 1e-9 else 0.5
+    s2, _ = _curved_sigma2(cfg)
     c_run = cfg.run_duration()
     init = FlowInitialData(optimal_sigma1(s2, cfg.a, cfg.b, c_run), s2)
-    ladder = _n_ladder(cfg.N)
+    ns = _n_ladder(cfg.N)
     spreads = []
-    for n in ladder:
+    for n in ns:
         base = straight_line(cfg.a, cfg.b, c_run, n)
         flow = coefficients_for(init, base.grid)
         spreads.append(independence_spread(base, flow, cfg.m, displacements))
-    return np.array(ladder), np.array(spreads)
-
-
-def _fitted_order(ns, spreads):
-    if np.any(spreads <= 0):
+    if min(spreads) <= 0:
         # Perturbations that move nothing (zero amplitude) measure nothing;
         # an exactly zero spread is not evidence of independence.
-        raise NotMeasured(f"perturbation spreads {spreads.tolist()} include zero")
+        raise NotMeasured(f"perturbation spreads {spreads} include zero")
     slope = np.polyfit(np.log(ns), np.log(spreads), 1)[0]
-    return float(-slope)
+    return ns, spreads, float(-slope)
 
 
 def independence_checks(cfg, displacements):
     """Eigenvalue must stop caring about the interior as the lattice refines."""
     coeffs = frozen_coefficients if cfg.negative_control else sample_closed_form
-    ns, spreads = _independence_spreads(cfg, coeffs, displacements)
-    order = _fitted_order(ns, spreads)
-    rows = [(int(n), float(s)) for n, s in zip(ns, spreads)]
-    checks = [
-        floor_check(
-            "lambda_worldline_independence_order",
-            order,
-            2.0,
-            detail="fitted convergence order of the perturbation spread"
-            + (" [negative control: frozen coefficients]" if cfg.negative_control else ""),
-        )
-    ]
-    return checks, rows
+    ns, spreads, order = _independence_ladder(cfg, coeffs, displacements)
+    detail = _noted(
+        "fitted convergence order of the perturbation spread",
+        "negative control: frozen coefficients" if cfg.negative_control else "",
+    )
+    check = floor_check(
+        "lambda_worldline_independence_order",
+        order,
+        2.0,
+        detail=_noted(detail, _curved_sigma2(cfg)[1]),
+    )
+    return [check], {
+        "lambda_spreads.csv": ("csv", (("N", "perturbation_spread"), list(zip(ns, spreads))))
+    }
 
 
 def violation_control_checks(cfg, displacements):
     """Meta-check: the independence measurement must catch frozen coefficients."""
-    ns, spreads = _independence_spreads(cfg, frozen_coefficients, displacements)
-    order = _fitted_order(ns, spreads)
+    ns, spreads, order = _independence_ladder(cfg, frozen_coefficients, displacements)
     detected = order < 1.0 and spreads[-1] > 10.0 * cfg.tolerances.lambda_tol
-    return [
-        CheckResult(
-            name="lambda_violation_detected",
-            passed=bool(detected),
-            value=float(spreads[-1]),
-            tolerance=10.0 * cfg.tolerances.lambda_tol,
-            detail=f"frozen-coefficient spread must stay large (order {order:.2f})",
-        )
-    ]
+    check = CheckResult(
+        name="lambda_violation_detected",
+        passed=bool(detected),
+        value=spreads[-1],
+        tolerance=10.0 * cfg.tolerances.lambda_tol,
+        detail=_noted(
+            f"frozen-coefficient spread must stay large (order {order:.2f})",
+            _curved_sigma2(cfg)[1],
+        ),
+    )
+    return [check], {
+        "lambda_control_spreads.csv": ("csv", (("N", "frozen_spread"), list(zip(ns, spreads))))
+    }
 
 
 def lambda_suite(cfg, with_control=False):
@@ -348,25 +360,23 @@ def lambda_suite(cfg, with_control=False):
         checks.extend(lambda_agreement_checks(cfg))
     except WavelineError as exc:
         checks.append(failed_check("lambda_three_form_agreement", exc))
-    # Both independence measurements share one set of seed displacements; it
-    # is retried (and fails the same way) only when the first attempt raised.
-    displacements = None
+
+    # Both independence measurements share one set of seed displacements.
+    measurements = [("lambda_worldline_independence_order", independence_checks)]
+    if with_control and not cfg.negative_control:
+        measurements.append(("lambda_violation_detected", violation_control_checks))
     try:
         displacements = _independence_displacements(cfg)
-        indep, rows = independence_checks(cfg, displacements)
-        checks.extend(indep)
-        artifacts["lambda_spreads.csv"] = (
-            "csv", (("N", "perturbation_spread"), rows)
-        )
     except WavelineError as exc:
-        checks.append(failed_check("lambda_worldline_independence_order", exc))
-    if with_control and not cfg.negative_control:
-        try:
-            if displacements is None:
-                displacements = _independence_displacements(cfg)
-            checks.extend(violation_control_checks(cfg, displacements))
-        except WavelineError as exc:
-            checks.append(failed_check("lambda_violation_detected", exc))
+        checks.extend(failed_check(name, exc) for name, _ in measurements)
+    else:
+        for name, measure in measurements:
+            try:
+                found, written = measure(cfg, displacements)
+                checks.extend(found)
+                artifacts.update(written)
+            except WavelineError as exc:
+                checks.append(failed_check(name, exc))
 
     try:
         c_run = cfg.run_duration()
@@ -400,6 +410,9 @@ def stationarity_suite(cfg):
     artifacts = {}
     try:
         c_exact = optimal_C(cfg.a, cfg.b, cfg.m, branch=cfg.branch)
+        # A stationary point past the pole is out of the search's reach; name
+        # it here rather than let the search fail on a step near the pole.
+        checked_denominator(cfg.sigma2_0, c_exact)
         scan_grid = _degeneracy_grid(c_exact)
         report = numeric_stationary_search(
             cfg.a,
@@ -441,14 +454,12 @@ def stationarity_suite(cfg):
             "csv",
             (("sigma2_0", "lambda"), [(s, l) for s, l in report.sigma2_scan]),
         )
-        sweep_c = np.linspace(0.3, 2.5, 100) * c_exact
-        artifacts["sweep_lambda_vs_C.csv"] = (
-            "csv",
-            (
-                ("C", "lambda"),
-                [(float(c), float(reduced_lambda(c, cfg.a, cfg.b, cfg.m))) for c in sweep_c],
-            ),
-        )
+        sweep = [
+            (branch, float(c), float(reduced_lambda(c, cfg.a, cfg.b, cfg.m)))
+            for branch in (1, -1)
+            for c in np.linspace(0.3, 2.5, 100) * optimal_C(cfg.a, cfg.b, cfg.m, branch)
+        ]
+        artifacts["sweep_lambda_vs_C.csv"] = ("csv", (("branch", "C", "lambda"), sweep))
     except WavelineError as exc:
         checks.append(failed_check("stationary_search", exc))
     return SuiteResult(checks, artifacts)
@@ -523,7 +534,7 @@ def operator_suite(cfg):
 
 def phase_suite(cfg):
     tol = cfg.tolerances.phase_tol
-    s2 = cfg.sigma2_0 if abs(cfg.sigma2_0) > 1e-9 else 0.5
+    s2, note = _curved_sigma2(cfg)
     checks = []
     artifacts = {}
     try:
@@ -532,7 +543,9 @@ def phase_suite(cfg):
         base = straight_line(cfg.a, cfg.b, c_run, cfg.N)
         w = perturb_interior(base, amp, cfg.seed + 1)
         checks.append(
-            threshold_check("phase_two_clock_consistency", consistency_gap(w, s2), tol)
+            threshold_check(
+                "phase_two_clock_consistency", consistency_gap(w, s2), tol, detail=note
+            )
         )
 
         # Every trajectory's difference comes from the exact quadratic
@@ -543,21 +556,21 @@ def phase_suite(cfg):
             g, q, seed_displacements(amp, seeds, c_run)
         )
         mean = float(diffs.mean())
-        rel_std = float(diffs.std()) / (1.0 + abs(mean))
-        checks.append(
-            threshold_check(
-                "phase_trajectory_independence",
-                rel_std,
-                1e-8,
-                detail=f"relative std of phase_q - phase_c over "
-                f"{cfg.n_phase_perturbations} trajectories",
-            )
-        )
+        name = "phase_trajectory_independence"
+        if np.ptp(diffs) == 0:
+            # One trajectory, or perturbations that move nothing, measure
+            # nothing; the std of equal values is only the mean's roundoff.
+            err = NotMeasured(f"phase_q - phase_c has zero spread over {diffs.size} seed(s)")
+            checks.append(failed_check(name, err))
+        else:
+            rel_std = float(diffs.std()) / (1.0 + abs(mean))
+            detail = f"relative std of phase_q - phase_c over {diffs.size} trajectories"
+            checks.append(threshold_check(name, rel_std, 1e-8, detail=_noted(detail, note)))
 
         geo = phase_geometry(s2, cfg.a, cfg.b, c_run)
         s1_opt = optimal_sigma1(s2, cfg.a, cfg.b, c_run)
         ident = float(np.abs(geo.x_tilde + s1_opt / s2).max())
-        checks.append(threshold_check("phase_center_identity", ident, 1e-12))
+        checks.append(threshold_check("phase_center_identity", ident, 1e-12, detail=note))
 
         artifacts["phase_report.json"] = (
             "json",

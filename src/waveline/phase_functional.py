@@ -36,9 +36,6 @@ from .stationarity import optimal_sigma1
 
 # |Q| below this leaves the rescaled clock with no room to tick.
 Q_FLOOR = 1e-12
-# Columns per CubicSpline: its coefficient and solve arrays grow with the
-# column count, and four (one event) keep the resampler's peak memory flat.
-SPLINE_COLUMNS = 4
 
 
 @dataclass(frozen=True)
@@ -100,8 +97,7 @@ def resample_on_log_clock(w, sigma2_0, n_q=None, values=None):
     Returns (q_grid, points).  The map c(q) = expm1(q) / (2 sigma2_0) sends
     [0, Q] onto [0, C] monotonically for either sign of sigma2_0.  Given
     ``values``, an (N+1, k) array of samples on the lattice of ``w``, those
-    are resampled in place of ``w.points``.  At most SPLINE_COLUMNS columns
-    are splined at a time, which bounds the spline's working memory.
+    are resampled in place of ``w.points``.
     """
     q_total = log_duration(sigma2_0, w.C)
     if abs(q_total) < Q_FLOOR:
@@ -116,13 +112,9 @@ def resample_on_log_clock(w, sigma2_0, n_q=None, values=None):
     try:
         # the slope solve overflows on extreme lattice spacings (C ~ 1e200)
         with np.errstate(over="raise", invalid="raise"):
-            columns = [
-                CubicSpline(w.grid, samples[:, k:k + SPLINE_COLUMNS], axis=0)(c_of_q)
-                for k in range(0, samples.shape[1], SPLINE_COLUMNS)
-            ]
+            return q_grid, CubicSpline(w.grid, samples, axis=0)(c_of_q)
     except (ValueError, FloatingPointError) as exc:
         raise BadGrid(f"cannot spline the world line over C={w.C!r}: {exc}") from exc
-    return q_grid, np.concatenate(columns, axis=1)
 
 
 def _stationary_setup(w, sigma2_0):

@@ -1,6 +1,11 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+
+import waveline
 
 # Bounded, well-scaled floats keep hypothesis away from overflow noise and
 # on the physics: magnitudes here are all O(1) by construction.
@@ -44,6 +49,17 @@ QUICK = {
     "n_lambda_sets": 8,
     "operator_N": 10,
 }
+
+
+def child_env():
+    """The environment with this package's source first on PYTHONPATH.
+
+    pytest puts ``src`` on its own ``sys.path``; a ``python -m waveline.cli``
+    child needs it in the environment too.
+    """
+    src = str(Path(waveline.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def rel_err(x, y, floor=1.0):

@@ -67,5 +67,5 @@ def test_phase_resample_sites_and_one_spline_pass(tmp_path):
     assert metrics["worldline.perturb_interior.calls"] == 1
     assert metrics["phase_functional.phase_difference.calls"] == 2
     # the base line for the anchor and for the expansion, the six mode
-    # columns (splined four at a time inside one call), the consistency line
+    # columns (one spline over all of them), the consistency line
     assert metrics["phase_functional.resample_on_log_clock.calls"] == 4

@@ -22,7 +22,7 @@ from waveline.report import (
     window_check,
 )
 
-from conftest import QUICK
+from conftest import QUICK, child_env
 
 
 class TestConfig:
@@ -346,6 +346,53 @@ class TestCli:
         assert check["status"] == "fail"
         assert check["detail"].startswith("NotMeasured")
 
+    @pytest.mark.parametrize("extra", [{"amplitude": 0}, {"n_phase_perturbations": 1}])
+    def test_phase_spread_of_equal_differences_is_not_measured(self, tmp_path, extra):
+        # every difference is the anchor (or there is only one): the std is
+        # the mean's roundoff, not evidence of trajectory independence
+        cfgp = write_quick_config(tmp_path, **extra)
+        out = tmp_path / "out"
+        assert main(["phase", "--config", cfgp, "--out", str(out)]) == 1
+        checks = json.loads((out / "run_report.json").read_text())["checks"]
+        status = {c["name"]: c["status"] for c in checks}
+        assert status == {
+            "phase_two_clock_consistency": "pass",
+            "phase_trajectory_independence": "fail",
+            "phase_center_identity": "pass",
+        }
+        check = next(c for c in checks if c["name"] == "phase_trajectory_independence")
+        assert check["detail"].startswith("NotMeasured: phase_q - phase_c has zero spread")
+
+    def test_stationary_point_past_the_pole_is_named(self, tmp_path):
+        # C* = 0.9407... lies past the pole c* = 1/1.4 of sigma2_0 = -0.7
+        out = tmp_path / "out"
+        assert main(["stationary", "--sigma2=-0.7", "--out", str(out)]) == 1
+        (check,) = json.loads((out / "run_report.json").read_text())["checks"]
+        assert check["name"] == "stationary_search"
+        assert check["detail"].startswith(
+            "FlowSingularity: flow is singular at c=0.9407443861113389 (D=-0.317"
+        )
+
+    def test_flat_curvature_substitution_is_named(self, tmp_path):
+        cfgp = write_quick_config(tmp_path, sigma2_0=0.0, N=200)
+        out = tmp_path / "out"
+        main(["verify", "--config", cfgp, "--out", str(out)])
+        details = {
+            c["name"]: c.get("detail", "")
+            for c in json.loads((out / "run_report.json").read_text())["checks"]
+        }
+        noted = {name for name, d in details.items() if "sigma2_0=0 replaced by 0.5" in d}
+        assert noted == {
+            "lambda_worldline_independence_order",
+            "lambda_violation_detected",
+            "phase_two_clock_consistency",
+            "phase_trajectory_independence",
+            "phase_center_identity",
+        }
+        assert details["phase_two_clock_consistency"] == "sigma2_0=0 replaced by 0.5"
+        phase = json.loads((out / "phase_report.json").read_text())
+        assert phase["sigma2_0"] == 0.5
+
     def test_bad_sigma2_flag_exits_2(self):
         assert main(["flow", "--sigma2", "zero"]) == 2
 
@@ -375,6 +422,7 @@ class TestCli:
              "--out", str(out)],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
@@ -417,6 +465,7 @@ class TestCli:
             [sys.executable, "-m", "waveline.cli", "flow", "--list"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "flow_accuracy" in proc.stdout

@@ -1,26 +1,21 @@
 """scipy stays off the import path; the numpy clock matches scipy's own rule."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import waveline
 from waveline.worldline import reparametrize
 
-SRC = str(Path(waveline.__file__).resolve().parents[1])
+from conftest import child_env
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (SRC, os.environ.get("PYTHONPATH")) if p
-    ))
     code = "import sys, waveline.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=child_env(), check=True,
     )
     assert proc.stdout.strip() == "[]"
 
