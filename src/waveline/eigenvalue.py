@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalOverflow, NumericalUnderflow, ZeroDuration
+from .errors import NumericalOverflow, NumericalUnderflow, ZeroDuration, float_errors_as
 from .minkowski import METRIC_DIAG, as_four_vector, dot
 from .phase_flow import (
     FlowInitialData,
@@ -150,13 +150,15 @@ def lambda_boundary_form(flow, a, b, m):
     """
     a = as_four_vector(a)
     b = as_four_vector(b)
-    bracket = (
-        dot(flow.sigma1[-1], b)
-        + 0.5 * flow.sigma2[-1] * dot(b, b)
-        - dot(flow.sigma1[0], a)
-        - 0.5 * flow.sigma2[0] * dot(a, a)
-    )
-    quad = -float(np.trapezoid(dot(flow.sigma1, flow.sigma1), flow.grid))
+    # sigma1 ~ 1/C squares past the float range on a tiny duration (C ~ 1e-300)
+    with float_errors_as(NumericalOverflow, f"boundary form over C={flow.C!r}"):
+        bracket = (
+            dot(flow.sigma1[-1], b)
+            + 0.5 * flow.sigma2[-1] * dot(b, b)
+            - dot(flow.sigma1[0], a)
+            - 0.5 * flow.sigma2[0] * dot(a, a)
+        )
+        quad = -float(np.trapezoid(dot(flow.sigma1, flow.sigma1), flow.grid))
     return LambdaBreakdown(boundary=float(bracket), quadrature=quad, mass=m * m * flow.C)
 
 
@@ -171,15 +173,17 @@ def lambda_lattice(w, flow, m, real=None, hbar_tilde=1.0):
     with delta(0) -> 1/dc on the lattice.
     """
     require_shared_grid(w.grid, flow.grid)
-    x = w.points
-    sp = flow.sigma1 + flow.sigma2[:, None] * x
-    integrand = dot(velocities(w), sp) - dot(sp, sp)
-    if real is not None:
-        require_shared_grid(w.grid, real.grid)
-        rp = real.r1 + real.r2[:, None] * x
-        hb2 = hbar_tilde * hbar_tilde
-        integrand = integrand + hb2 * (dot(rp, rp) + 4.0 * real.r2 / w.dc)
-    return float(np.trapezoid(integrand, w.grid)) + m * m * w.C
+    # velocities ~ 1/dc overflow their products on a tiny lattice (C ~ 1e-300)
+    with float_errors_as(NumericalOverflow, f"lattice eigenvalue at dc={w.dc!r}"):
+        x = w.points
+        sp = flow.sigma1 + flow.sigma2[:, None] * x
+        integrand = dot(velocities(w), sp) - dot(sp, sp)
+        if real is not None:
+            require_shared_grid(w.grid, real.grid)
+            rp = real.r1 + real.r2[:, None] * x
+            hb2 = hbar_tilde * hbar_tilde
+            integrand = integrand + hb2 * (dot(rp, rp) + 4.0 * real.r2 / w.dc)
+        return float(np.trapezoid(integrand, w.grid)) + m * m * w.C
 
 
 def trapezoid_weights(grid):
@@ -293,7 +297,8 @@ def apply_action_operator(params, w, h=1e-4):
 
     Raises NumericalUnderflow when the functional's modulus is too small
     to difference meaningfully, and NumericalOverflow when one probe step
-    scales it past the float range (a huge lattice spacing).
+    scales it past the float range (a huge lattice spacing) or the
+    1/dc**2 of the second difference does (a tiny one).
     """
     flow = sample_closed_form(params.flow_init, w.grid)
     real = constant_real_part(params.r1_0, params.r2_0, w.grid)
@@ -323,28 +328,30 @@ def apply_action_operator(params, w, h=1e-4):
         dg = sgn * step * (r1[i, mu] + r2[i] * (x[i, mu] + 0.5 * step))
         return dc * ((1j / hb) * df + dg)
 
-    integrand = np.empty(w.N + 1, dtype=complex)
-    for i in range(1, w.N):
-        d1 = np.empty(4, dtype=complex)
-        d2 = np.empty(4, dtype=complex)
-        for mu in range(4):
-            plus = _cexpm1(exponent_delta(i, mu, +h))
-            minus = _cexpm1(exponent_delta(i, mu, -h))
-            d1[mu] = (plus - minus) / (2.0 * h) / dc
-            d2[mu] = (plus + minus) / (h * h) / (dc * dc)
-        integrand[i] = (
-            (hb / 1j) * np.sum(v[i] * d1)
-            + hb * hb * np.sum(METRIC_DIAG * d2)
-        )
-    for i in (0, w.N):
-        grad = (1j / hb) * sp[i] + rp[i]  # raised components, complex
-        trace = ((1j / hb) * s2[i] + r2[i]) * 4.0 / dc
-        integrand[i] = (hb / 1j) * dot(v[i], grad) + hb * hb * (
-            dot(grad, grad) + trace
-        )
+    # 1/dc**2 leaves the float range on a tiny lattice (C ~ 1e-300)
+    with float_errors_as(NumericalOverflow, f"operator probe at dc={dc!r}"):
+        integrand = np.empty(w.N + 1, dtype=complex)
+        for i in range(1, w.N):
+            d1 = np.empty(4, dtype=complex)
+            d2 = np.empty(4, dtype=complex)
+            for mu in range(4):
+                plus = _cexpm1(exponent_delta(i, mu, +h))
+                minus = _cexpm1(exponent_delta(i, mu, -h))
+                d1[mu] = (plus - minus) / (2.0 * h) / dc
+                d2[mu] = (plus + minus) / (h * h) / (dc * dc)
+            integrand[i] = (
+                (hb / 1j) * np.sum(v[i] * d1)
+                + hb * hb * np.sum(METRIC_DIAG * d2)
+            )
+        for i in (0, w.N):
+            grad = (1j / hb) * sp[i] + rp[i]  # raised components, complex
+            trace = ((1j / hb) * s2[i] + r2[i]) * 4.0 / dc
+            integrand[i] = (hb / 1j) * dot(v[i], grad) + hb * hb * (
+                dot(grad, grad) + trace
+            )
 
-    # Mass term added analytically so the free functional is handled exactly.
-    return complex(np.trapezoid(integrand, w.grid)) + params.m * params.m * w.C
+        # Mass term added analytically so the free functional is handled exactly.
+        return complex(np.trapezoid(integrand, w.grid)) + params.m * params.m * w.C
 
 
 def operator_residual(params, w, h=1e-4):

@@ -1,8 +1,13 @@
 """Exception hierarchy for the solver.
 
 Everything raised on purpose derives from WavelineError so callers can
-catch solver-domain failures without swallowing genuine bugs.
+catch solver-domain failures without swallowing genuine bugs;
+``float_errors_as`` turns numpy's floating-point faults into one of them.
 """
+
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class WavelineError(Exception):
@@ -61,7 +66,7 @@ class NumericalUnderflow(WavelineError):
 
 
 class NumericalOverflow(WavelineError):
-    """A finite-difference probe step moves the modulus past the float range."""
+    """A value leaves the float range: a probe step scaling the modulus, 1/dc on a tiny lattice."""
 
 
 class NoConvergence(WavelineError):
@@ -78,3 +83,19 @@ class DegenerateQ(WavelineError):
 
 class ConfigError(WavelineError):
     """Unusable run configuration: bad file, unknown key, or out-of-range value."""
+
+
+@contextmanager
+def float_errors_as(error, context):
+    """Raise ``error`` for numpy overflow, invalid or divide-by-zero in the block.
+
+    Extreme lattice spacings (C ~ 1e200 or 1e-300) carry intermediate
+    values past the float range; this names the failure where it happens
+    instead of letting a NaN reach a check with a RuntimeWarning on stderr.
+    Underflow to zero is left alone: it is harmless roundoff here.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise error(f"{context}: {exc}") from exc

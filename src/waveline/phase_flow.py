@@ -72,10 +72,15 @@ class FlowCoefficients:
 
 
 def require_shared_grid(g1, g2):
-    """Raise GridMismatch unless the two lattices are identical."""
+    """Raise GridMismatch unless the two lattices are identical.
+
+    Nodes may differ by 1e-12 of the lattice's extent, capped at 1e-12, so
+    a tiny lattice (C ~ 1e-300) is not matched to every other one.
+    """
     g1 = np.asarray(g1)
     g2 = np.asarray(g2)
-    if g1.shape != g2.shape or not np.allclose(g1, g2, rtol=0.0, atol=1e-12):
+    atol = 1e-12 * min(1.0, float(np.abs(g1).max(initial=0.0)))
+    if g1.shape != g2.shape or not np.allclose(g1, g2, rtol=0.0, atol=atol):
         raise GridMismatch("objects are sampled on different lattices")
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigenvalue import trapezoid_weights
-from .errors import BadGrid, DegenerateQ
+from .errors import BadGrid, DegenerateQ, float_errors_as
 from .minkowski import as_four_vector, dot
 from .phase_flow import (
     FlowInitialData,
@@ -91,13 +91,82 @@ def phase_eval_q(points, q_grid, x_tilde):
     return float(np.trapezoid(0.25 * dot(d, d), np.asarray(q_grid, dtype=float)))
 
 
+# Rows of the (1, 4, 1) elimination whose pivot still differs from its
+# limit 2 + sqrt(3); the gap shrinks by (2 - sqrt(3))**2 ~ 0.07 a row.
+_PIVOT_ROWS = 32
+# Terms kept of each first-order recurrence: every factor is at most
+# 1/(2 + sqrt(3)) ~ 0.268 in size, and 0.268**64 ~ 1e-37.
+_SCAN_TERMS = 64
+
+
+def _linear_recurrence(z, c):
+    """y with y[:, j] = z[:, j] + c[j] y[:, j-1] along the last axis, c[0] = 0.
+
+    Recursive doubling over every row of ``z`` at once, dropping the terms
+    past the first ``_SCAN_TERMS``.
+    """
+    z = z.copy()
+    c = c.copy()
+    s = 1
+    while s < min(z.shape[-1], _SCAN_TERMS):
+        z[:, s:] += c[s:] * z[:, :-s]
+        c[s:] *= c[:-s]
+        s *= 2
+    return z
+
+
+def _solve_141(b):
+    """x with x[:, j-1] + 4 x[:, j] + x[:, j+1] = b[:, j], zero outside 0..n-1."""
+    n = b.shape[-1]
+    # LU pivots d[j] = 4 - 1/d[j-1] from d[0] = 4; past the head they are the limit
+    d = np.full(n, 2.0 + np.sqrt(3.0))
+    pivot = 4.0
+    for j in range(min(n, _PIVOT_ROWS)):
+        d[j] = pivot
+        pivot = 4.0 - 1.0 / pivot
+    inv = 1.0 / d
+    y = _linear_recurrence(b, np.append(0.0, -inv[:-1]))  # forward elimination
+    x = _linear_recurrence((inv * y)[:, ::-1], np.append(0.0, -inv[-2::-1]))  # back substitution
+    return x[:, ::-1]
+
+
+def _not_a_knot_curvatures(y, h):
+    """Second derivatives at the nodes of the not-a-knot cubic spline through ``y``.
+
+    ``y`` is (k, N+1), one sampled column per row, on the uniform nodes
+    i*h with N >= 2.  The continuity rows
+
+        M[i-1] + 4 M[i] + M[i+1] = 6 (y[i+1] - 2 y[i] + y[i-1]) / h^2
+
+    with the not-a-knot ends M[0] = 2 M[1] - M[2] and M[N] = 2 M[N-1] - M[N-2]
+    (de Boor, A Practical Guide to Splines, ch. 4) turn rows 1 and N-1 into
+    6 M = rhs, leaving a (1, 4, 1) system for M[2..N-2].  N = 2 gives the
+    parabola through the three points, N = 3 the cubic through the four.
+    """
+    r = (6.0 / (h * h)) * (y[:, 2:] - 2.0 * y[:, 1:-1] + y[:, :-2])
+    if y.shape[-1] == 3:
+        return np.repeat(r / 6.0, 3, axis=-1)
+    m = np.empty_like(y)
+    m[:, 1] = r[:, 0] / 6.0
+    m[:, -2] = r[:, -1] / 6.0
+    b = r[:, 1:-1].copy()
+    if b.size:
+        b[:, 0] -= m[:, 1]
+        b[:, -1] -= m[:, -2]
+        m[:, 2:-2] = _solve_141(b)
+    m[:, 0] = 2.0 * m[:, 1] - m[:, 2]
+    m[:, -1] = 2.0 * m[:, -2] - m[:, -3]
+    return m
+
+
 def resample_on_log_clock(w, sigma2_0, n_q=None, values=None):
-    """World-line events at uniform q nodes, via cubic spline in c.
+    """World-line events at uniform q nodes, via not-a-knot cubic spline in c.
 
     Returns (q_grid, points).  The map c(q) = expm1(q) / (2 sigma2_0) sends
     [0, Q] onto [0, C] monotonically for either sign of sigma2_0.  Given
     ``values``, an (N+1, k) array of samples on the lattice of ``w``, those
-    are resampled in place of ``w.points``.
+    are resampled in place of ``w.points``.  The spline is linear in the
+    samples, column by column.
     """
     q_total = log_duration(sigma2_0, w.C)
     if abs(q_total) < Q_FLOOR:
@@ -105,16 +174,20 @@ def resample_on_log_clock(w, sigma2_0, n_q=None, values=None):
     n_q = w.N if n_q is None else int(n_q)
     q_grid = np.linspace(0.0, q_total, n_q + 1)
     c_of_q = np.clip(np.expm1(q_grid) / (2.0 * float(sigma2_0)), 0.0, w.C)
-    samples = w.points if values is None else np.asarray(values, dtype=float)
-    # scipy is loaded here only, so importing waveline does not pay for it
-    from scipy.interpolate import CubicSpline
-
-    try:
-        # the slope solve overflows on extreme lattice spacings (C ~ 1e200)
-        with np.errstate(over="raise", invalid="raise"):
-            return q_grid, CubicSpline(w.grid, samples, axis=0)(c_of_q)
-    except (ValueError, FloatingPointError) as exc:
-        raise BadGrid(f"cannot spline the world line over C={w.C!r}: {exc}") from exc
+    y = (w.points if values is None else np.asarray(values, dtype=float)).T
+    if y.ndim != 2 or y.shape[1] != w.N + 1:
+        raise BadGrid(f"samples of shape {y.T.shape} do not match N={w.N}")
+    # h**2 leaves the float range on extreme lattice spacings (C ~ 1e200)
+    with float_errors_as(BadGrid, f"cannot spline the world line over C={w.C!r}"):
+        h = np.float64(w.dc)
+        m = _not_a_knot_curvatures(y, h)
+        i = np.minimum((c_of_q / h).astype(int), w.N - 1)
+        # i*h is the lattice node bit for bit and within a factor 2 of c, so
+        # c - i*h is exact and t keeps the digits c/h - i would lose to N
+        t = (c_of_q - i * h) / h
+        s = 1.0 - t
+        bend = (h * h / 6.0) * s * t * ((1.0 + s) * m[:, i] + (1.0 + t) * m[:, i + 1])
+        return q_grid, (s * y[:, i] + t * y[:, i + 1] - bend).T
 
 
 def _stationary_setup(w, sigma2_0):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, ZeroDuration, ZeroMass
+from .errors import NoConvergence, NumericalOverflow, ZeroDuration, ZeroMass, float_errors_as
 from .eigenvalue import lambda_closed_form
 from .minkowski import as_four_vector, classical_action, timelike_interval_squared
 from .phase_flow import FlowInitialData, checked_denominator, denominator
@@ -67,7 +67,8 @@ def optimal_sigma1(sigma2_0, a, b, C):
     a = as_four_vector(a)
     b = as_four_vector(b)
     d = checked_denominator(sigma2_0, C)
-    return (b - a * d) / (2.0 * C)
+    with float_errors_as(NumericalOverflow, f"stationary sigma1_0 over C={C!r}"):
+        return (b - a * d) / (2.0 * C)
 
 
 def reduced_lambda(C, a, b, m):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waveline import errors
 from waveline.checks import CHECK_NAMES
 from waveline.cli import main
 from waveline.config import RunConfig, Tolerances, load_config, parse_branch
@@ -412,28 +413,49 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     def test_huge_duration_fails_the_phase_check_without_a_traceback(self, tmp_path):
-        # C = 1e200 overflows the spline's slope solve; the phase suite must
-        # report that as a failed check, write the report and print no overflow
+        # C = 1e200 overflows the spline's h**2, and C = 1e-300 (1e-320, a
+        # subnormal) the lattice velocities and 1/dc**2; every suite must
+        # report that as a named failed check, write the report and print no
         # warning
-        cfgp = write_quick_config(tmp_path, C=1e200, N=200)
-        out = tmp_path / "out"
-        proc = subprocess.run(
-            [sys.executable, "-m", "waveline.cli", "verify", "--config", cfgp,
-             "--out", str(out)],
-            capture_output=True,
-            text=True,
-            env=child_env(),
-        )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert "RuntimeWarning" not in proc.stderr
-        checks = json.loads((out / "run_report.json").read_text())["checks"]
-        phase = next(c for c in checks if c["name"] == "phase_consistency")
-        assert phase["status"] == "fail"
-        assert phase["detail"].startswith("BadGrid: cannot spline the world line")
-        # the modulus probe would overflow exp(); that is a failure, not a NaN
-        oracle = next(c for c in checks if c["name"] == "operator_oracle")
-        assert oracle["detail"].startswith("NumericalOverflow")
+        expected = {
+            1e200: {
+                "phase_consistency": "BadGrid: cannot spline the world line",
+                # the modulus probe would overflow exp(); a failure, not a NaN
+                "operator_oracle": "NumericalOverflow",
+            },
+            1e-300: {
+                "lambda_worldline_independence_order": "NumericalOverflow",
+                "lambda_violation_detected": "NumericalOverflow",
+                "lambda_breakdown": "NumericalOverflow",
+                "operator_oracle": "NumericalOverflow",
+                "phase_consistency": "DegenerateQ",
+            },
+            1e-320: {
+                "lambda_worldline_independence_order": "NumericalOverflow: stationary sigma1_0",
+                "operator_oracle": "NumericalOverflow",
+                "phase_consistency": "NumericalOverflow",
+            },
+        }
+        for C, failures in expected.items():
+            cfgp = write_quick_config(tmp_path, C=C, N=200)
+            out = tmp_path / f"out-{C:g}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "waveline.cli", "verify", "--config", cfgp,
+                 "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env=child_env(),
+            )
+            assert proc.returncode == 1, C
+            assert proc.stderr == "", C
+            checks = json.loads((out / "run_report.json").read_text())["checks"]
+            for c in checks:
+                if c["value"] != c["value"]:  # NaN: the check raised instead of measuring
+                    kind = c["detail"].split(":")[0]
+                    assert issubclass(getattr(errors, kind), errors.WavelineError), (C, c)
+            details = {c["name"]: c.get("detail", "") for c in checks if c["status"] == "fail"}
+            for name, error in failures.items():
+                assert details[name].startswith(error), (C, name, details[name])
 
     def test_unwritable_out_exits_2(self, tmp_path):
         blocker = tmp_path / "file"

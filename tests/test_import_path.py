@@ -1,4 +1,4 @@
-"""scipy stays off the import path; the numpy clock matches scipy's own rule."""
+"""scipy stays off the import and run paths; the numpy clock matches scipy's own rule."""
 
 import subprocess
 import sys
@@ -18,6 +18,22 @@ def test_importing_the_cli_does_not_load_scipy():
         capture_output=True, text=True, env=child_env(), check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_verify_and_phase_runs_do_not_load_scipy(tmp_path):
+    # the log-clock spline is numpy's; scipy is a test oracle only
+    code = (
+        "import sys\n"
+        "from waveline.cli import main\n"
+        "for cmd in ('verify', 'phase'):\n"
+        f"    assert main([cmd, '--N', '200', '--out', {str(tmp_path)!r} + '/' + cmd]) in (0, 1)\n"
+        "print(sorted(m for m in sys.modules if 'scipy' in m))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=child_env(), check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(

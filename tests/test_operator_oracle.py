@@ -10,7 +10,7 @@ the delta(0) -> 1/dc lattice rule.
 import numpy as np
 import pytest
 
-from waveline.errors import FlowSingularity, NumericalOverflow, NumericalUnderflow
+from waveline.errors import BadGrid, FlowSingularity, NumericalOverflow, NumericalUnderflow
 from waveline.eigenvalue import (
     WaveParameters,
     apply_action_operator,
@@ -18,6 +18,7 @@ from waveline.eigenvalue import (
     predicted_action_eigenvalue,
 )
 from waveline.phase_flow import FlowInitialData
+from waveline.phase_functional import resample_on_log_clock
 from waveline.worldline import perturb_interior, straight_line
 
 A = np.zeros(4)
@@ -106,10 +107,16 @@ class TestGuards:
             apply_action_operator(params, lattice())
 
     def test_overflowing_probe_step_rejected(self, recwarn):
-        # at dc ~ 1e198 one probe step scales |Psi| by exp(~1e194)
+        # at dc ~ 1e198 one probe step scales |Psi| by exp(~1e194), and the
+        # log-clock spline's h**2 leaves the float range
         w = straight_line(A, B, 1e200, 8)
         with pytest.raises(NumericalOverflow):
             apply_action_operator(SIGMA_AND_R, w)
+        with pytest.raises(BadGrid, match="cannot spline the world line"):
+            resample_on_log_clock(w, 0.5)
+        # at dc ~ 1e-301 the second difference's 1/dc**2 does
+        with pytest.raises(NumericalOverflow, match="operator probe"):
+            apply_action_operator(SIGMA_AND_R, straight_line(A, B, 1e-300, 8))
         assert not [r for r in recwarn if issubclass(r.category, RuntimeWarning)]
 
     def test_singular_flow_rejected(self):

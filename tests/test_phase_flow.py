@@ -241,6 +241,18 @@ class TestContainersAndControls:
         with pytest.raises(GridMismatch):
             require_shared_grid(np.linspace(0, 1, 11), np.linspace(0, 1.1, 11))
 
+    def test_grid_match_tolerance_scales_down_with_the_lattice(self):
+        # from a unit extent up the node tolerance stays 1e-12
+        unit = np.linspace(0, 1, 11)
+        require_shared_grid(unit, unit + 5e-13)
+        with pytest.raises(GridMismatch):
+            require_shared_grid(1e6 * unit, 1e6 * unit + 2e-12)
+        # on a tiny lattice an absolute 1e-12 would match any two of them
+        tiny = 1e-300 * unit
+        require_shared_grid(tiny, tiny.copy())
+        with pytest.raises(GridMismatch):
+            require_shared_grid(tiny, 2.0 * tiny)
+
     def test_coefficients_validate_shapes(self):
         g = np.linspace(0, 1, 5)
         with pytest.raises(BadGrid):

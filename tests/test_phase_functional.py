@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveline.errors import DegenerateQ, FlowSingularity
+from waveline import phase_functional
+from waveline.errors import BadGrid, DegenerateQ, FlowSingularity
 from waveline.phase_flow import FlowInitialData, sample_closed_form
 from waveline.phase_functional import (
     consistency_gap,
@@ -114,6 +115,66 @@ class TestResampling:
         w = straight_line(A, B, 1.0, 50)
         with pytest.raises(DegenerateQ):
             resample_on_log_clock(w, 0.0)
+
+    @pytest.mark.parametrize("shape", [(50, 4), (52, 4), (51,)])
+    def test_values_must_match_the_lattice(self, shape):
+        w = straight_line(A, B, 1.0, 50)
+        with pytest.raises(BadGrid):
+            resample_on_log_clock(w, 0.5, values=np.ones(shape))
+
+
+def spline_bound(n):
+    """Relative gap allowed between the log-clock spline and scipy's.
+
+    The float lattice nodes i*h are uniform only to eps*N of a spacing:
+    scipy splines the rounded nodes, waveline the exactly uniform lattice.
+    On O(1) noise one spacing moves the spline by O(1), so the two may
+    differ by a few eps*N; below N = 100 the solves' own roundoff sets it.
+    """
+    return 4.0 * np.finfo(float).eps * max(n, 100)
+
+
+def spline_inputs(n):
+    """A perturbed world line (4 columns) and O(1) noise in 1, 4 and 6 columns."""
+    w = perturb_interior(straight_line(A, B, C_RUN, n), 0.3, seed=3)
+    rng = np.random.default_rng(n)
+    return w, [w.points] + [rng.standard_normal((n + 1, k)) for k in (1, 4, 6)]
+
+
+def worst_spline_gap(w, sigma2_0, values):
+    """Largest column-wise |waveline - CubicSpline| over max|column|."""
+    from scipy.interpolate import CubicSpline
+
+    q, got = resample_on_log_clock(w, sigma2_0, values=values)
+    c = np.clip(np.expm1(q) / (2.0 * sigma2_0), 0.0, w.C)
+    want = CubicSpline(w.grid, values, axis=0)(c)
+    return max(
+        np.abs(got[:, j] - want[:, j]).max() / np.abs(values[:, j]).max()
+        for j in range(values.shape[1])
+    )
+
+
+class TestLogClockSpline:
+    @pytest.mark.parametrize("sigma2_0", [0.5, -0.3])
+    @pytest.mark.parametrize("n", [2, 3, 8, 100, 10000])
+    def test_matches_scipy_not_a_knot_per_column(self, n, sigma2_0):
+        w, inputs = spline_inputs(n)
+        for values in inputs:
+            assert worst_spline_gap(w, sigma2_0, values) <= spline_bound(n)
+
+    def test_natural_ends_miss_the_bound(self, monkeypatch):
+        # a plausible slip: M[0] = M[N] = 0 in place of the not-a-knot ends
+        def natural(y, h):
+            m = np.zeros_like(y)
+            m[:, 1:-1] = phase_functional._solve_141(
+                (6.0 / (h * h)) * (y[:, 2:] - 2.0 * y[:, 1:-1] + y[:, :-2])
+            )
+            return m
+
+        monkeypatch.setattr(phase_functional, "_not_a_knot_curvatures", natural)
+        w, inputs = spline_inputs(100)
+        for values in inputs[1:]:
+            assert worst_spline_gap(w, 0.5, values) > 1e6 * spline_bound(100)
 
 
 class TestConsistency:
