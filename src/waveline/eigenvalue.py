@@ -46,7 +46,7 @@ EXP_CEILING = float(np.log(np.finfo(float).max))
 
 @dataclass(frozen=True)
 class RealCoefficients:
-    """Real-part coefficients sampled on a grid: r1 is (M, 4), r2 is (M,)."""
+    """Real-part coefficients sampled on a grid: r1 is (M, 4), column-major, and r2 is (M,)."""
 
     grid: np.ndarray
     r1: np.ndarray
@@ -54,7 +54,7 @@ class RealCoefficients:
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
-        r1 = np.asarray(self.r1, dtype=float)
+        r1 = np.asarray(self.r1, dtype=float, order="F")
         r2 = np.asarray(self.r2, dtype=float)
         if r1.shape != (g.size, 4) or r2.shape != (g.size,):
             raise ValueError("real-part coefficient arrays do not match the grid")
@@ -71,7 +71,7 @@ def constant_real_part(r1_0, r2_0, grid):
     r1_0 = as_four_vector(r1_0)
     return RealCoefficients(
         grid=grid,
-        r1=np.broadcast_to(r1_0, (grid.size, 4)).copy(),
+        r1=np.broadcast_to(r1_0, (grid.size, 4)),
         r2=np.full(grid.size, float(r2_0)),
     )
 

@@ -46,7 +46,7 @@ class FlowInitialData:
 
 @dataclass(frozen=True)
 class FlowCoefficients:
-    """Coefficients sampled on a grid: sigma1 is (M, 4), sigma2 is (M,)."""
+    """Coefficients sampled on a grid: sigma1 is (M, 4), column-major, and sigma2 is (M,)."""
 
     grid: np.ndarray
     sigma1: np.ndarray
@@ -54,8 +54,8 @@ class FlowCoefficients:
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
-        s1 = np.asarray(self.sigma1, dtype=float)
-        s2 = np.asarray(self.sigma2, dtype=float)
+        s1 = np.asarray(self.sigma1, dtype=float, order="F")
+        s2 = np.asarray(self.sigma2, dtype=float, order="F")
         if g.ndim != 1 or g.size < 2:
             raise BadGrid(f"flow grid must be 1-d with >= 2 samples, got shape {g.shape}")
         if s1.shape != (g.size, 4) or s2.shape != (g.size,):
@@ -132,7 +132,7 @@ def sample_closed_form(init, grid):
     d = denominator(init.sigma2_0, grid)
     return FlowCoefficients(
         grid=grid,
-        sigma1=init.sigma1_0[None, :] / d[:, None],
+        sigma1=(init.sigma1_0[:, None] / d).T,
         sigma2=init.sigma2_0 / d,
     )
 
@@ -147,7 +147,7 @@ def frozen_coefficients(init, grid):
     grid = np.asarray(grid, dtype=float)
     return FlowCoefficients(
         grid=grid,
-        sigma1=np.broadcast_to(init.sigma1_0, (grid.size, 4)).copy(),
+        sigma1=np.broadcast_to(init.sigma1_0, (grid.size, 4)),
         sigma2=np.full(grid.size, init.sigma2_0),
     )
 
@@ -220,11 +220,7 @@ def integrate_flow(init, C, N):
         y = rk4_step(rhs, y, h)
         path[i + 1] = y
     flows = [
-        FlowCoefficients(
-            grid=grid,
-            sigma1=np.ascontiguousarray(path[:, k, :4]),
-            sigma2=np.ascontiguousarray(path[:, k, 4]),
-        )
+        FlowCoefficients(grid=grid, sigma1=path[:, k, :4], sigma2=path[:, k, 4])
         for k in range(len(inits))
     ]
     return flows[0] if single else flows

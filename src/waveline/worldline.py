@@ -23,7 +23,10 @@ _NORM_GRID = 2048
 
 @dataclass(frozen=True)
 class Worldline:
-    """Sampled trajectory: ``points[i]`` is the event at c = i*C/N."""
+    """Sampled trajectory: ``points[i]`` is the event at c = i*C/N.
+
+    ``points`` is column-major, like every lattice array: one component per column.
+    """
 
     C: float
     N: int
@@ -34,7 +37,7 @@ class Worldline:
             raise BadGrid(f"invariant duration must be positive, got {self.C!r}")
         if self.N < 2:
             raise BadGrid(f"need at least 2 intervals, got N={self.N!r}")
-        pts = np.array(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float, order="F")
         if pts.shape != (self.N + 1, 4):
             raise BadGrid(f"points shape {pts.shape} does not match N={self.N}")
         if not np.all(np.isfinite(pts)):
@@ -63,8 +66,8 @@ def straight_line(a, b, C, N):
     """Uniform-velocity world line from ``a`` to ``b``, endpoints exact."""
     a = as_four_vector(a)
     b = as_four_vector(b)
-    t = np.linspace(0.0, 1.0, N + 1)[:, None]
-    pts = a + t * (b - a)
+    t = np.linspace(0.0, 1.0, N + 1)
+    pts = (a[:, None] + t * (b - a)[:, None]).T
     pts[0] = a
     pts[-1] = b
     return Worldline(float(C), int(N), pts)
@@ -117,7 +120,7 @@ def perturb_interior(base, amplitude, seed, modes=6):
     coef, peak = perturbation_coefficients(seed, base.C, modes)
     if peak == 0.0 or amplitude == 0.0:
         return base
-    pts = base.points.copy()
+    pts = base.points.copy(order="F")
     pts[1:-1] += (amplitude / peak) * (_sine_modes(base.grid[1:-1], base.C, modes) @ coef)
     return Worldline(base.C, base.N, pts)
 

@@ -50,6 +50,11 @@ def test_verify_default_sites_and_one_operator_call_per_case(tmp_path):
     metrics = spans.layer_metrics(tracer.spans, "verify-default")
     # three operator cases; the imaginary-part check reuses the last one
     assert metrics["eigenvalue.apply_action_operator.calls"] == 3
+    # one lattice per agreement set (50), one per rung of the flowing and of
+    # the frozen ladder (3 + 3), and the breakdown's; the phase suite's
+    # consistency line is the only perturbed one
+    assert metrics["eigenvalue.lambda_lattice.calls"] == 50 + 3 + 3 + 1
+    assert metrics["worldline.perturb_interior.calls"] == 1
 
 
 def test_phase_resample_sites_and_one_spline_pass(tmp_path):

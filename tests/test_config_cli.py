@@ -416,22 +416,28 @@ class TestCli:
         # C = 1e200 overflows the spline's h**2, and C = 1e-300 (1e-320, a
         # subnormal) the lattice velocities and 1/dc**2; every suite must
         # report that as a named failed check, write the report and print no
-        # warning
+        # warning.  The frozen control passes only where the flowing ladder
+        # measured something: at C = 1e200 its spreads are roundoff of a
+        # 1e200-sized eigenvalue while the flowing ones are exactly zero.
+        unmeasured = "NotMeasured: the flowing ladder measured nothing"
         expected = {
             1e200: {
+                "lambda_worldline_independence_order": "NotMeasured: perturbation spreads",
+                "lambda_violation_detected": f"{unmeasured} (NotMeasured: perturbation spreads",
                 "phase_consistency": "BadGrid: cannot spline the world line",
                 # the modulus probe would overflow exp(); a failure, not a NaN
                 "operator_oracle": "NumericalOverflow",
             },
             1e-300: {
                 "lambda_worldline_independence_order": "NumericalOverflow",
-                "lambda_violation_detected": "NumericalOverflow",
+                "lambda_violation_detected": f"{unmeasured} (NumericalOverflow",
                 "lambda_breakdown": "NumericalOverflow",
                 "operator_oracle": "NumericalOverflow",
                 "phase_consistency": "DegenerateQ",
             },
             1e-320: {
                 "lambda_worldline_independence_order": "NumericalOverflow: stationary sigma1_0",
+                "lambda_violation_detected": f"{unmeasured} (NumericalOverflow",
                 "operator_oracle": "NumericalOverflow",
                 "phase_consistency": "NumericalOverflow",
             },
