@@ -189,7 +189,7 @@ def flow_suite(cfg):
                 ("c", "sigma1_0", "sigma1_1", "sigma1_2", "sigma1_3", "sigma2",
                  "exact_sigma1_0", "exact_sigma1_1", "exact_sigma1_2",
                  "exact_sigma1_3", "exact_sigma2"),
-                [tuple(map(float, r)) for r in rows],
+                rows.tolist(),
             ),
         )
 

@@ -8,6 +8,8 @@ per check and writes run_report.json (plus suite artifacts) to --out.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import os
 import sys
 import time
 from pathlib import Path
@@ -109,8 +111,47 @@ def main(argv=None):
     return 0 if report.overall == "pass" else 1
 
 
+def _keep_freed_memory_mapped():
+    """Stop glibc handing freed lattice memory back to the OS between sets.
+
+    Each parameter set allocates fresh (N+1, 4) temporaries; with glibc's
+    default thresholds their pages are unmapped when freed and faulted back
+    in by the next set.  Elsewhere (no ``mallopt`` symbol) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: keep 256 MiB of freed heap top
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
+
+
 def entry():
-    sys.exit(main())
+    """The ``waveline`` process: ``main()`` plus two process-wide policies.
+
+    Freed memory stays mapped while the suites run, and once ``main()`` has
+    returned (every report and artifact already closed) the process flushes
+    stdout and stderr and leaves with ``os._exit``, skipping interpreter
+    teardown.  A ``SystemExit`` from argparse or an exception escaping
+    ``main()`` takes the normal interpreter exit.  Library callers of
+    ``main()`` get neither policy.
+    """
+    _keep_freed_memory_mapped()
+    code = main()
+    try:
+        for name in ("stdout", "stderr"):
+            stream = getattr(sys, name)
+            if stream is None:  # the process started with that fd closed
+                raise OSError(f"{name} is closed")
+            stream.flush()
+    except (OSError, ValueError) as exc:  # a closed fd or file, a broken pipe
+        try:
+            os.write(2, f"output error: {exc}\n".encode())
+        except OSError:
+            pass
+        os._exit(2)
+    os._exit(code)
 
 
 if __name__ == "__main__":

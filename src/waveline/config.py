@@ -181,9 +181,11 @@ def load_config(path=None, overrides=None):
     data = {}
     if path is not None:
         try:
-            data = json.loads(Path(path).read_text())
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):

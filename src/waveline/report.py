@@ -108,11 +108,18 @@ def write_json(path, obj):
 
 
 def write_csv(path, header, rows):
-    """CSV with full float round-trip precision via repr."""
+    """CSV of numbers with full float round-trip precision via repr.
+
+    Each row is formatted in one join: ``repr(float(v))`` for every float
+    (``np.float64`` included, whose own repr is ``np.float64(...)``) and
+    ``str`` for the rest, ending in the csv module's CRLF.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        csv.writer(fh).writerow(header)
+        fh.writelines(
+            ",".join([repr(float(v)) if isinstance(v, float) else str(v) for v in row])
+            + "\r\n"
+            for row in rows
+        )

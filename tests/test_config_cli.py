@@ -325,11 +325,15 @@ class TestCli:
             {"C": False},
             {"m": "1.5"},
             {"tolerances": {"phase_tol": True}},
+            b'\xff\xfe{"N": 200}',  # not UTF-8: raw bytes, written as they are
         ],
     )
     def test_mistyped_value_exits_2(self, tmp_path, payload, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
+        if isinstance(payload, bytes):
+            path.write_bytes(payload)
+        else:
+            path.write_text(json.dumps(payload))
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
