@@ -21,7 +21,7 @@ from .eigenvalue import (
     lattice_expansion,
     predicted_action_eigenvalue,
 )
-from .minkowski import interval_squared
+from .minkowski import classical_action, interval_squared
 from .phase_flow import (
     FlowInitialData,
     checked_denominator,
@@ -50,7 +50,6 @@ from .report import (
     write_json,
 )
 from .stationarity import (
-    classical_action,
     numeric_stationary_search,
     optimal_C,
     optimal_sigma1,
@@ -88,15 +87,13 @@ class SuiteResult:
         self.artifacts = dict(artifacts or {})
 
     def write_artifacts(self, out_dir):
-        for name, (kind, payload) in self.artifacts.items():
+        """Write each artifact by its suffix: a ``.csv`` payload is ``(header, rows)``."""
+        for name, payload in self.artifacts.items():
             path = f"{out_dir}/{name}"
-            if kind == "json":
-                write_json(path, payload)
-            elif kind == "csv":
-                header, rows = payload
-                write_csv(path, header, rows)
+            if name.endswith(".csv"):
+                write_csv(path, *payload)
             else:
-                raise ValueError(f"unknown artifact kind {kind!r}")
+                write_json(path, payload)
 
 
 def _merge(*suites):
@@ -175,7 +172,7 @@ def flow_suite(cfg):
         )
 
     artifacts = {
-        "flow_errors.csv": ("csv", (("sigma2_0", "N", "max_abs_error"), err_rows)),
+        "flow_errors.csv": (("sigma2_0", "N", "max_abs_error"), err_rows),
     }
     if trace_error is not None:
         checks.append(failed_check(f"flow_trace[sigma2_0={cfg.sigma2_0:g}]", trace_error))
@@ -184,13 +181,10 @@ def flow_suite(cfg):
         exact = sample_closed_form(trace_init, trace.grid)
         rows = np.column_stack([flow_to_rows(trace), exact.sigma1, exact.sigma2])
         artifacts["flow.csv"] = (
-            "csv",
-            (
-                ("c", "sigma1_0", "sigma1_1", "sigma1_2", "sigma1_3", "sigma2",
-                 "exact_sigma1_0", "exact_sigma1_1", "exact_sigma1_2",
-                 "exact_sigma1_3", "exact_sigma2"),
-                rows.tolist(),
-            ),
+            ("c", "sigma1_0", "sigma1_1", "sigma1_2", "sigma1_3", "sigma2",
+             "exact_sigma1_0", "exact_sigma1_1", "exact_sigma1_2",
+             "exact_sigma1_3", "exact_sigma2"),
+            rows.tolist(),
         )
 
     return SuiteResult(checks, artifacts)
@@ -330,7 +324,7 @@ def independence_checks(cfg, displacements):
         detail=_noted(detail, _curved_sigma2(cfg)[1]),
     )
     return [check], {
-        "lambda_spreads.csv": ("csv", (("N", "perturbation_spread"), list(zip(ns, spreads))))
+        "lambda_spreads.csv": (("N", "perturbation_spread"), list(zip(ns, spreads)))
     }
 
 
@@ -349,7 +343,7 @@ def violation_control_checks(cfg, displacements):
         ),
     )
     return [check], {
-        "lambda_control_spreads.csv": ("csv", (("N", "frozen_spread"), list(zip(ns, spreads))))
+        "lambda_control_spreads.csv": (("N", "frozen_spread"), list(zip(ns, spreads)))
     }
 
 
@@ -393,7 +387,7 @@ def lambda_suite(cfg, with_control=False):
         payload = breakdown.as_dict()
         payload["closed_form"] = lambda_closed_form(init, cfg.a, cfg.b, cfg.m, c_run)
         payload["lattice"] = lambda_lattice(w, flow, cfg.m)
-        artifacts["lambda_breakdown.json"] = ("json", payload)
+        artifacts["lambda_breakdown.json"] = payload
     except WavelineError as exc:
         checks.append(failed_check("lambda_breakdown", exc))
     return SuiteResult(checks, artifacts)
@@ -455,17 +449,17 @@ def stationarity_suite(cfg):
                 threshold_check(f"classical_limit_identity[branch={branch:+d}]", gap, 1e-12)
             )
 
-        artifacts["stationarity_report.json"] = ("json", report.as_dict())
+        artifacts["stationarity_report.json"] = report.as_dict()
         artifacts["sigma2_scan.csv"] = (
-            "csv",
-            (("sigma2_0", "lambda"), [(s, l) for s, l in report.sigma2_scan]),
+            ("sigma2_0", "lambda"),
+            [(s, l) for s, l in report.sigma2_scan],
         )
         sweep = [
             (branch, float(c), float(reduced_lambda(c, cfg.a, cfg.b, cfg.m)))
             for branch in (1, -1)
             for c in np.linspace(0.3, 2.5, 100) * optimal_C(cfg.a, cfg.b, cfg.m, branch)
         ]
-        artifacts["sweep_lambda_vs_C.csv"] = ("csv", (("branch", "C", "lambda"), sweep))
+        artifacts["sweep_lambda_vs_C.csv"] = (("branch", "C", "lambda"), sweep)
     except WavelineError as exc:
         checks.append(failed_check("stationary_search", exc))
     return SuiteResult(checks, artifacts)
@@ -578,18 +572,13 @@ def phase_suite(cfg):
         ident = float(np.abs(geo.x_tilde + s1_opt / s2).max())
         checks.append(threshold_check("phase_center_identity", ident, 1e-12, detail=note))
 
-        artifacts["phase_report.json"] = (
-            "json",
-            {
-                "sigma2_0": s2,
-                "Q": geo.Q,
-                "x_tilde": [float(v) for v in geo.x_tilde],
-                "measured_mean_difference": mean,
-                "predicted_offset": float(
-                    predicted_phase_offset(s2, cfg.a, cfg.b, c_run)
-                ),
-            },
-        )
+        artifacts["phase_report.json"] = {
+            "sigma2_0": s2,
+            "Q": geo.Q,
+            "x_tilde": [float(v) for v in geo.x_tilde],
+            "measured_mean_difference": mean,
+            "predicted_offset": float(predicted_phase_offset(s2, cfg.a, cfg.b, c_run)),
+        }
     except WavelineError as exc:
         checks.append(failed_check("phase_consistency", exc))
     return SuiteResult(checks, artifacts)

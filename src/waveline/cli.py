@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 when every check passed, 1 when any check failed, and 2 for
-configuration or output-directory problems.  Every command prints one line
-per check and writes run_report.json (plus suite artifacts) to --out.
+configuration or output problems (an unwritable --out, a closed or broken
+stdout).  Every command prints one line per check and writes
+run_report.json (plus suite artifacts) to --out.
 """
 
 from __future__ import annotations
@@ -63,17 +64,30 @@ def _overrides_from(args):
             )
         except ValueError as exc:
             raise ConfigError(f"--sigma2 expects comma-separated numbers: {exc}") from exc
-        if not overrides["sigma2_values"]:
-            raise ConfigError("--sigma2 got an empty list")
     return overrides
+
+
+def _print_lines(lines):
+    """Print ``lines`` to stdout; return the OSError that cut them short, else None.
+
+    Unbuffered stdout into a broken pipe raises on the first ``print``.
+    """
+    try:
+        for line in lines:
+            print(line)
+    except OSError as exc:
+        return exc
+    return None
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.list_checks:
-        for name in CHECK_NAMES[args.command]:
-            print(name)
-        return 0
+        error = _print_lines(CHECK_NAMES[args.command])
+        if error is None:
+            return 0
+        print(f"output error: {error}", file=sys.stderr)
+        return 2
 
     try:
         cfg = load_config(args.config, _overrides_from(args))
@@ -91,12 +105,14 @@ def main(argv=None):
         wall_clock_s=wall,
     )
 
-    for check in report.checks:
-        print(format_check_line(check))
     n_pass = sum(c.passed for c in report.checks)
-    print(
-        f"{args.command}: {report.overall.upper()} "
-        f"({n_pass}/{len(report.checks)} checks, {wall:.2f}s)"
+    # the reports are written even when stdout is gone
+    error = _print_lines(
+        [format_check_line(check) for check in report.checks]
+        + [
+            f"{args.command}: {report.overall.upper()} "
+            f"({n_pass}/{len(report.checks)} checks, {wall:.2f}s)"
+        ]
     )
 
     try:
@@ -105,7 +121,9 @@ def main(argv=None):
         write_json(out / "run_report.json", report.as_json_dict())
         suite.write_artifacts(out)
     except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
+        error = exc
+    if error is not None:
+        print(f"output error: {error}", file=sys.stderr)
         return 2
 
     return 0 if report.overall == "pass" else 1

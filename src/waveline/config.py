@@ -69,6 +69,8 @@ class RunConfig:
             raise ConfigError(f"C must be positive when given, got {self.C}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.sigma2_values is not None and not self.sigma2_values:
+            raise ConfigError("sigma2_values must hold at least one curvature")
         for name in ("n_perturbations", "n_phase_perturbations", "n_lambda_sets"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")

@@ -352,8 +352,3 @@ def apply_action_operator(params, w, h=1e-4):
 
         # Mass term added analytically so the free functional is handled exactly.
         return complex(np.trapezoid(integrand, w.grid)) + params.m * params.m * w.C
-
-
-def operator_residual(params, w, h=1e-4):
-    """Difference between the probed and the predicted (I Psi)/Psi."""
-    return apply_action_operator(params, w, h=h) - predicted_action_eigenvalue(params, w)

@@ -14,10 +14,6 @@ class WavelineError(Exception):
     """Base class for all solver-domain errors."""
 
 
-class NonTimelikeVelocity(WavelineError):
-    """Velocity with non-positive invariant square where a timelike one is required."""
-
-
 class SpacelikeSeparation(WavelineError):
     """Endpoint pair whose squared interval is negative."""
 
@@ -38,16 +34,8 @@ class BadGrid(WavelineError):
     """World-line lattice with inconsistent shape, too few points, or non-finite data."""
 
 
-class IndexOutOfRange(WavelineError):
-    """Node index outside 0..N."""
-
-
 class GridMismatch(WavelineError):
     """Two sampled objects that must share a lattice do not."""
-
-
-class NonPositiveLapse(WavelineError):
-    """Lapse profile that is negative somewhere or fails to advance the clock."""
 
 
 class FlowSingularity(WavelineError):

@@ -7,23 +7,15 @@ leading axes, so every function here broadcasts over an (..., 4) layout.
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
-from .errors import NonTimelikeVelocity, NullSeparation, SpacelikeSeparation, ZeroMass
+from .errors import NullSeparation, SpacelikeSeparation, ZeroMass
 
-# Diagonal of the metric tensor; contracting with it lowers (or raises) an index.
+# Diagonal of the metric tensor (+, -, -, -).
 METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 
 # Squared intervals within this distance of zero count as null.
 NULL_TOL = 1e-12
-
-
-class IntervalClass(enum.Enum):
-    TIMELIKE = "timelike"
-    NULL = "null"
-    SPACELIKE = "spacelike"
 
 
 def as_four_vector(v):
@@ -56,51 +48,10 @@ def dot(u, v):
     return out
 
 
-def lower_index(v):
-    """Components with the index lowered: the time part keeps its sign, space flips."""
-    return np.asarray(v, dtype=float) * METRIC_DIAG
-
-
-# Lowering twice is the identity, so the same contraction raises an index.
-raise_index = lower_index
-
-
 def interval_squared(a, b):
     """Squared invariant interval between events ``a`` and ``b``."""
     d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
     return dot(d, d)
-
-
-def classify_interval(ds2, tol=NULL_TOL):
-    if abs(ds2) <= tol:
-        return IntervalClass.NULL
-    return IntervalClass.TIMELIKE if ds2 > 0 else IntervalClass.SPACELIKE
-
-
-def canonical_momentum(xdot, m):
-    """Momentum conjugate to a world-line velocity, components index-lowered.
-
-    The velocity must be timelike; the mass must be non-negative.  The
-    returned covector satisfies dot(raise_index(p), raise_index(p)) == m**2
-    for any parametrization of the same world line.
-    """
-    xdot = as_four_vector(xdot)
-    if m < 0:
-        raise ValueError("mass must be non-negative")
-    x2 = dot(xdot, xdot)
-    if x2 <= 0:
-        raise NonTimelikeVelocity(f"velocity squared {x2!r} is not positive")
-    return -m * lower_index(xdot) / np.sqrt(x2)
-
-
-def hamiltonian_constraint(p, m):
-    """Mass-shell defect p.p - m**2 for an index-lowered momentum ``p``.
-
-    Vanishes identically on canonical momenta; the sign convention in
-    canonical_momentum drops out because the expression is quadratic.
-    """
-    p_up = raise_index(as_four_vector(p))
-    return dot(p_up, p_up) - m * m
 
 
 def timelike_interval_squared(a, b):
@@ -110,11 +61,10 @@ def timelike_interval_squared(a, b):
     NULL_TOL) null separations raise.
     """
     ds2 = interval_squared(as_four_vector(a), as_four_vector(b))
-    kind = classify_interval(ds2)
-    if kind is IntervalClass.SPACELIKE:
-        raise SpacelikeSeparation(f"squared interval {ds2!r} is negative")
-    if kind is IntervalClass.NULL:
+    if abs(ds2) <= NULL_TOL:
         raise NullSeparation("endpoints are lightlike-separated")
+    if not ds2 > 0:
+        raise SpacelikeSeparation(f"squared interval {ds2!r} is negative")
     return ds2
 
 

@@ -117,16 +117,10 @@ def checked_denominator(sigma2_0, c):
     return d
 
 
-def closed_form_at(init, c):
-    """Exact (sigma1, sigma2) at invariant time ``c``."""
-    d = checked_denominator(init.sigma2_0, c)
-    return init.sigma1_0 / d, init.sigma2_0 / d
-
-
 def sample_closed_form(init, grid):
     """Exact flow on a whole grid as FlowCoefficients."""
     grid = np.asarray(grid, dtype=float)
-    err = pole_error(init.sigma2_0, grid, sampled=True)
+    err = pole_error(init.sigma2_0, grid)
     if err is not None:
         raise err
     d = denominator(init.sigma2_0, grid)
@@ -169,23 +163,22 @@ def flow_grid(C, N):
     return np.linspace(0.0, float(C), N + 1)
 
 
-def pole_error(sigma2_0, grid, sampled=False):
+def pole_error(sigma2_0, grid):
     """The FlowSingularity the flow from c = 0 meets on ``grid``, else None.
 
     A pole inside [0, C] is reported with its c*, since no step may cross
     it.  Otherwise the exact D(c) is checked at every node, which refuses a
-    pole just past C (D(C) at or below the floor) too.  ``sampled`` is the
-    closed form's check: it evaluates nothing between the nodes, so only the
-    node check applies and the first bad node is reported.
+    pole just past C (D(C) at or below the floor) too.
     """
     C = float(grid[-1])
     c_star = singularity_time(sigma2_0)
-    if not sampled and c_star is not None and c_star <= C:
+    if c_star is not None and c_star <= C:
         return FlowSingularity(f"pole at c*={c_star!r} lies inside [0, {C!r}]", c_star=c_star)
     hit = np.flatnonzero(denominator(sigma2_0, grid) <= DENOMINATOR_FLOOR)
     if hit.size:
-        where = "flow is singular inside the grid" if sampled else "stepped onto the pole"
-        return FlowSingularity(f"{where} near c={float(grid[hit[0]])!r}", c_star=c_star)
+        return FlowSingularity(
+            f"stepped onto the pole near c={float(grid[hit[0]])!r}", c_star=c_star
+        )
     return None
 
 

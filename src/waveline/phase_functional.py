@@ -44,8 +44,6 @@ class PhaseGeometry:
 
     Q: float
     x_tilde: np.ndarray
-    sigma2_0: float
-    C: float
 
 
 def log_duration(sigma2_0, C):
@@ -70,7 +68,7 @@ def shift_point(a, b, Q):
 
 def phase_geometry(sigma2_0, a, b, C):
     q = log_duration(sigma2_0, C)
-    return PhaseGeometry(Q=q, x_tilde=shift_point(a, b, q), sigma2_0=float(sigma2_0), C=float(C))
+    return PhaseGeometry(Q=q, x_tilde=shift_point(a, b, q))
 
 
 def phase_eval_c(w, flow):
@@ -159,20 +157,20 @@ def _not_a_knot_curvatures(y, h):
     return m
 
 
-def resample_on_log_clock(w, sigma2_0, n_q=None, values=None):
+def resample_on_log_clock(w, sigma2_0, values=None):
     """World-line events at uniform q nodes, via not-a-knot cubic spline in c.
 
-    Returns (q_grid, points).  The map c(q) = expm1(q) / (2 sigma2_0) sends
-    [0, Q] onto [0, C] monotonically for either sign of sigma2_0.  Given
-    ``values``, an (N+1, k) array of samples on the lattice of ``w``, those
-    are resampled in place of ``w.points``.  The spline is linear in the
-    samples, column by column.
+    Returns (q_grid, points) on as many q nodes as the lattice has c nodes.
+    The map c(q) = expm1(q) / (2 sigma2_0) sends [0, Q] onto [0, C]
+    monotonically for either sign of sigma2_0.  Given ``values``, an
+    (N+1, k) array of samples on the lattice of ``w``, those are resampled
+    in place of ``w.points``.  The spline is linear in the samples, column
+    by column.
     """
     q_total = log_duration(sigma2_0, w.C)
     if abs(q_total) < Q_FLOOR:
         raise DegenerateQ("sigma2_0 = 0 collapses the logarithmic clock")
-    n_q = w.N if n_q is None else int(n_q)
-    q_grid = np.linspace(0.0, q_total, n_q + 1)
+    q_grid = np.linspace(0.0, q_total, w.N + 1)
     c_of_q = np.clip(np.expm1(q_grid) / (2.0 * float(sigma2_0)), 0.0, w.C)
     y = (w.points if values is None else np.asarray(values, dtype=float)).T
     if y.ndim != 2 or y.shape[1] != w.N + 1:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NoConvergence, NumericalOverflow, ZeroDuration, ZeroMass, float_errors_as
 from .eigenvalue import lambda_closed_form
-from .minkowski import as_four_vector, classical_action, timelike_interval_squared
+from .minkowski import as_four_vector, timelike_interval_squared
 from .phase_flow import FlowInitialData, checked_denominator, denominator
 
 GRAD_STEP = 1e-6  # relative finite-difference step for gradients
@@ -229,11 +229,3 @@ def numeric_stationary_search(
         converged=True,
         sigma2_scan=tuple(scan),
     )
-
-
-def classical_recovery_gap(a, b, m, branch=1, **search_kwargs):
-    """max(|C* - C*_analytic|, |lambda* - classical action|) for one pair."""
-    report = numeric_stationary_search(a, b, m, branch=branch, **search_kwargs)
-    c_exact = optimal_C(a, b, m, branch=branch)
-    s_exact = classical_action(a, b, m, branch=branch)
-    return max(abs(report.C_star - c_exact), abs(report.lambda_star - s_exact)), report

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadGrid, IndexOutOfRange, NonPositiveLapse
+from .errors import BadGrid
 from .minkowski import as_four_vector
 
 # Fine grid used to normalize random perturbation fields so the same seed
@@ -128,38 +128,3 @@ def perturb_interior(base, amplitude, seed, modes=6):
 def velocities(w):
     """dx/dc at every node, shape (N+1, 4), second-order accurate."""
     return np.gradient(w.points, w.dc, axis=0, edge_order=2)
-
-
-def velocity(w, i):
-    """dx/dc at node ``i`` from the same stencils as :func:`velocities`."""
-    if not 0 <= i <= w.N:
-        raise IndexOutOfRange(f"node {i} outside 0..{w.N}")
-    x, h = w.points, w.dc
-    if i == 0:
-        return (-3.0 * x[0] + 4.0 * x[1] - x[2]) / (2.0 * h)
-    if i == w.N:
-        return (3.0 * x[-1] - 4.0 * x[-2] + x[-3]) / (2.0 * h)
-    return (x[i + 1] - x[i - 1]) / (2.0 * h)
-
-
-def reparametrize(chi, T=1.0):
-    """Invariant clock c(tau) accumulated from a lapse profile.
-
-    ``chi`` is sampled uniformly on [0, T].  Returns ``(tau, c)`` arrays of
-    equal length with c[0] = 0; c is built by cumulative trapezoid rule, so
-    it is exactly the quadrature-consistent clock for the sampled lapse.
-    The profile may touch zero at isolated samples (e.g. chi(0) = 0), but a
-    negative sample or a step that fails to advance the clock is an error.
-    """
-    chi = np.asarray(chi, dtype=float)
-    if chi.ndim != 1 or chi.size < 2:
-        raise BadGrid(f"lapse must be a 1-d profile with >= 2 samples, got shape {chi.shape}")
-    if not np.all(np.isfinite(chi)) or not (T > 0):
-        raise BadGrid("lapse samples and horizon must be finite and T > 0")
-    if np.any(chi < 0):
-        raise NonPositiveLapse(f"lapse dips to {chi.min()!r}")
-    tau = np.linspace(0.0, float(T), chi.size)
-    c = np.concatenate([[0.0], np.cumsum(np.diff(tau) * (chi[1:] + chi[:-1]) / 2.0)])
-    if np.any(np.diff(c) <= 0):
-        raise NonPositiveLapse("lapse fails to advance the invariant clock on some step")
-    return tau, c

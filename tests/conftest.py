@@ -18,16 +18,6 @@ def four_vectors(draw):
 
 
 @st.composite
-def timelike_vectors(draw):
-    """Raised-component vectors with a strictly positive invariant square."""
-    space = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
-    margin = draw(st.floats(0.2, 2.0))
-    sign = draw(st.sampled_from([1.0, -1.0]))
-    t = sign * (np.sqrt(space @ space) + margin)
-    return np.concatenate([[t], space])
-
-
-@st.composite
 def timelike_pairs(draw):
     """(a, b) event pairs with timelike, future-pointing separation."""
     a = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(4)])

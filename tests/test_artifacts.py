@@ -72,9 +72,9 @@ def test_flow_suite_screens_each_curvature_once(tmp_path, monkeypatch):
     calls = []
     original = checks.pole_error
 
-    def counting(sigma2_0, grid, sampled=False):
+    def counting(sigma2_0, grid):
         calls.append(sigma2_0)
-        return original(sigma2_0, grid, sampled)
+        return original(sigma2_0, grid)
 
     monkeypatch.setattr(checks, "pole_error", counting)
     out = tmp_path / "out"

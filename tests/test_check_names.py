@@ -4,14 +4,20 @@
 prints it.  Every name a run reports must match a declared pattern (``*``
 stands for a swept parameter), and every declared pattern, the names that
 only appear on failure included, must be reported by some run below.
+The same runs reach every module-level function of the package: code no
+command runs has no place in it.
 """
 
+import ast
 import fnmatch
 import glob
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+import waveline
 from waveline.checks import CHECK_NAMES
 from waveline.cli import COMMANDS, main
 
@@ -19,7 +25,7 @@ from conftest import QUICK
 
 # (command, extra config keys, flags); the failing runs put a pole inside
 # the run duration, or make the endpoints null so every suite that needs
-# them raises.
+# them raises, and the last run takes the negative branch by flag.
 RUNS = (
     ("flow", {}, []),
     ("lambda", {}, []),
@@ -32,7 +38,13 @@ RUNS = (
     ("phase", {}, ["--sigma2=-0.7"]),
     ("verify", {}, ["--sigma2=-0.5,0.5"]),
     ("verify", {"b": [1.0, 1.0, 0.0, 0.0]}, []),
+    ("stationary", {}, ["--branch=-"]),
 )
+
+# Module-level functions the runs need not reach: the process wrapper runs
+# only in a child (tests/test_cli_process.py), and flow_rhs is the test
+# oracle for the batched RK4 right-hand side and the closed form.
+NOT_REACHED = {"cli.entry", "cli._keep_freed_memory_mapped", "phase_flow.flow_rhs"}
 
 
 def matches(name, pattern):
@@ -40,34 +52,68 @@ def matches(name, pattern):
     return fnmatch.fnmatchcase(name, glob.escape(pattern).replace("[*]", "*"))
 
 
+def module_functions():
+    """``module.function`` for every module-level function of the package, by code location."""
+    found = {}
+    for path in sorted(Path(waveline.__file__).resolve().parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                # a decorated function's code starts at its first decorator
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                found[(str(path), first)] = f"{path.stem}.{node.name}"
+    return found
+
+
 @pytest.fixture(scope="module")
 def emitted(tmp_path_factory):
-    """Check names reported by each run in RUNS, keyed by its index."""
-    names = {}
+    """Check names reported by each run in RUNS, keyed by its index, and the
+    code locations of every function the runs called."""
+    names, called = {}, set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
     for k, (command, extra, flags) in enumerate(RUNS):
         tmp = tmp_path_factory.mktemp(f"run{k}")
         config = tmp / "quick.json"
         config.write_text(json.dumps({**QUICK, **extra}))
         out = tmp / "out"
-        assert main([command, "--config", str(config), "--out", str(out), *flags]) in (0, 1)
+        sys.setprofile(record)
+        try:
+            code = main([command, "--config", str(config), "--out", str(out), *flags])
+        finally:
+            sys.setprofile(None)
+        assert code in (0, 1)
         report = json.loads((out / "run_report.json").read_text())
         names[k] = [c["name"] for c in report["checks"]]
-    return names
+    reached = {(str(Path(f).resolve()), line) for f, line in called}
+    return names, reached
 
 
 @pytest.mark.parametrize("k", range(len(RUNS)), ids=[f"{k}-{run[0]}" for k, run in enumerate(RUNS)])
 def test_every_emitted_name_is_declared(emitted, k):
+    names, _ = emitted
     command = RUNS[k][0]
-    assert emitted[k]
-    for name in emitted[k]:
+    assert names[k]
+    for name in names[k]:
         assert any(matches(name, p) for p in CHECK_NAMES[command]), name
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_every_declared_name_is_emitted(emitted, command):
-    names = [n for k, run in enumerate(RUNS) if run[0] == command for n in emitted[k]]
+    names, _ = emitted
+    found = [n for k, run in enumerate(RUNS) if run[0] == command for n in names[k]]
     for pattern in CHECK_NAMES[command]:
-        assert any(matches(n, pattern) for n in names), pattern
+        assert any(matches(n, pattern) for n in found), pattern
+
+
+def test_every_module_function_is_reached(emitted):
+    _, reached = emitted
+    functions = module_functions()
+    assert NOT_REACHED <= set(functions.values())
+    unreached = {name for where, name in functions.items() if where not in reached}
+    assert unreached == NOT_REACHED
 
 
 def test_list_prints_the_table(capsys):

@@ -99,6 +99,27 @@ def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
     assert (tmp_path / "o" / "run_report.json").is_file()
 
 
+@pytest.mark.skipif(os.name != "posix", reason="EPIPE on a pipe with no reader is POSIX")
+@pytest.mark.parametrize("args", [["flow", "--list"], ["flow", "--N", "200", "--out", "o"]])
+def test_broken_pipe_on_unbuffered_stdout_exits_2_without_a_traceback(tmp_path, args):
+    # the first print into the pipe raises; the run still writes its reports
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "waveline.cli", *args],
+            cwd=tmp_path, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(child_env(), PYTHONUNBUFFERED="1"),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "output error: [Errno 32] Broken pipe\n"
+    if "--out" in args:
+        assert (tmp_path / "o" / "run_report.json").is_file()
+        assert (tmp_path / "o" / "flow.csv").is_file()
+
+
 def test_argparse_errors_keep_the_normal_exit(tmp_path):
     proc = run_cli(["flow", "--bogus"], cwd=tmp_path)
     assert proc.returncode == 2

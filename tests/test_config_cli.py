@@ -326,6 +326,7 @@ class TestCli:
             {"m": "1.5"},
             {"tolerances": {"phase_tol": True}},
             b'\xff\xfe{"N": 200}',  # not UTF-8: raw bytes, written as they are
+            {"sigma2_values": []},
         ],
     )
     def test_mistyped_value_exits_2(self, tmp_path, payload, capsys):

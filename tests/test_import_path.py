@@ -1,12 +1,7 @@
-"""scipy stays off the import and run paths; the numpy clock matches scipy's own rule."""
+"""scipy stays off the import and run paths."""
 
 import subprocess
 import sys
-
-import numpy as np
-import pytest
-
-from waveline.worldline import reparametrize
 
 from conftest import child_env
 
@@ -35,18 +30,3 @@ def test_verify_and_phase_runs_do_not_load_scipy(tmp_path):
     )
     assert proc.stdout.splitlines()[-1] == "[]"
 
-
-@pytest.mark.parametrize(
-    "chi, T",
-    [
-        (np.ones(11), 1.0),
-        (np.linspace(0.0, 3.0, 101) ** 2, 2.5),
-        (1.0 + 0.5 * np.sin(np.linspace(0.0, 7.0, 1001)), 0.3),
-        (np.random.default_rng(5).uniform(0.1, 4.0, 64), 17.0),
-    ],
-)
-def test_reparametrize_matches_scipy_bit_for_bit(chi, T):
-    from scipy.integrate import cumulative_trapezoid
-
-    tau, c = reparametrize(chi, T=T)
-    assert np.array_equal(c, cumulative_trapezoid(chi, tau, initial=0.0))

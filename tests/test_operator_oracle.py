@@ -14,7 +14,6 @@ from waveline.errors import BadGrid, FlowSingularity, NumericalOverflow, Numeric
 from waveline.eigenvalue import (
     WaveParameters,
     apply_action_operator,
-    operator_residual,
     predicted_action_eigenvalue,
 )
 from waveline.phase_flow import FlowInitialData
@@ -34,6 +33,11 @@ SIGMA_AND_R = WaveParameters(
     r1_0=np.array([0.05, 0.02, -0.01, 0.03]),
     r2_0=0.1,
 )
+
+
+def operator_residual(params, w, h=1e-4):
+    """Probed minus predicted (I Psi)/Psi."""
+    return apply_action_operator(params, w, h=h) - predicted_action_eigenvalue(params, w)
 
 
 def lattice(n=16, seed=None):

@@ -77,8 +77,8 @@ def test_continuum_modes_in_place_of_splined_ones_miss_the_oracle(monkeypatch):
     # sine at the q nodes is a plausible slip and must fail the bound.
     resample = phase_functional.resample_on_log_clock
 
-    def continuum_modes(w, sigma2_0, n_q=None, values=None):
-        q_grid, out = resample(w, sigma2_0, n_q, values)
+    def continuum_modes(w, sigma2_0, values=None):
+        q_grid, out = resample(w, sigma2_0, values)
         if values is None:
             return q_grid, out
         c = np.expm1(q_grid) / (2.0 * sigma2_0)

@@ -9,7 +9,6 @@ from waveline.phase_flow import (
     FlowCoefficients,
     FlowInitialData,
     checked_denominator,
-    closed_form_at,
     denominator,
     flow_grid,
     flow_rhs,
@@ -43,15 +42,15 @@ class TestRhs:
 class TestClosedForm:
     def test_halving_at_unit_time(self):
         init = FlowInitialData(S1, 0.5)
-        s1, s2 = closed_form_at(init, 1.0)  # D = 2
-        np.testing.assert_allclose(s1, S1 / 2.0)
-        assert s2 == 0.25
+        flow = sample_closed_form(init, np.linspace(0.0, 1.0, 3))  # D = 1, 1.5, 2
+        np.testing.assert_allclose(flow.sigma1[-1], S1 / 2.0)
+        np.testing.assert_allclose(flow.sigma2, [0.5, 0.5 / 1.5, 0.25])
 
     def test_zero_curvature_is_constant(self):
         init = FlowInitialData(S1, 0.0)
-        s1, s2 = closed_form_at(init, 123.0)
-        np.testing.assert_array_equal(s1, S1)
-        assert s2 == 0.0
+        flow = sample_closed_form(init, np.linspace(0.0, 123.0, 5))
+        np.testing.assert_array_equal(flow.sigma1, np.broadcast_to(S1, (5, 4)))
+        np.testing.assert_array_equal(flow.sigma2, np.zeros(5))
 
     def test_pole_location(self):
         init = FlowInitialData(S1, -0.5)
@@ -68,10 +67,10 @@ class TestClosedForm:
     def test_raises_at_pole_with_location(self):
         init = FlowInitialData(S1, -0.5)
         with pytest.raises(FlowSingularity) as info:
-            closed_form_at(init, 1.0)
+            sample_closed_form(init, np.linspace(0.0, 1.0, 11))
         assert info.value.c_star == pytest.approx(1.0)
         with pytest.raises(FlowSingularity):
-            closed_form_at(init, 1.5)
+            sample_closed_form(init, np.linspace(0.0, 1.5, 11))
 
     def test_sampling_detects_pole_inside_grid(self):
         init = FlowInitialData(S1, -0.5)
@@ -83,12 +82,14 @@ class TestClosedForm:
     def test_direction_preserved(self, s2_0, c):
         # sigma1 only rescales: D(c) * sigma1(c) recovers the initial vector
         init = FlowInitialData(S1, s2_0)
-        d = denominator(s2_0, c)
-        if d <= 0.05:
+        grid = np.linspace(0.0, c, 5)
+        d = denominator(s2_0, grid)
+        if d.min() <= 0.05:
             return
-        s1, s2 = closed_form_at(init, c)
-        np.testing.assert_allclose(d * s1, S1, atol=1e-12)
-        assert d * s2 == pytest.approx(s2_0, abs=1e-12)
+        flow = sample_closed_form(init, grid)
+        s1 = np.broadcast_to(S1, (5, 4))
+        np.testing.assert_allclose(d[:, None] * flow.sigma1, s1, atol=1e-12)
+        np.testing.assert_allclose(d * flow.sigma2, s2_0, atol=1e-12)
 
     @given(curvatures)
     @settings(max_examples=50)
@@ -98,11 +99,10 @@ class TestClosedForm:
         c, h = 0.4, 1e-6
         if denominator(s2_0, c + h) <= 0.05:
             return
-        s1_p, s2_p = closed_form_at(init, c + h)
-        s1_m, s2_m = closed_form_at(init, c - h)
-        ds1, ds2 = flow_rhs(*closed_form_at(init, c))
-        np.testing.assert_allclose((s1_p - s1_m) / (2 * h), ds1, atol=1e-6)
-        assert (s2_p - s2_m) / (2 * h) == pytest.approx(ds2, abs=1e-6)
+        flow = sample_closed_form(init, np.array([c - h, c, c + h]))
+        ds1, ds2 = flow_rhs(flow.sigma1[1], flow.sigma2[1])
+        np.testing.assert_allclose((flow.sigma1[2] - flow.sigma1[0]) / (2 * h), ds1, atol=1e-6)
+        assert (flow.sigma2[2] - flow.sigma2[0]) / (2 * h) == pytest.approx(ds2, abs=1e-6)
 
 
 class TestIntegrator:
@@ -222,10 +222,19 @@ class TestBatchedIntegrator:
         assert info.value.c_star == singularity_time(init.sigma2_0)
 
     def test_closed_form_pole_message_prints_a_plain_c(self):
-        init = FlowInitialData(S1, -0.5)
-        with pytest.raises(FlowSingularity) as info:
-            sample_closed_form(init, np.linspace(0.0, 2.0, 5))
-        assert str(info.value) == "flow is singular inside the grid near c=1.0"
+        # the closed form refuses the grids the integrator refuses, in its words
+        for s2_0, C, message in (
+            (-0.5, 2.0, "pole at c*=1.0 lies inside [0, 2.0]"),
+            (-0.49999999999998, 1.0, "stepped onto the pole near c=1.0"),
+        ):
+            init = FlowInitialData(S1, s2_0)
+            for refuse in (
+                lambda: sample_closed_form(init, flow_grid(C, 4)),
+                lambda: integrate_flow(init, C, 4),
+            ):
+                with pytest.raises(FlowSingularity) as info:
+                    refuse()
+                assert str(info.value) == message
 
 
 class TestContainersAndControls:

@@ -106,10 +106,13 @@ class TestResampling:
         np.testing.assert_allclose(pts[-1], B, atol=1e-10)
 
     def test_respects_requested_resolution(self):
-        w = straight_line(A, B, 1.0, 100)
-        q, pts = resample_on_log_clock(w, 0.4, n_q=37)
+        # the q grid has as many nodes as the lattice
+        w = straight_line(A, B, 1.0, 37)
+        q, pts = resample_on_log_clock(w, 0.4)
         assert q.shape == (38,)
         assert pts.shape == (38, 4)
+        _, cols = resample_on_log_clock(w, 0.4, values=np.ones((38, 3)))
+        assert cols.shape == (38, 3)
 
     def test_degenerate_curvature(self):
         w = straight_line(A, B, 1.0, 50)

@@ -15,7 +15,6 @@ from waveline.eigenvalue import lambda_closed_form
 from waveline.minkowski import classical_action
 from waveline.phase_flow import FlowInitialData
 from waveline.stationarity import (
-    classical_recovery_gap,
     numeric_stationary_search,
     optimal_C,
     optimal_sigma1,
@@ -136,8 +135,9 @@ class TestNumericSearch:
 
     def test_boosted_pair_both_branches(self):
         for branch in (1, -1):
-            gap, report = classical_recovery_gap(A, B2, 2.0, branch=branch)
-            assert gap <= 1e-8
+            report = numeric_stationary_search(A, B2, 2.0, branch=branch)
+            assert abs(report.C_star - optimal_C(A, B2, 2.0, branch=branch)) <= 1e-8
+            assert abs(report.lambda_star - classical_action(A, B2, 2.0, branch=branch)) <= 1e-8
             assert report.branch == branch
 
     def test_far_initial_guess_still_converges(self):
