@@ -46,7 +46,6 @@ class RunConfig:
     C: float | None = None
     branch: int = 1
     seed: int = 7
-    negative_control: bool = False
     operator_N: int = 16
     n_perturbations: int = 100
     n_phase_perturbations: int = 20
@@ -165,10 +164,6 @@ def _coerce_value(name, value):
         if isinstance(value, bool) or int(value) != value:
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         return int(value)
-    if name == "negative_control":
-        if not isinstance(value, bool):
-            raise ConfigError(f"negative_control must be true/false, got {value!r}")
-        return value
     if name == "C" and value is None:
         return None
     return _finite(value)

@@ -45,38 +45,6 @@ EXP_CEILING = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
-class RealCoefficients:
-    """Real-part coefficients sampled on a grid: r1 is (M, 4), column-major, and r2 is (M,)."""
-
-    grid: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        r1 = np.asarray(self.r1, dtype=float, order="F")
-        r2 = np.asarray(self.r2, dtype=float)
-        if r1.shape != (g.size, 4) or r2.shape != (g.size,):
-            raise ValueError("real-part coefficient arrays do not match the grid")
-        for arr in (g, r1, r2):
-            arr.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "r1", r1)
-        object.__setattr__(self, "r2", r2)
-
-
-def constant_real_part(r1_0, r2_0, grid):
-    """Real-part coefficients held at their initial values along the grid."""
-    grid = np.asarray(grid, dtype=float)
-    r1_0 = as_four_vector(r1_0)
-    return RealCoefficients(
-        grid=grid,
-        r1=np.broadcast_to(r1_0, (grid.size, 4)),
-        r2=np.full(grid.size, float(r2_0)),
-    )
-
-
-@dataclass(frozen=True)
 class WaveParameters:
     """Everything defining one wave functional on a given world line."""
 
@@ -162,15 +130,15 @@ def lambda_boundary_form(flow, a, b, m):
     return LambdaBreakdown(boundary=float(bracket), quadrature=quad, mass=m * m * flow.C)
 
 
-def lambda_lattice(w, flow, m, real=None, hbar_tilde=1.0):
+def lambda_lattice(w, flow, m, params=None):
     """Eigenvalue by direct trapezoid quadrature on a sampled world line.
 
     The integrand is xdot . (sigma1 + sigma2 x) - |sigma1 + sigma2 x|^2;
     the mass term is added analytically.  When the coefficients obey the
     flow this is independent of the interior of the world line up to the
-    O(dc^2) quadrature error.  Given ``real`` coefficients, the modulus
-    contributions hb^2 [ |r1 + r2 x|^2 + 4 r2 delta(0) ] join the integrand,
-    with delta(0) -> 1/dc on the lattice.
+    O(dc^2) quadrature error.  Given WaveParameters, the modulus terms
+    hb^2 [ |r1_0 + r2_0 x|^2 + 4 r2_0 delta(0) ] join the integrand, with
+    delta(0) -> 1/dc on the lattice.
     """
     require_shared_grid(w.grid, flow.grid)
     # velocities ~ 1/dc overflow their products on a tiny lattice (C ~ 1e-300)
@@ -178,11 +146,10 @@ def lambda_lattice(w, flow, m, real=None, hbar_tilde=1.0):
         x = w.points
         sp = flow.sigma1 + flow.sigma2[:, None] * x
         integrand = dot(velocities(w), sp) - dot(sp, sp)
-        if real is not None:
-            require_shared_grid(w.grid, real.grid)
-            rp = real.r1 + real.r2[:, None] * x
-            hb2 = hbar_tilde * hbar_tilde
-            integrand = integrand + hb2 * (dot(rp, rp) + 4.0 * real.r2 / w.dc)
+        if params is not None:
+            rp = params.r1_0 + params.r2_0 * x
+            hb2 = params.hbar_tilde * params.hbar_tilde
+            integrand = integrand + hb2 * (dot(rp, rp) + 4.0 * params.r2_0 / w.dc)
         return float(np.trapezoid(integrand, w.grid)) + m * m * w.C
 
 
@@ -214,7 +181,7 @@ def lattice_expansion(w, flow, modes):
     weights = trapezoid_weights(w.grid)
     s2 = flow.sigma2
     sp = flow.sigma1 + s2[:, None] * w.points
-    dmodes = np.gradient(modes, w.dc, axis=0, edge_order=2)
+    dmodes = velocities(w, modes)
     ws2 = weights * s2
     g = dmodes.T @ (weights[:, None] * sp) + modes.T @ (
         ws2[:, None] * (velocities(w) - 2.0 * sp)
@@ -231,12 +198,12 @@ def expansion_deltas(g, q, coefs):
     return linear + quadratic
 
 
-def reality_residual(flow, real, w):
+def reality_residual(flow, params, w):
     """Quadrature of the condition that keeps the eigenvalue real.
 
     The imaginary part of the applied operator is proportional to
 
-        integral( xdot . (r1 + r2 x) - 2 (sigma1 + sigma2 x) . (r1 + r2 x)
+        integral( xdot . (r1_0 + r2_0 x) - 2 (sigma1 + sigma2 x) . (r1_0 + r2_0 x)
                   - 4 sigma2 delta(0) ) dc
 
     with delta(0) -> 1/dc.  Zero residual means the modulus profile is
@@ -244,10 +211,9 @@ def reality_residual(flow, real, w):
     compatible unless sigma2 vanishes, because of the delta(0) term.
     """
     require_shared_grid(w.grid, flow.grid)
-    require_shared_grid(w.grid, real.grid)
     x = w.points
     sp = flow.sigma1 + flow.sigma2[:, None] * x
-    rp = real.r1 + real.r2[:, None] * x
+    rp = params.r1_0 + params.r2_0 * x
     integrand = (
         dot(velocities(w), rp) - 2.0 * dot(sp, rp) - 4.0 * flow.sigma2 / w.dc
     )
@@ -257,9 +223,8 @@ def reality_residual(flow, real, w):
 def predicted_action_eigenvalue(params, w):
     """(I Psi)/Psi predicted by the coefficient algebra: lambda_full - i hb R."""
     flow = sample_closed_form(params.flow_init, w.grid)
-    real = constant_real_part(params.r1_0, params.r2_0, w.grid)
-    lam = lambda_lattice(w, flow, params.m, real, params.hbar_tilde)
-    res = reality_residual(flow, real, w)
+    lam = lambda_lattice(w, flow, params.m, params)
+    res = reality_residual(flow, params, w)
     return complex(lam, -params.hbar_tilde * res)
 
 
@@ -301,13 +266,12 @@ def apply_action_operator(params, w, h=1e-4):
     1/dc**2 of the second difference does (a tiny one).
     """
     flow = sample_closed_form(params.flow_init, w.grid)
-    real = constant_real_part(params.r1_0, params.r2_0, w.grid)
     x = w.points
     v = velocities(w)
     hb = params.hbar_tilde
     dc = w.dc
     s1, s2 = flow.sigma1, flow.sigma2
-    r1, r2 = real.r1, real.r2
+    r1, r2 = params.r1_0, params.r2_0
 
     # Modulus exponent of Psi at the base point; differences divide by Psi.
     r_exponent = float(np.trapezoid(dot(r1, x) + 0.5 * r2 * dot(x, x), w.grid))
@@ -317,7 +281,7 @@ def apply_action_operator(params, w, h=1e-4):
         )
 
     sp = s1 + s2[:, None] * x
-    rp = r1 + r2[:, None] * x
+    rp = r1 + r2 * x
 
     def exponent_delta(i, mu, step):
         # Exact change of the exponent when x[i, mu] moves by `step`.  Only
@@ -325,7 +289,7 @@ def apply_action_operator(params, w, h=1e-4):
         # weight 1 at the interior nodes this is called for.
         sgn = METRIC_DIAG[mu]
         df = sgn * step * (s1[i, mu] + s2[i] * (x[i, mu] + 0.5 * step))
-        dg = sgn * step * (r1[i, mu] + r2[i] * (x[i, mu] + 0.5 * step))
+        dg = sgn * step * (r1[mu] + r2 * (x[i, mu] + 0.5 * step))
         return dc * ((1j / hb) * df + dg)
 
     # 1/dc**2 leaves the float range on a tiny lattice (C ~ 1e-300)
@@ -345,7 +309,7 @@ def apply_action_operator(params, w, h=1e-4):
             )
         for i in (0, w.N):
             grad = (1j / hb) * sp[i] + rp[i]  # raised components, complex
-            trace = ((1j / hb) * s2[i] + r2[i]) * 4.0 / dc
+            trace = ((1j / hb) * s2[i] + r2) * 4.0 / dc
             integrand[i] = (hb / 1j) * dot(v[i], grad) + hb * hb * (
                 dot(grad, grad) + trace
             )

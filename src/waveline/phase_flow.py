@@ -182,19 +182,17 @@ def pole_error(sigma2_0, grid):
     return None
 
 
-def integrate_flow(init, C, N):
+def integrate_flow(inits, C, N):
     """Fixed-step RK4 solution of the coefficient system on N steps over [0, C].
 
-    ``init`` is one FlowInitialData or a sequence of them; a sequence of K
-    initial data is stepped together as one (K, 5) state on the shared grid
-    and a list of K FlowCoefficients comes back.  Each row sees exactly the
-    arithmetic of a lone integration, so batching never changes a result.
+    ``inits`` is a sequence of K FlowInitialData, stepped together as one
+    (K, 5) state on the shared grid; a list of K FlowCoefficients comes
+    back.  Each row sees exactly the arithmetic of a lone integration, so
+    batching never changes a result.
 
     Every row is checked against the pole before the first step (see
     ``pole_error``); the first singular row raises its FlowSingularity.
     """
-    single = isinstance(init, FlowInitialData)
-    inits = [init] if single else list(init)
     grid = flow_grid(C, N)
     for row in inits:
         err = pole_error(row.sigma2_0, grid)
@@ -212,11 +210,10 @@ def integrate_flow(init, C, N):
     for i in range(N):
         y = rk4_step(rhs, y, h)
         path[i + 1] = y
-    flows = [
+    return [
         FlowCoefficients(grid=grid, sigma1=path[:, k, :4], sigma2=path[:, k, 4])
         for k in range(len(inits))
     ]
-    return flows[0] if single else flows
 
 
 def flow_to_rows(flow):

@@ -125,6 +125,6 @@ def perturb_interior(base, amplitude, seed, modes=6):
     return Worldline(base.C, base.N, pts)
 
 
-def velocities(w):
-    """dx/dc at every node, shape (N+1, 4), second-order accurate."""
-    return np.gradient(w.points, w.dc, axis=0, edge_order=2)
+def velocities(w, values=None):
+    """d/dc of ``values`` (N+1, k) on the lattice of ``w``, else of its points; second order."""
+    return np.gradient(w.points if values is None else values, w.dc, axis=0, edge_order=2)

@@ -58,7 +58,7 @@ def test_flow_fidelity():
         init = FlowInitialData(s1, s2)
         errs = {}
         for n in (500, 1000):
-            num = integrate_flow(init, 1.0, n)
+            (num,) = integrate_flow([init], 1.0, n)
             exact = sample_closed_form(init, num.grid)
             scale1 = np.maximum(1.0, np.abs(exact.sigma1))
             scale2 = np.maximum(1.0, np.abs(exact.sigma2))

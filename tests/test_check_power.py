@@ -28,8 +28,8 @@ def dropped_delta0(monkeypatch):
     # the reality quadrature without its -4 sigma2 delta(0) term, delta(0) -> 1/dc
     residual = eigenvalue.reality_residual
 
-    def without_delta0(flow, real, w):
-        return residual(flow, real, w) + float(np.trapezoid(4.0 * flow.sigma2 / w.dc, w.grid))
+    def without_delta0(flow, params, w):
+        return residual(flow, params, w) + float(np.trapezoid(4.0 * flow.sigma2 / w.dc, w.grid))
 
     monkeypatch.setattr(eigenvalue, "reality_residual", without_delta0)
 
@@ -37,6 +37,16 @@ def dropped_delta0(monkeypatch):
 def frozen_ladder(monkeypatch):
     # the independence ladder fed constant coefficients instead of the flow
     monkeypatch.setattr(checks, "sample_closed_form", phase_flow.frozen_coefficients)
+
+
+def one_sided_stencil(monkeypatch):
+    # dx/dc by a first-order forward difference, the last node by the backward one
+    def forward(w, values=None):
+        v = w.points if values is None else values
+        d = np.diff(v, axis=0) / w.dc
+        return np.concatenate([d, d[-1:]])
+
+    monkeypatch.setattr(eigenvalue, "velocities", forward)
 
 
 def swapped_x_tilde(monkeypatch):
@@ -56,6 +66,9 @@ CASES = {
     ),
     "frozen-ladder": (
         frozen_ladder, checks.lambda_suite, ("lambda_worldline_independence_order",),
+    ),
+    "one-sided-stencil": (
+        one_sided_stencil, checks.lambda_suite, ("lambda_worldline_independence_order",),
     ),
     "x-tilde": (
         swapped_x_tilde, checks.phase_suite,

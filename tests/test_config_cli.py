@@ -25,6 +25,11 @@ from waveline.report import (
 
 from conftest import QUICK, child_env
 
+ROOT = Path(__file__).resolve().parents[1]
+COMMITTED_CONFIGS = sorted(ROOT.glob("configs/*.json")) + sorted(
+    ROOT.glob("perfbench/workloads/*.json")
+)
+
 
 class TestConfig:
     def test_defaults_validate(self):
@@ -58,6 +63,18 @@ class TestConfig:
         path.write_text(json.dumps({"sigma_2": 0.5}))
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "path", COMMITTED_CONFIGS, ids=[p.relative_to(ROOT).as_posix() for p in COMMITTED_CONFIGS]
+    )
+    def test_committed_config_loads(self, path):
+        assert isinstance(load_config(path), RunConfig)
+
+    def test_default_config_file_is_the_defaults(self):
+        default = ROOT / "configs" / "default.json"
+        # the glob above found the default and the three benchmark workloads
+        assert default in COMMITTED_CONFIGS and len(COMMITTED_CONFIGS) >= 4
+        assert load_config(default) == RunConfig()
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "run.json"
@@ -245,14 +262,6 @@ class TestCli:
             assert key in breakdown
         assert breakdown["total"] == pytest.approx(breakdown["closed_form"], abs=1e-6)
 
-    def test_negative_control_fails_independence(self, tmp_path):
-        cfgp = write_quick_config(tmp_path, negative_control=True)
-        out = tmp_path / "out"
-        assert main(["lambda", "--config", cfgp, "--out", str(out)]) == 1
-        report = json.loads((out / "run_report.json").read_text())
-        failed = {c["name"] for c in report["checks"] if c["status"] == "fail"}
-        assert "lambda_worldline_independence_order" in failed
-
     def test_tightened_tolerance_fails_controlledly(self, tmp_path):
         cfgp = write_quick_config(
             tmp_path, tolerances={"flow_tol": 1e-16}
@@ -311,6 +320,12 @@ class TestCli:
         path.write_text(json.dumps({"nope": 1}))
         assert main(["flow", "--config", str(path)]) == 2
 
+    def test_removed_negative_control_key_exits_2(self, tmp_path, capsys):
+        # the frozen-coefficient control runs in verify as lambda_violation_detected
+        cfgp = write_quick_config(tmp_path, negative_control=True)
+        assert main(["lambda", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown config keys: ['negative_control']" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "payload",
         [
@@ -351,6 +366,21 @@ class TestCli:
         )
         assert check["status"] == "fail"
         assert check["detail"].startswith("NotMeasured")
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_rung_ladder_is_not_measured(self, tmp_path):
+        # N = 8 puts every rung of the independence ladder on one lattice:
+        # no order can be fitted, and nothing may reach np.polyfit
+        cfgp = write_quick_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfgp, "--N", "8", "--out", str(out)]) == 1
+        checks = json.loads((out / "run_report.json").read_text())["checks"]
+        details = {c["name"]: c.get("detail") for c in checks if c["status"] == "fail"}
+        one_size = "NotMeasured: lattice ladder [8] has one size; an order needs two"
+        assert details["lambda_worldline_independence_order"] == one_size
+        assert details["lambda_violation_detected"] == (
+            f"NotMeasured: the flowing ladder measured nothing ({one_size})"
+        )
 
     @pytest.mark.parametrize("extra", [{"amplitude": 0}, {"n_phase_perturbations": 1}])
     def test_phase_spread_of_equal_differences_is_not_measured(self, tmp_path, extra):

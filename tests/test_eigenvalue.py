@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from waveline.errors import FlowSingularity, GridMismatch, ZeroDuration
 from waveline.eigenvalue import (
-    RealCoefficients,
     WaveParameters,
-    constant_real_part,
     lambda_boundary_form,
     lambda_closed_form,
     lambda_lattice,
@@ -113,46 +111,38 @@ class TestLattice:
         with pytest.raises(GridMismatch):
             lambda_lattice(w, flow, 1.0)
 
-    def test_real_part_grid_mismatch_rejected(self):
-        init, flow = make_flow(B1, 0.0, 0.5, 100)
-        w = straight_line(A, B1, 0.5, 100)
-        real = constant_real_part(np.zeros(4), 0.0, np.linspace(0.0, 0.5, 102))
-        with pytest.raises(GridMismatch):
-            lambda_lattice(w, flow, 1.0, real)
-
     def test_real_part_adds_the_modulus_terms(self):
         # constant r1, r2 on a straight line: the added integrand is
         # hb^2 (|r1 + r2 x|^2 + 4 r2 / dc), integrated here independently
         init, flow = make_flow(B1, 0.4, 0.8, 200)
         w = straight_line(A, B1, 0.8, 200)
         r1, r2, hb = np.array([0.05, 0.02, -0.01, 0.03]), 0.1, 0.7
-        real = constant_real_part(r1, r2, w.grid)
+        params = WaveParameters(init, m=1.0, hbar_tilde=hb, r1_0=r1, r2_0=r2)
         rp = r1 + r2 * w.points
         extra = hb * hb * (rp[:, 0] ** 2 - (rp[:, 1:] ** 2).sum(axis=1) + 4.0 * r2 / w.dc)
         expected = lambda_lattice(w, flow, 1.0) + np.trapezoid(extra, w.grid)
-        assert lambda_lattice(w, flow, 1.0, real, hb) == pytest.approx(expected, rel=1e-12)
+        assert lambda_lattice(w, flow, 1.0, params) == pytest.approx(expected, rel=1e-12)
 
     def test_full_reduces_to_phase_only_when_real_part_vanishes(self):
         init, flow = make_flow(B1, 0.4, 0.8, 500)
         w = perturb_interior(straight_line(A, B1, 0.8, 500), 0.2, seed=4)
-        real = constant_real_part(np.zeros(4), 0.0, w.grid)
-        assert lambda_lattice(w, flow, 1.0, real, 1.0) == lambda_lattice(w, flow, 1.0)
+        params = WaveParameters(init, m=1.0)
+        assert lambda_lattice(w, flow, 1.0, params) == lambda_lattice(w, flow, 1.0)
 
 
 class TestRealityResidual:
     def test_zero_for_flat_phase_and_no_modulus(self):
         init, flow = make_flow(B1, 0.0, 1.0, 100)
         w = straight_line(A, B1, 1.0, 100)
-        real = constant_real_part(np.zeros(4), 0.0, w.grid)
-        assert reality_residual(flow, real, w) == 0.0
+        assert reality_residual(flow, WaveParameters(init, m=1.0), w) == 0.0
 
     def test_delta_term_dominates_for_zero_modulus(self):
         # residual = -4/dc * integral sigma2 dc = -(4N/C) * ln(D)/2
         init, flow = make_flow(np.zeros(4), 0.5, 1.0, 100)
         w = straight_line(A, B1, 1.0, 100)
-        real = constant_real_part(np.zeros(4), 0.0, w.grid)
         expected = -(4.0 * 100 / 1.0) * 0.5 * np.log(2.0)
-        assert reality_residual(flow, real, w) == pytest.approx(expected, abs=1e-2)
+        residual = reality_residual(flow, WaveParameters(init, m=1.0), w)
+        assert residual == pytest.approx(expected, abs=1e-2)
 
     def test_enters_predicted_imaginary_part(self):
         init = FlowInitialData(np.array([0.3, 0.0, 0.0, 0.0]), 0.2)
@@ -160,19 +150,16 @@ class TestRealityResidual:
                                 r1_0=np.array([0.05, 0.0, 0.0, 0.0]), r2_0=0.1)
         w = straight_line(A, B1, 1.0, 32)
         flow = sample_closed_form(init, w.grid)
-        real = constant_real_part(params.r1_0, params.r2_0, w.grid)
         z = predicted_action_eigenvalue(params, w)
-        assert z.imag == pytest.approx(-0.7 * reality_residual(flow, real, w), rel=1e-12)
-        assert z.real == pytest.approx(
-            lambda_lattice(w, flow, 1.0, real, 0.7), rel=1e-12
-        )
+        assert z.imag == pytest.approx(-0.7 * reality_residual(flow, params, w), rel=1e-12)
+        assert z.real == pytest.approx(lambda_lattice(w, flow, 1.0, params), rel=1e-12)
 
 
 class TestContainers:
     def test_real_coefficients_validate(self):
-        g = np.linspace(0, 1, 5)
+        init = FlowInitialData(np.zeros(4), 0.0)
         with pytest.raises(ValueError):
-            RealCoefficients(grid=g, r1=np.zeros((4, 4)), r2=np.zeros(5))
+            WaveParameters(init, m=1.0, r1_0=np.zeros(3))
 
     def test_wave_parameters_validate(self):
         init = FlowInitialData(np.zeros(4), 0.0)

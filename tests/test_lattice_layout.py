@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from waveline.eigenvalue import (
-    RealCoefficients,
-    constant_real_part,
+    WaveParameters,
     lambda_boundary_form,
     lambda_lattice,
     lattice_expansion,
@@ -59,15 +58,18 @@ def dot_row_major(u, v):
     return out.item() if out.ndim == 0 else out
 
 
-def lattice_row_major(w, flow, m, real=None, hbar_tilde=1.0):
+def lattice_row_major(w, flow, m, params=None):
     x = row_major(w.points)
     sp = row_major(flow.sigma1) + flow.sigma2[:, None] * x
     xdot = np.gradient(x, w.dc, axis=0, edge_order=2)
     integrand = dot_row_major(xdot, sp) - dot_row_major(sp, sp)
-    if real is not None:
-        rp = row_major(real.r1) + real.r2[:, None] * x
-        hb2 = hbar_tilde * hbar_tilde
-        integrand = integrand + hb2 * (dot_row_major(rp, rp) + 4.0 * real.r2 / w.dc)
+    if params is not None:
+        # the constant modulus coefficients sampled on every node
+        r1 = row_major(np.broadcast_to(params.r1_0, x.shape))
+        r2 = np.full(w.N + 1, params.r2_0)
+        rp = r1 + r2[:, None] * x
+        hb2 = params.hbar_tilde * params.hbar_tilde
+        integrand = integrand + hb2 * (dot_row_major(rp, rp) + 4.0 * r2 / w.dc)
     return float(np.trapezoid(integrand, w.grid)) + m * m * w.C
 
 
@@ -140,18 +142,14 @@ class TestConstructorsAreColumnMajor:
     def test_flow_coefficients(self, base):
         assert_lattice_layout(sample_closed_form(INIT, base.grid).sigma1)
         assert_lattice_layout(frozen_coefficients(INIT, base.grid).sigma1)
-        assert_lattice_layout(integrate_flow(INIT, C_RUN, N).sigma1)
+        (alone,) = integrate_flow([INIT], C_RUN, N)
+        assert_lattice_layout(alone.sigma1)
         for flow in integrate_flow([INIT, FlowInitialData(np.ones(4), -0.2)], C_RUN, N):
             assert_lattice_layout(flow.sigma1)
             assert flow.sigma2.flags.c_contiguous
         exact = sample_closed_form(INIT, base.grid)
         rows = FlowCoefficients(base.grid, row_major(exact.sigma1), exact.sigma2)
         assert_lattice_layout(rows.sigma1)
-
-    def test_real_coefficients(self, base):
-        assert_lattice_layout(constant_real_part(A, 0.1, base.grid).r1)
-        rows = RealCoefficients(base.grid, np.ones((N + 1, 4)), np.ones(N + 1))
-        assert_lattice_layout(rows.r1)
 
 
 class TestDotMatchesTheRowMajorSum:
@@ -184,14 +182,16 @@ class TestLatticeResultsMatchTheRowMajorFormulas:
     @pytest.mark.parametrize("coefficients_for", [sample_closed_form, frozen_coefficients])
     def test_lambda_lattice(self, perturbed, coefficients_for):
         flow = coefficients_for(INIT, perturbed.grid)
-        real = constant_real_part([0.05, 0.02, -0.01, 0.03], 0.1, perturbed.grid)
+        params = WaveParameters(
+            INIT, M, hbar_tilde=0.7, r1_0=[0.05, 0.02, -0.01, 0.03], r2_0=0.1
+        )
         assert lambda_lattice(perturbed, flow, M) == lattice_row_major(perturbed, flow, M)
-        assert lambda_lattice(perturbed, flow, M, real, 0.7) == lattice_row_major(
-            perturbed, flow, M, real, 0.7
+        assert lambda_lattice(perturbed, flow, M, params) == lattice_row_major(
+            perturbed, flow, M, params
         )
 
     def test_lambda_boundary_form(self, base):
-        for flow in (sample_closed_form(INIT, base.grid), integrate_flow(INIT, C_RUN, N)):
+        for flow in (sample_closed_form(INIT, base.grid), *integrate_flow([INIT], C_RUN, N)):
             assert lambda_boundary_form(flow, A, B, M).total == boundary_row_major(flow, A, B, M)
 
     @pytest.mark.parametrize("coefficients_for", [sample_closed_form, frozen_coefficients])

@@ -109,7 +109,7 @@ class TestIntegrator:
     @pytest.mark.parametrize("s2_0", [-0.4, 0.0, 0.5, 2.0])
     def test_matches_closed_form(self, s2_0):
         init = FlowInitialData(S1, s2_0)
-        num = integrate_flow(init, 1.0, 1000)
+        (num,) = integrate_flow([init], 1.0, 1000)
         exact = sample_closed_form(init, num.grid)
         err = max(
             np.abs(num.sigma1 - exact.sigma1).max(),
@@ -119,7 +119,7 @@ class TestIntegrator:
 
     def test_zero_curvature_is_exact(self):
         init = FlowInitialData(S1, 0.0)
-        num = integrate_flow(init, 1.0, 100)
+        (num,) = integrate_flow([init], 1.0, 100)
         assert np.abs(num.sigma1 - S1).max() == 0.0
         assert np.abs(num.sigma2).max() == 0.0
 
@@ -127,7 +127,7 @@ class TestIntegrator:
         init = FlowInitialData(S1, 2.0)
 
         def err(n):
-            num = integrate_flow(init, 1.0, n)
+            (num,) = integrate_flow([init], 1.0, n)
             exact = sample_closed_form(init, num.grid)
             return np.abs(num.sigma2 - exact.sigma2).max()
 
@@ -137,23 +137,23 @@ class TestIntegrator:
     def test_refuses_singular_interval(self):
         init = FlowInitialData(S1, -0.5)
         with pytest.raises(FlowSingularity) as info:
-            integrate_flow(init, 2.0, 100)
+            integrate_flow([init], 2.0, 100)
         assert info.value.c_star == pytest.approx(1.0)
 
     def test_near_pole_guard(self):
         # pole sits just past C: the up-front check passes, the running
         # denominator guard must not trip for a regular-but-stiff run
         init = FlowInitialData(S1, -0.49)
-        num = integrate_flow(init, 1.0, 2000)
+        (num,) = integrate_flow([init], 1.0, 2000)
         exact = sample_closed_form(init, num.grid)
         assert np.abs(num.sigma2 - exact.sigma2).max() < 1e-4
 
     def test_bad_grid_arguments(self):
         init = FlowInitialData(S1, 0.5)
         with pytest.raises(BadGrid):
-            integrate_flow(init, 1.0, 1)
+            integrate_flow([init], 1.0, 1)
         with pytest.raises(BadGrid):
-            integrate_flow(init, -1.0, 100)
+            integrate_flow([init], -1.0, 100)
 
 
 
@@ -190,14 +190,6 @@ class TestBatchedIntegrator:
             assert np.array_equal(flow.sigma1, s1)
             assert np.array_equal(flow.sigma2, s2)
 
-    def test_single_init_is_the_one_row_batch(self):
-        init = FlowInitialData(S1, 0.5)
-        alone = integrate_flow(init, 1.0, 250)
-        assert isinstance(alone, FlowCoefficients)
-        (row,) = integrate_flow([init], 1.0, 250)
-        assert np.array_equal(alone.sigma1, row.sigma1)
-        assert np.array_equal(alone.sigma2, row.sigma2)
-
     def test_one_singular_row_refuses_the_batch(self):
         inits = [FlowInitialData(S1, 0.5), FlowInitialData(S1, -0.7)]
         with pytest.raises(FlowSingularity) as info:
@@ -217,7 +209,7 @@ class TestBatchedIntegrator:
         init = FlowInitialData(S1, -0.49999999999998)
         assert singularity_time(init.sigma2_0) > 1.0
         with pytest.raises(FlowSingularity) as info:
-            integrate_flow(init, 1.0, 200)
+            integrate_flow([init], 1.0, 200)
         assert str(info.value) == "stepped onto the pole near c=1.0"
         assert info.value.c_star == singularity_time(init.sigma2_0)
 
@@ -230,7 +222,7 @@ class TestBatchedIntegrator:
             init = FlowInitialData(S1, s2_0)
             for refuse in (
                 lambda: sample_closed_form(init, flow_grid(C, 4)),
-                lambda: integrate_flow(init, C, 4),
+                lambda: integrate_flow([init], C, 4),
             ):
                 with pytest.raises(FlowSingularity) as info:
                     refuse()
