@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotMeasured, WavelineError
+from .errors import FlowSingularity, NotMeasured, WavelineError
 from .eigenvalue import (
     WaveParameters,
     apply_action_operator,
@@ -26,11 +26,9 @@ from .phase_flow import (
     FlowInitialData,
     checked_denominator,
     denominator,
-    flow_grid,
     flow_to_rows,
     frozen_coefficients,
     integrate_flow,
-    pole_error,
     sample_closed_form,
 )
 from .phase_functional import (
@@ -58,6 +56,7 @@ from .stationarity import (
 )
 from .worldline import (
     interior_modes,
+    lattice,
     normalization_modes,
     perturb_interior,
     perturbation_coefficients,
@@ -132,12 +131,21 @@ def flow_suite(cfg):
     inits = [FlowInitialData(np.array(FLOW_BENCH_SIGMA1), s2) for s2 in sigma2_set]
     trace_init = FlowInitialData(np.array(FLOW_BENCH_SIGMA1), cfg.sigma2_0)
 
-    # Every rung ends at the same C and D is linear in c, so one grid's
-    # pole screen holds for the whole ladder.
-    grid = flow_grid(FLOW_BENCH_C, n_top)
-    screens = [pole_error(init.sigma2_0, grid) for init in inits]
+    # Every rung ends at the same C and D is linear in c, so one lattice's
+    # pole screen holds for the whole ladder: the FlowSingularity a
+    # curvature meets on it, else None.
+    grid = lattice(FLOW_BENCH_C, n_top)
+
+    def screen(init):
+        try:
+            checked_denominator(init.sigma2_0, grid)
+        except FlowSingularity as exc:
+            return exc
+        return None
+
+    screens = [screen(init) for init in inits]
     live = [k for k, err in enumerate(screens) if err is None]
-    trace_error = pole_error(trace_init.sigma2_0, grid)
+    trace_error = screen(trace_init)
 
     errs = [{} for _ in inits]
     for n in ladder:
@@ -238,7 +246,7 @@ def lambda_agreement_checks(cfg):
 def seed_displacements(amplitude, seeds, C):
     """Mode coefficients of each seed's perturbation field, scaled to ``amplitude``.
 
-    Returns a (P, modes, 4) stack: ``interior_modes(w) @ out[k]`` is the
+    Returns a (P, MODES, 4) stack: ``interior_modes(w) @ out[k]`` is the
     displacement ``perturb_interior(w, amplitude, seeds[k])`` adds to any
     lattice ``w`` of duration ``C``, so one stack serves every lattice.
     """
@@ -258,7 +266,7 @@ def independence_spread(base, flow, m, displacements):
     :func:`waveline.eigenvalue.lattice_expansion`), anchored at the base
     line's own lattice eigenvalue.
     """
-    g, q = lattice_expansion(base, flow, interior_modes(base, displacements.shape[1]))
+    g, q = lattice_expansion(base, flow, interior_modes(base))
     lam0 = lambda_lattice(base, flow, m)
     return float(np.ptp(np.append(lam0 + expansion_deltas(g, q, displacements), lam0)))
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import BadGrid, FlowSingularity, GridMismatch
 from .minkowski import as_four_vector
+from .worldline import lattice
 
 # D(c) at or below this is treated as on top of the pole.
 DENOMINATOR_FLOOR = 1e-12
@@ -95,35 +96,29 @@ def denominator(sigma2_0, c):
     return 1.0 + 2.0 * sigma2_0 * np.asarray(c, dtype=float)
 
 
-def singularity_time(sigma2_0):
-    """Pole location c* for decaying initial curvature, else None."""
-    if sigma2_0 < 0:
-        return -1.0 / (2.0 * sigma2_0)
-    return None
-
-
 def checked_denominator(sigma2_0, c):
-    """D(c) as a float, raising FlowSingularity at or past the pole.
+    """D at one c (a float) or at every node of an array c, refusing the pole.
 
-    D is linear with D(0) = 1, so a D(c) at or below the floor puts the pole
-    c* = -1 / (2 sigma2_0) between 0 and c (on either side of 0); that is
-    the c* reported.
+    D is linear with D(0) = 1, so a D at or below the floor puts the pole
+    c* = -1 / (2 sigma2_0) between 0 and that node (on either side of 0);
+    the first such node raises FlowSingularity with c*.
     """
-    d = float(denominator(sigma2_0, c))
-    if d <= DENOMINATOR_FLOOR:
+    d = denominator(sigma2_0, c)
+    below = d <= DENOMINATOR_FLOOR
+    if below.any():
+        k = np.argmax(below)  # flat index of the first node at or under the floor
+        node, dk = float(np.ravel(c)[k]), float(np.ravel(d)[k])
+        c_star = float(-1.0 / (2.0 * sigma2_0))
         raise FlowSingularity(
-            f"flow is singular at c={float(c)!r} (D={d!r})", c_star=-1.0 / (2.0 * sigma2_0)
+            f"flow is singular at c={node!r} (D={dk!r}, pole at c*={c_star!r})", c_star=c_star
         )
-    return d
+    return float(d) if d.ndim == 0 else d
 
 
 def sample_closed_form(init, grid):
     """Exact flow on a whole grid as FlowCoefficients."""
     grid = np.asarray(grid, dtype=float)
-    err = pole_error(init.sigma2_0, grid)
-    if err is not None:
-        raise err
-    d = denominator(init.sigma2_0, grid)
+    d = checked_denominator(init.sigma2_0, grid)
     return FlowCoefficients(
         grid=grid,
         sigma1=(init.sigma1_0[:, None] / d).T,
@@ -154,34 +149,6 @@ def rk4_step(f, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def flow_grid(C, N):
-    """The RK4 lattice: N steps of equal width over [0, C]."""
-    if N < 2:
-        raise BadGrid(f"need at least 2 steps, got N={N!r}")
-    if not (C > 0) or not np.isfinite(C):
-        raise BadGrid(f"duration must be positive and finite, got {C!r}")
-    return np.linspace(0.0, float(C), N + 1)
-
-
-def pole_error(sigma2_0, grid):
-    """The FlowSingularity the flow from c = 0 meets on ``grid``, else None.
-
-    A pole inside [0, C] is reported with its c*, since no step may cross
-    it.  Otherwise the exact D(c) is checked at every node, which refuses a
-    pole just past C (D(C) at or below the floor) too.
-    """
-    C = float(grid[-1])
-    c_star = singularity_time(sigma2_0)
-    if c_star is not None and c_star <= C:
-        return FlowSingularity(f"pole at c*={c_star!r} lies inside [0, {C!r}]", c_star=c_star)
-    hit = np.flatnonzero(denominator(sigma2_0, grid) <= DENOMINATOR_FLOOR)
-    if hit.size:
-        return FlowSingularity(
-            f"stepped onto the pole near c={float(grid[hit[0]])!r}", c_star=c_star
-        )
-    return None
-
-
 def integrate_flow(inits, C, N):
     """Fixed-step RK4 solution of the coefficient system on N steps over [0, C].
 
@@ -190,14 +157,12 @@ def integrate_flow(inits, C, N):
     back.  Each row sees exactly the arithmetic of a lone integration, so
     batching never changes a result.
 
-    Every row is checked against the pole before the first step (see
-    ``pole_error``); the first singular row raises its FlowSingularity.
+    Every row is checked against the pole at every node before the first
+    step (see ``checked_denominator``); the first singular row raises.
     """
-    grid = flow_grid(C, N)
+    grid = lattice(C, N)
     for row in inits:
-        err = pole_error(row.sigma2_0, grid)
-        if err is not None:
-            raise err
+        checked_denominator(row.sigma2_0, grid)
     h = grid[1] - grid[0]
 
     def rhs(y):

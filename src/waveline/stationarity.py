@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NoConvergence, NumericalOverflow, ZeroDuration, ZeroMass, float_errors_as
 from .eigenvalue import lambda_closed_form
 from .minkowski import as_four_vector, timelike_interval_squared
-from .phase_flow import FlowInitialData, checked_denominator, denominator
+from .phase_flow import DENOMINATOR_FLOOR, FlowInitialData, checked_denominator, denominator
 
 GRAD_STEP = 1e-6  # relative finite-difference step for gradients
 HESS_STEP = 1e-4  # relative finite-difference step for Hessians
@@ -88,7 +88,9 @@ def optimal_C(a, b, m, branch=1):
         raise ValueError("branch must be +1 or -1")
     if m <= 0:
         raise ZeroMass("stationary duration needs m > 0")
-    return branch * np.sqrt(timelike_interval_squared(a, b)) / (2.0 * m)
+    ds2 = timelike_interval_squared(a, b)
+    with float_errors_as(NumericalOverflow, f"stationary duration for m={m!r}"):
+        return branch * np.sqrt(ds2) / (2.0 * m)
 
 
 def stationary_lambda(a, b, m, branch=1):
@@ -150,9 +152,9 @@ def numeric_stationary_search(
     The five search coordinates are the components of sigma1_0 and C, at
     fixed sigma2_0 (the flat direction is excluded from the search and
     checked separately through ``sigma2_scan``).  Steps are halved until the
-    candidate keeps branch * C > 0 and D(C) > 0, up to MAX_BACKTRACK times;
-    running past ``max_iter`` without the gradient norm reaching ``tol``
-    raises NoConvergence.
+    candidate keeps branch * C > 0 and D(C) above DENOMINATOR_FLOOR, up to
+    MAX_BACKTRACK times; running past ``max_iter`` without the gradient norm
+    reaching ``tol`` raises NoConvergence.
 
     ``sigma2_scan`` values are evaluated *analytically* around the found
     point: for each value the stationary sigma1_0 is re-solved at C_star and
@@ -168,9 +170,9 @@ def numeric_stationary_search(
     sigma2_0 = float(sigma2_0)
     if guess_C is None:
         guess_C = 0.5 * abs(b[0] - a[0])
-        # The heuristic guess must respect D(C) > 0; when the pole sits on
-        # this branch's side, start three quarters of the way toward it.
-        if denominator(sigma2_0, branch * guess_C) <= 0:
+        # The heuristic guess must keep D(C) above the floor; when the pole
+        # sits on this branch's side, start three quarters of the way toward it.
+        if denominator(sigma2_0, branch * guess_C) <= DENOMINATOR_FLOOR:
             guess_C = 0.75 * abs(0.5 / sigma2_0)
     if not (guess_C > 0) or not np.isfinite(guess_C):
         raise ZeroDuration(f"guess_C must be positive and finite, got {guess_C!r}")
@@ -181,7 +183,7 @@ def numeric_stationary_search(
 
     def admissible(z):
         c = z[4]
-        return branch * c > 0 and denominator(sigma2_0, c) > 0
+        return branch * c > 0 and denominator(sigma2_0, c) > DENOMINATOR_FLOOR
 
     c0 = branch * float(guess_C)
     # Warm-start sigma1_0 at its conditional stationary point for the

@@ -9,7 +9,7 @@ second-order accurate in the lattice spacing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,23 +20,36 @@ from .minkowski import as_four_vector
 # names the same continuum bump regardless of the lattice it lands on.
 _NORM_GRID = 2048
 
+# Sine modes sin(k*pi*c/C), k = 1..MODES, in every perturbation field.
+MODES = 6
+
+
+def lattice(C, N):
+    """The N + 1 nodes c_i = i*C/N over [0, C]; N >= 2 and C positive and finite."""
+    if N < 2:
+        raise BadGrid(f"need at least 2 steps, got N={N!r}")
+    if not (C > 0) or not np.isfinite(C):
+        raise BadGrid(f"duration must be positive and finite, got {C!r}")
+    return np.linspace(0.0, float(C), N + 1)
+
 
 @dataclass(frozen=True)
 class Worldline:
     """Sampled trajectory: ``points[i]`` is the event at c = i*C/N.
 
     ``points`` is column-major, like every lattice array: one component per column.
+    ``grid`` is its ``lattice(C, N)``, built once and read-only.
     """
 
     C: float
     N: int
     points: np.ndarray
+    grid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.C > 0) or not np.isfinite(self.C):
-            raise BadGrid(f"invariant duration must be positive, got {self.C!r}")
-        if self.N < 2:
-            raise BadGrid(f"need at least 2 intervals, got N={self.N!r}")
+        grid = lattice(self.C, self.N)
+        grid.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
         pts = np.array(self.points, dtype=float, order="F")
         if pts.shape != (self.N + 1, 4):
             raise BadGrid(f"points shape {pts.shape} does not match N={self.N}")
@@ -44,10 +57,6 @@ class Worldline:
             raise BadGrid("world-line samples must be finite")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-
-    @property
-    def grid(self):
-        return np.linspace(0.0, self.C, self.N + 1)
 
     @property
     def dc(self):
@@ -73,55 +82,55 @@ def straight_line(a, b, C, N):
     return Worldline(float(C), int(N), pts)
 
 
-def _sine_modes(c, C, modes):
-    """sin(k*pi*c/C) for k = 1..modes, shape (len(c), modes)."""
-    return np.sin(np.pi * np.outer(c / C, np.arange(1, modes + 1)))
+def _sine_modes(c, C):
+    """sin(k*pi*c/C) for k = 1..MODES, shape (len(c), MODES)."""
+    return np.sin(np.pi * np.outer(c / C, np.arange(1, MODES + 1)))
 
 
-def normalization_modes(C, modes=6):
-    """Sine modes on the fixed fine reference grid that sets a field's peak norm."""
-    return _sine_modes(np.linspace(0.0, C, _NORM_GRID + 1), C, modes)
+def normalization_modes(C):
+    """Sine modes on the fixed fine reference lattice that sets a field's peak norm."""
+    return _sine_modes(lattice(C, _NORM_GRID), C)
 
 
-def perturbation_coefficients(seed, C, modes=6, reference=None):
+def perturbation_coefficients(seed, C, reference=None):
     """Sine-mode coefficients drawn from ``seed`` and the peak norm of their field.
 
-    Returns ``(coef, peak)``: ``coef`` is (modes, 4), one column per
+    Returns ``(coef, peak)``: ``coef`` is (MODES, 4), one column per
     component, and ``peak`` is the largest Euclidean norm over c of the
     field sum_k coef[k] sin(k*pi*c/C), measured on a fixed fine reference
     grid so one seed denotes one continuum field on every lattice.
-    ``reference`` is ``normalization_modes(C, modes)``, for callers that
-    draw many seeds and build it once.
+    ``reference`` is ``normalization_modes(C)``, for callers that draw
+    many seeds and build it once.
     """
-    coef = np.random.default_rng(seed).standard_normal((modes, 4))
+    coef = np.random.default_rng(seed).standard_normal((MODES, 4))
     if reference is None:
-        reference = normalization_modes(C, modes)
+        reference = normalization_modes(C)
     return coef, np.linalg.norm(reference @ coef, axis=1).max()
 
 
-def interior_modes(w, modes=6):
-    """Sine-mode matrix on the lattice of ``w``, shape (N+1, modes).
+def interior_modes(w):
+    """Sine-mode matrix on the lattice of ``w``, shape (N+1, MODES).
 
     Row i holds sin(k*pi*c_i/C); the endpoint rows are exactly zero, so
     ``interior_modes(w) @ coef`` is a displacement that leaves the ends fixed.
     """
-    out = np.zeros((w.N + 1, modes))
-    out[1:-1] = _sine_modes(w.grid[1:-1], w.C, modes)
+    out = np.zeros((w.N + 1, MODES))
+    out[1:-1] = _sine_modes(w.grid[1:-1], w.C)
     return out
 
 
-def perturb_interior(base, amplitude, seed, modes=6):
+def perturb_interior(base, amplitude, seed):
     """Add a random smooth displacement field that vanishes at both endpoints.
 
-    The field is a superposition of ``modes`` sine bumps sin(k*pi*c/C) with
+    The field is a superposition of MODES sine bumps sin(k*pi*c/C) with
     coefficients drawn from ``seed`` (see :func:`perturbation_coefficients`),
     scaled so its peak Euclidean norm over c is ``amplitude``.
     """
-    coef, peak = perturbation_coefficients(seed, base.C, modes)
+    coef, peak = perturbation_coefficients(seed, base.C)
     if peak == 0.0 or amplitude == 0.0:
         return base
     pts = base.points.copy(order="F")
-    pts[1:-1] += (amplitude / peak) * (_sine_modes(base.grid[1:-1], base.C, modes) @ coef)
+    pts[1:-1] += (amplitude / peak) * (_sine_modes(base.grid[1:-1], base.C) @ coef)
     return Worldline(base.C, base.N, pts)
 
 

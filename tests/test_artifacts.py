@@ -70,13 +70,13 @@ def test_duration_sweep_carries_both_branches(quick_verify):
 
 def test_flow_suite_screens_each_curvature_once(tmp_path, monkeypatch):
     calls = []
-    original = checks.pole_error
+    original = checks.checked_denominator
 
-    def counting(sigma2_0, grid):
+    def counting(sigma2_0, c):
         calls.append(sigma2_0)
-        return original(sigma2_0, grid)
+        return original(sigma2_0, c)
 
-    monkeypatch.setattr(checks, "pole_error", counting)
+    monkeypatch.setattr(checks, "checked_denominator", counting)
     out = tmp_path / "out"
     assert main(["flow", "--sigma2=-0.5,0.5", "--N", "200", "--out", str(out)]) == 1
     # the two curvatures and the flow.csv trace, not once per ladder rung

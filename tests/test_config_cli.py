@@ -308,7 +308,10 @@ class TestCli:
         assert main(argv) == 1
         checks = json.loads((out / "run_report.json").read_text())["checks"]
         detail = next(c["detail"] for c in checks if c["name"] == "flow_accuracy[sigma2_0=-0.5]")
-        assert detail == "FlowSingularity: stepped onto the pole near c=1.0"
+        assert detail == (
+            "FlowSingularity: flow is singular at c=1.0 "
+            "(D=3.9968028886505635e-14, pole at c*=1.00000000000004)"
+        )
 
     def test_bad_config_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -449,37 +452,47 @@ class TestCli:
 
     def test_huge_duration_fails_the_phase_check_without_a_traceback(self, tmp_path):
         # C = 1e200 overflows the spline's h**2, and C = 1e-300 (1e-320, a
-        # subnormal) the lattice velocities and 1/dc**2; every suite must
+        # subnormal) the lattice velocities and 1/dc**2; m = 1e-320 puts the
+        # stationary duration itself past the float range.  Every suite must
         # report that as a named failed check, write the report and print no
         # warning.  The frozen control passes only where the flowing ladder
         # measured something: at C = 1e200 its spreads are roundoff of a
         # 1e200-sized eigenvalue while the flowing ones are exactly zero.
         unmeasured = "NotMeasured: the flowing ladder measured nothing"
+        no_duration = "NumericalOverflow: stationary duration for m=1e-320"
         expected = {
-            1e200: {
+            ("C", 1e200): {
                 "lambda_worldline_independence_order": "NotMeasured: perturbation spreads",
                 "lambda_violation_detected": f"{unmeasured} (NotMeasured: perturbation spreads",
                 "phase_consistency": "BadGrid: cannot spline the world line",
                 # the modulus probe would overflow exp(); a failure, not a NaN
                 "operator_oracle": "NumericalOverflow",
             },
-            1e-300: {
+            ("C", 1e-300): {
                 "lambda_worldline_independence_order": "NumericalOverflow",
                 "lambda_violation_detected": f"{unmeasured} (NumericalOverflow",
                 "lambda_breakdown": "NumericalOverflow",
                 "operator_oracle": "NumericalOverflow",
                 "phase_consistency": "DegenerateQ",
             },
-            1e-320: {
+            ("C", 1e-320): {
                 "lambda_worldline_independence_order": "NumericalOverflow: stationary sigma1_0",
                 "lambda_violation_detected": f"{unmeasured} (NumericalOverflow",
                 "operator_oracle": "NumericalOverflow",
                 "phase_consistency": "NumericalOverflow",
             },
+            ("m", 1e-320): {
+                "lambda_worldline_independence_order": no_duration,
+                "lambda_violation_detected": f"{unmeasured} ({no_duration}",
+                "lambda_breakdown": no_duration,
+                "stationary_search": no_duration,
+                "operator_oracle": no_duration,
+                "phase_consistency": no_duration,
+            },
         }
-        for C, failures in expected.items():
-            cfgp = write_quick_config(tmp_path, C=C, N=200)
-            out = tmp_path / f"out-{C:g}"
+        for (key, value), failures in expected.items():
+            cfgp = write_quick_config(tmp_path, **{key: value}, N=200)
+            out = tmp_path / f"out-{key}-{value:g}"
             proc = subprocess.run(
                 [sys.executable, "-m", "waveline.cli", "verify", "--config", cfgp,
                  "--out", str(out)],
@@ -487,16 +500,17 @@ class TestCli:
                 text=True,
                 env=child_env(),
             )
-            assert proc.returncode == 1, C
-            assert proc.stderr == "", C
+            case = (key, value)
+            assert proc.returncode == 1, case
+            assert proc.stderr == "", case
             checks = json.loads((out / "run_report.json").read_text())["checks"]
             for c in checks:
                 if c["value"] != c["value"]:  # NaN: the check raised instead of measuring
                     kind = c["detail"].split(":")[0]
-                    assert issubclass(getattr(errors, kind), errors.WavelineError), (C, c)
+                    assert issubclass(getattr(errors, kind), errors.WavelineError), (case, c)
             details = {c["name"]: c.get("detail", "") for c in checks if c["status"] == "fail"}
             for name, error in failures.items():
-                assert details[name].startswith(error), (C, name, details[name])
+                assert details[name].startswith(error), (case, name, details[name])
 
     def test_unwritable_out_exits_2(self, tmp_path):
         blocker = tmp_path / "file"

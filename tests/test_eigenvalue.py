@@ -43,7 +43,7 @@ class TestClosedForm:
         init = FlowInitialData(np.zeros(4), -0.5)
         with pytest.raises(FlowSingularity) as info:
             lambda_closed_form(init, A, B1, 1.0, np.float64(1.0))
-        assert str(info.value) == "flow is singular at c=1.0 (D=0.0)"
+        assert str(info.value) == "flow is singular at c=1.0 (D=0.0, pole at c*=1.0)"
         assert info.value.c_star == 1.0
 
     @given(

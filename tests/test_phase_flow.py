@@ -10,17 +10,15 @@ from waveline.phase_flow import (
     FlowInitialData,
     checked_denominator,
     denominator,
-    flow_grid,
     flow_rhs,
     flow_to_rows,
     frozen_coefficients,
     integrate_flow,
-    pole_error,
     require_shared_grid,
     rk4_step,
     sample_closed_form,
-    singularity_time,
 )
+from waveline.worldline import lattice
 
 S1 = np.array([1.0, -0.5, 0.25, 0.75])
 
@@ -53,16 +51,33 @@ class TestClosedForm:
         np.testing.assert_array_equal(flow.sigma2, np.zeros(5))
 
     def test_pole_location(self):
-        init = FlowInitialData(S1, -0.5)
-        assert singularity_time(init.sigma2_0) == pytest.approx(1.0)
-        assert singularity_time(0.25) is None
+        # a decaying curvature meets its pole at c* = -1/(2 sigma2_0); a
+        # growing one has no pole on c >= 0
+        with pytest.raises(FlowSingularity) as info:
+            checked_denominator(-0.5, lattice(2.0, 4))
+        assert info.value.c_star == pytest.approx(1.0)
+        grid = lattice(100.0, 4)
+        assert np.array_equal(checked_denominator(0.25, grid), denominator(0.25, grid))
 
     def test_checked_denominator_prints_a_plain_c(self):
         with pytest.raises(FlowSingularity) as info:
             checked_denominator(-0.5, np.float64(1.0))
-        assert str(info.value) == "flow is singular at c=1.0 (D=0.0)"
+        assert str(info.value) == "flow is singular at c=1.0 (D=0.0, pole at c*=1.0)"
         assert info.value.c_star == 1.0
-        assert checked_denominator(-0.25, np.float64(1.0)) == 0.5
+        d = checked_denominator(-0.25, np.float64(1.0))
+        assert type(d) is float and d == 0.5
+
+    def test_checked_denominator_names_the_first_node_on_a_grid(self):
+        # one array in, one array out; the first node at or under the floor raises
+        grid = np.array([0.0, 0.5, 1.0, 1.5])
+        d = checked_denominator(-0.25, grid)
+        assert isinstance(d, np.ndarray) and np.array_equal(d, denominator(-0.25, grid))
+        with pytest.raises(FlowSingularity) as info:
+            checked_denominator(-0.4, grid)
+        assert str(info.value) == (
+            "flow is singular at c=1.5 (D=-0.20000000000000018, pole at c*=1.25)"
+        )
+        assert type(info.value.c_star) is float
 
     def test_raises_at_pole_with_location(self):
         init = FlowInitialData(S1, -0.5)
@@ -196,32 +211,51 @@ class TestBatchedIntegrator:
             integrate_flow(inits, 1.0, 100)
         assert info.value.c_star == pytest.approx(1.0 / 1.4)
 
-    def test_pole_error_matches_integrate_flow(self):
-        grid = flow_grid(1.0, 100)
-        assert pole_error(-0.49, grid) is None
-        err = pole_error(-0.5, grid)
-        assert isinstance(err, FlowSingularity)
-        assert str(err) == "pole at c*=1.0 lies inside [0, 1.0]"
+    def test_closed_form_refuses_the_grids_the_integrator_refuses(self):
+        # c* inside the lattice, D within the floor at C, and a regular lattice
+        for s2_0 in (-0.5, -0.49999999999998, -0.49):
+            init = FlowInitialData(S1, s2_0)
+            messages = []
+            for run in (
+                lambda: sample_closed_form(init, lattice(1.0, 100)),
+                lambda: integrate_flow([init], 1.0, 100),
+            ):
+                try:
+                    run()
+                except FlowSingularity as exc:
+                    messages.append(str(exc))
+                else:
+                    messages.append(None)
+            assert messages[0] == messages[1], s2_0
+            assert (messages[0] is None) == (s2_0 == -0.49), s2_0
 
     def test_pole_just_past_C_is_refused_with_a_plain_c(self):
-        # c* = 1 + 4e-14 passes the up-front check, but D(1) = 4e-14 is
-        # under the floor at the last node
+        # c* = 1 + 4e-14 lies past C, but D(1) = 4e-14 is under the floor
+        # at the last node
         init = FlowInitialData(S1, -0.49999999999998)
-        assert singularity_time(init.sigma2_0) > 1.0
+        c_star = -1.0 / (2.0 * init.sigma2_0)
+        assert c_star > 1.0
         with pytest.raises(FlowSingularity) as info:
             integrate_flow([init], 1.0, 200)
-        assert str(info.value) == "stepped onto the pole near c=1.0"
-        assert info.value.c_star == singularity_time(init.sigma2_0)
+        assert str(info.value) == (
+            f"flow is singular at c=1.0 (D=3.9968028886505635e-14, pole at c*={c_star!r})"
+        )
+        assert info.value.c_star == c_star
 
     def test_closed_form_pole_message_prints_a_plain_c(self):
         # the closed form refuses the grids the integrator refuses, in its words
         for s2_0, C, message in (
-            (-0.5, 2.0, "pole at c*=1.0 lies inside [0, 2.0]"),
-            (-0.49999999999998, 1.0, "stepped onto the pole near c=1.0"),
+            (-0.5, 2.0, "flow is singular at c=1.0 (D=0.0, pole at c*=1.0)"),
+            (
+                -0.49999999999998,
+                1.0,
+                "flow is singular at c=1.0 (D=3.9968028886505635e-14, "
+                "pole at c*=1.00000000000004)",
+            ),
         ):
             init = FlowInitialData(S1, s2_0)
             for refuse in (
-                lambda: sample_closed_form(init, flow_grid(C, 4)),
+                lambda: sample_closed_form(init, lattice(C, 4)),
                 lambda: integrate_flow([init], C, 4),
             ):
                 with pytest.raises(FlowSingularity) as info:

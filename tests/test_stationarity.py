@@ -7,6 +7,7 @@ from waveline.errors import (
     FlowSingularity,
     NoConvergence,
     NullSeparation,
+    NumericalOverflow,
     SpacelikeSeparation,
     ZeroDuration,
     ZeroMass,
@@ -51,7 +52,7 @@ class TestOptimalSigma1:
         with pytest.raises(FlowSingularity) as info:
             optimal_sigma1(0.5, A, B1, -1.5)
         assert info.value.c_star == -0.5 / 0.5
-        assert str(info.value) == "flow is singular at c=-1.5 (D=-0.5)"
+        assert str(info.value) == "flow is singular at c=-1.5 (D=-0.5, pole at c*=-1.0)"
 
     @given(st.floats(-0.3, 1.5), st.floats(0.3, 1.5))
     @settings(max_examples=60)
@@ -118,6 +119,9 @@ class TestAnalyticStationaryPoint:
             optimal_C(A, B1, 1.0, branch=0)
         with pytest.raises(ZeroDuration):
             reduced_lambda(0.0, A, B1, 1.0)
+        # sqrt(6) / 2e-320 leaves the float range
+        with pytest.raises(NumericalOverflow, match="stationary duration for m=1e-320"):
+            optimal_C(A, B2, 1e-320)
 
 
 class TestNumericSearch:
@@ -178,6 +182,13 @@ class TestNumericSearch:
             numeric_stationary_search(A, B1, 1.0, guess_C=-2.0)
         with pytest.raises(ValueError):
             numeric_stationary_search(A, B1, 1.0, branch=3)
+
+    def test_guess_within_the_floor_of_the_pole_is_moved(self):
+        # D(1.5) = 5e-13 is positive but under DENOMINATOR_FLOOR: the heuristic
+        # guess must step back toward c = 0 rather than start on the pole
+        s2 = -(1.0 - 5e-13) / 3.0
+        report = numeric_stationary_search(A, B2, 1.0, sigma2_0=s2)
+        assert report.C_star == pytest.approx(optimal_C(A, B2, 1.0), abs=1e-8)
 
     def test_guess_past_the_pole_is_refused(self):
         with pytest.raises(FlowSingularity) as info:

@@ -23,6 +23,12 @@ class TestConstruction:
         np.testing.assert_allclose(w.grid, [0, 0.5, 1.0, 1.5, 2.0])
         assert w.dc == 0.5
 
+    def test_grid_is_built_once_and_read_only(self):
+        w = straight_line(A, B, 1.0, 10)
+        assert w.grid is w.grid
+        with pytest.raises(ValueError):
+            w.grid[3] = 1.0
+
     def test_points_are_read_only(self):
         w = straight_line(A, B, 1.0, 10)
         with pytest.raises(ValueError):
