@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FlowSingularity, NotMeasured, WavelineError
+from .errors import FlowSingularity, NotMeasured, NumericalOverflow, WavelineError, float_errors_as
 from .eigenvalue import (
     WaveParameters,
     apply_action_operator,
@@ -117,6 +117,15 @@ def _n_ladder(n):
 # flow fidelity
 
 
+def _overflow(init, flow, n):
+    """The NumericalOverflow of an RK4 row that left the float range, else None."""
+    if np.isfinite(flow.sigma1).all() and np.isfinite(flow.sigma2).all():
+        return None
+    return NumericalOverflow(
+        f"RK4 flow for sigma2_0={init.sigma2_0!r} leaves the float range on N={n} steps"
+    )
+
+
 def flow_suite(cfg):
     """RK4 against the exact flow on the fixed unit-duration benchmark.
 
@@ -155,11 +164,16 @@ def flow_suite(cfg):
             batch.append(trace_init)
         nums = integrate_flow(batch, FLOW_BENCH_C, n) if batch else []
         for k, num in zip(live, nums):
+            # a row that left the float range fails its own check only
+            screens[k] = _overflow(inits[k], num, n)
+            if screens[k] is not None:
+                continue
             exact = sample_closed_form(inits[k], num.grid)
             errs[k][n] = max(
                 float(np.abs(num.sigma1 - exact.sigma1).max()),
                 float(np.abs(num.sigma2 - exact.sigma2).max()),
             )
+        live = [k for k in live if screens[k] is None]
 
     checks, err_rows = [], []
     for k, s2 in enumerate(sigma2_set):
@@ -182,6 +196,8 @@ def flow_suite(cfg):
     artifacts = {
         "flow_errors.csv": (("sigma2_0", "N", "max_abs_error"), err_rows),
     }
+    if trace_error is None:
+        trace_error = _overflow(trace_init, nums[-1], n_top)
     if trace_error is not None:
         checks.append(failed_check(f"flow_trace[sigma2_0={cfg.sigma2_0:g}]", trace_error))
     else:
@@ -266,7 +282,10 @@ def independence_spread(base, flow, m, displacements):
     :func:`waveline.eigenvalue.lattice_expansion`), anchored at the base
     line's own lattice eigenvalue.
     """
-    g, q = lattice_expansion(base, flow, interior_modes(base))
+    # sigma2 ~ 1e300 squares past the float range in the expansion's weights
+    context = f"lattice expansion at sigma2_0={float(flow.sigma2[0])!r}"
+    with float_errors_as(NumericalOverflow, context):
+        g, q = lattice_expansion(base, flow, interior_modes(base))
     lam0 = lambda_lattice(base, flow, m)
     return float(np.ptp(np.append(lam0 + expansion_deltas(g, q, displacements), lam0)))
 
@@ -420,15 +439,17 @@ def stationarity_suite(cfg):
         # it here rather than let the search fail on a step near the pole.
         checked_denominator(cfg.sigma2_0, c_exact)
         scan_grid = _degeneracy_grid(c_exact)
-        report = numeric_stationary_search(
-            cfg.a,
-            cfg.b,
-            cfg.m,
-            sigma2_0=cfg.sigma2_0,
-            tol=tol,
-            branch=cfg.branch,
-            sigma2_scan=scan_grid,
-        )
+        # m ~ 1e200 squares past the float range in the objective's mass term
+        with float_errors_as(NumericalOverflow, f"stationary search for m={cfg.m!r}"):
+            report = numeric_stationary_search(
+                cfg.a,
+                cfg.b,
+                cfg.m,
+                sigma2_0=cfg.sigma2_0,
+                tol=tol,
+                branch=cfg.branch,
+                sigma2_scan=scan_grid,
+            )
         action = classical_action(cfg.a, cfg.b, cfg.m, branch=cfg.branch)
         checks.append(
             threshold_check("stationary_duration", abs(report.C_star - c_exact), tol)

@@ -195,7 +195,14 @@ def expansion_deltas(g, q, coefs):
     """Eigenvalue changes for a (P, K, 4) stack of mode coefficients."""
     linear = np.einsum("pkm,km,m->p", coefs, g, METRIC_DIAG)
     quadratic = np.einsum("pkm,kl,plm,m->p", coefs, q, coefs, METRIC_DIAG)
-    return linear + quadratic
+    out = linear + quadratic
+    # einsum raises no floating-point flag, so float_errors_as cannot see this
+    if not np.isfinite(out).all():
+        largest = float(np.abs(coefs).max())
+        raise NumericalOverflow(
+            f"expansion deltas leave the float range (largest coefficient {largest!r})"
+        )
+    return out
 
 
 def reality_residual(flow, params, w):

@@ -7,6 +7,8 @@ leading axes, so every function here broadcasts over an (..., 4) layout.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NullSeparation, SpacelikeSeparation, ZeroMass
@@ -35,6 +37,18 @@ def dot(u, v):
     (4,) inputs yields a plain Python number.  Integer and list input is
     promoted to float, and complex input stays complex.
     """
+    if (
+        type(u) is np.ndarray and type(v) is np.ndarray
+        and u.shape == v.shape == (4,)
+        and u.dtype == v.dtype == np.float64
+    ):
+        # the same IEEE operations on Python floats; those ignore np.errstate,
+        # so a result that left the float range is redone on arrays below
+        u0, u1, u2, u3 = u.tolist()
+        v0, v1, v2, v3 = v.tolist()
+        out = u0 * v0 - (u1 * v1 + u2 * v2 + u3 * v3)
+        if math.isfinite(out):
+            return out
     u = np.asarray(u)
     v = np.asarray(v)
     dtype = np.result_type(u, v, float)

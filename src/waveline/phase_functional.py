@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigenvalue import trapezoid_weights
-from .errors import BadGrid, DegenerateQ, float_errors_as
+from .errors import BadGrid, DegenerateQ, NumericalOverflow, float_errors_as
 from .minkowski import as_four_vector, dot
 from .phase_flow import (
     FlowInitialData,
@@ -203,7 +203,9 @@ def phase_difference(w, sigma2_0):
     """
     flow, geo = _stationary_setup(w, sigma2_0)
     q_grid, pts_q = resample_on_log_clock(w, sigma2_0)
-    return phase_eval_q(pts_q, q_grid, geo.x_tilde) - phase_eval_c(w, flow)
+    # x.x squares past the float range on a far-flung line (amplitude ~ 1e200)
+    with float_errors_as(NumericalOverflow, f"phase difference over C={w.C!r}"):
+        return phase_eval_q(pts_q, q_grid, geo.x_tilde) - phase_eval_c(w, flow)
 
 
 def phase_expansion(base, sigma2_0, modes):

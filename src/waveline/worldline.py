@@ -76,7 +76,12 @@ def straight_line(a, b, C, N):
     a = as_four_vector(a)
     b = as_four_vector(b)
     t = np.linspace(0.0, 1.0, N + 1)
-    pts = (a[:, None] + t * (b - a)[:, None]).T
+    d = b - a
+    pts = np.empty((N + 1, 4), order="F")
+    for k in range(4):  # column k is t * d[k] + a[k], built in place
+        col = pts[:, k]
+        np.multiply(t, d[k], out=col)
+        col += a[k]
     pts[0] = a
     pts[-1] = b
     return Worldline(float(C), int(N), pts)
@@ -135,5 +140,19 @@ def perturb_interior(base, amplitude, seed):
 
 
 def velocities(w, values=None):
-    """d/dc of ``values`` (N+1, k) on the lattice of ``w``, else of its points; second order."""
-    return np.gradient(w.points if values is None else values, w.dc, axis=0, edge_order=2)
+    """d/dc of ``values`` (N+1, k) on the lattice of ``w``, else of its points; second order.
+
+    Central differences in the bulk and one-sided ones at the two ends, with
+    the slice arithmetic of ``np.gradient(f, dc, axis=0, edge_order=2)``, so
+    the result equals it bit for bit.  The output keeps the input's memory
+    layout, as ``np.gradient``'s does.
+    """
+    f = w.points if values is None else values
+    dx = w.dc
+    out = np.empty_like(f)
+    bulk = out[1:-1]
+    np.subtract(f[2:], f[:-2], out=bulk)
+    bulk /= 2.0 * dx
+    out[0] = (-1.5 / dx) * f[0] + (2.0 / dx) * f[1] + (-0.5 / dx) * f[2]
+    out[-1] = (0.5 / dx) * f[-3] + (-2.0 / dx) * f[-2] + (1.5 / dx) * f[-1]
+    return out

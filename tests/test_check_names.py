@@ -24,8 +24,9 @@ from waveline.cli import COMMANDS, main
 from conftest import QUICK
 
 # (command, extra config keys, flags); the failing runs put a pole inside
-# the run duration, or make the endpoints null so every suite that needs
-# them raises, and the last run takes the negative branch by flag.
+# the run duration, make the endpoints null so every suite that needs
+# them raises, or carry RK4 past the float range; one run takes the
+# negative branch by flag.
 RUNS = (
     ("flow", {}, []),
     ("lambda", {}, []),
@@ -39,6 +40,7 @@ RUNS = (
     ("verify", {}, ["--sigma2=-0.5,0.5"]),
     ("verify", {"b": [1.0, 1.0, 0.0, 0.0]}, []),
     ("stationary", {}, ["--branch=-"]),
+    ("flow", {}, ["--sigma2=1e300"]),
 )
 
 # Module-level functions the runs need not reach: the process wrapper runs

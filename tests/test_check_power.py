@@ -17,11 +17,13 @@ from conftest import QUICK
 
 def flipped_flow_sign(monkeypatch):
     # d(sigma1)/dc = +2 sigma2 sigma1: the sigma1 equation with sigma2's sign flipped
-    step = phase_flow.rk4_step
-    sign = np.array([-1.0, -1.0, -1.0, -1.0, 1.0])
-    monkeypatch.setattr(
-        phase_flow, "rk4_step", lambda f, y, h: step(lambda z: sign * f(z), y, h)
-    )
+    rhs = phase_flow.batched_rhs
+
+    def flipped(y, out):
+        rhs(y, out)
+        out[:, :4] *= -1.0
+
+    monkeypatch.setattr(phase_flow, "batched_rhs", flipped)
 
 
 def dropped_delta0(monkeypatch):

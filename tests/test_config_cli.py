@@ -453,13 +453,19 @@ class TestCli:
     def test_huge_duration_fails_the_phase_check_without_a_traceback(self, tmp_path):
         # C = 1e200 overflows the spline's h**2, and C = 1e-300 (1e-320, a
         # subnormal) the lattice velocities and 1/dc**2; m = 1e-320 puts the
-        # stationary duration itself past the float range.  Every suite must
-        # report that as a named failed check, write the report and print no
-        # warning.  The frozen control passes only where the flowing ladder
-        # measured something: at C = 1e200 its spreads are roundoff of a
-        # 1e200-sized eigenvalue while the flowing ones are exactly zero.
+        # stationary duration itself past the float range, and m = 1e200 the
+        # search's mass term.  sigma2_0 = 1e12 (a trace row) and 1e300 (every
+        # row, as --sigma2=1e300 sets it) carry RK4 past the float range, and
+        # 1e300 the lattice expansion too; amplitude = 1e200 squares the
+        # perturbed events past it.  Every suite must report that as a named
+        # failed check, write the report and print no warning.  The frozen
+        # control passes only where the flowing ladder measured something: at
+        # C = 1e200 its spreads are roundoff of a 1e200-sized eigenvalue while
+        # the flowing ones are exactly zero.
         unmeasured = "NotMeasured: the flowing ladder measured nothing"
         no_duration = "NumericalOverflow: stationary duration for m=1e-320"
+        rk4 = "NumericalOverflow: RK4 flow for sigma2_0="
+        far = "NumericalOverflow: expansion deltas leave the float range"
         expected = {
             ("C", 1e200): {
                 "lambda_worldline_independence_order": "NotMeasured: perturbation spreads",
@@ -489,10 +495,28 @@ class TestCli:
                 "operator_oracle": no_duration,
                 "phase_consistency": no_duration,
             },
+            ("m", 1e200): {
+                "stationary_search": "NumericalOverflow: stationary search for m=1e+200",
+            },
+            ("sigma2_0", 1e12): {
+                "flow_trace[sigma2_0=1e+12]": f"{rk4}1000000000000.0 leaves the float range",
+            },
+            ("sigma2_values", (1e300,)): {
+                "flow_accuracy[sigma2_0=1e+300]": f"{rk4}1e+300 leaves the float range",
+                "flow_trace[sigma2_0=1e+300]": f"{rk4}1e+300 leaves the float range",
+                "lambda_worldline_independence_order":
+                    "NumericalOverflow: lattice expansion at sigma2_0=1e+300",
+                "lambda_violation_detected": f"{unmeasured} (NumericalOverflow",
+            },
+            ("amplitude", 1e200): {
+                "lambda_worldline_independence_order": far,
+                "lambda_violation_detected": f"{unmeasured} ({far}",
+                "phase_consistency": "NumericalOverflow: phase difference over C=",
+            },
         }
-        for (key, value), failures in expected.items():
+        for k, ((key, value), failures) in enumerate(expected.items()):
             cfgp = write_quick_config(tmp_path, **{key: value}, N=200)
-            out = tmp_path / f"out-{key}-{value:g}"
+            out = tmp_path / f"out-{k}"
             proc = subprocess.run(
                 [sys.executable, "-m", "waveline.cli", "verify", "--config", cfgp,
                  "--out", str(out)],

@@ -31,6 +31,7 @@ from waveline.worldline import (
     interior_modes,
     perturb_interior,
     straight_line,
+    velocities,
 )
 
 A = np.array([0.1, -0.2, 0.05, 0.3])
@@ -206,3 +207,27 @@ class TestLatticeResultsMatchTheRowMajorFormulas:
     def test_phase_difference(self, base, perturbed, sigma2_0):
         for w in (base, perturbed):
             assert phase_difference(w, sigma2_0) == phase_difference_row_major(w, sigma2_0)
+
+
+class TestKernelsMatchTheirNumpyFormulas:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(3, 4), (N + 1, 4), (N + 1, 6)])
+    def test_velocities_are_np_gradient_in_the_input_layout(self, order, shape):
+        w = straight_line(A, B, C_RUN, shape[0] - 1)
+        f = np.array(np.random.default_rng(5).standard_normal(shape), order=order)
+        got = velocities(w, f)
+        assert np.array_equal(got, np.gradient(f, w.dc, axis=0, edge_order=2))
+        # an F-ordered result for the C-ordered mode matrix would change the
+        # BLAS summation order in lattice_expansion
+        assert got.flags.c_contiguous == f.flags.c_contiguous
+        assert got.flags.f_contiguous == f.flags.f_contiguous
+        assert np.array_equal(velocities(w), np.gradient(w.points, w.dc, axis=0, edge_order=2))
+
+    @pytest.mark.parametrize("n", [2, 7, N])
+    def test_straight_line_is_the_broadcast_formula(self, n):
+        t = np.linspace(0.0, 1.0, n + 1)
+        want = (A[:, None] + t * (B - A)[:, None]).T
+        want[0], want[-1] = A, B
+        points = straight_line(A, B, C_RUN, n).points
+        assert_lattice_layout(points, n)
+        assert np.array_equal(points, want)

@@ -54,6 +54,24 @@ class TestDot:
         stack = np.stack([u, u])
         assert dot(stack, stack).dtype == np.complex128
 
+    def test_vector_pair_equals_the_array_path(self):
+        # a pair of float (4,) arrays is contracted on Python floats; lists
+        # and stacks take the array path, and every result must match it
+        rng = np.random.default_rng(11)
+        scales = 10.0 ** rng.integers(-150, 150, size=(2000, 2, 1))
+        for u, v in rng.standard_normal((2000, 2, 4)) * scales:
+            got = dot(u, v)
+            assert type(got) is float
+            assert got == dot(u.tolist(), v.tolist()) == dot(u[None], v[None])[0]
+
+    def test_vector_pair_overflow_still_raises_under_errstate(self):
+        huge = np.full(4, 1e200)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                dot(huge, huge)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(dot(huge, huge))
+
     @given(four_vectors(), four_vectors())
     def test_symmetry(self, u, v):
         assert dot(u, v) == pytest.approx(dot(v, u), abs=1e-12)

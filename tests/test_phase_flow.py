@@ -15,7 +15,6 @@ from waveline.phase_flow import (
     frozen_coefficients,
     integrate_flow,
     require_shared_grid,
-    rk4_step,
     sample_closed_form,
 )
 from waveline.worldline import lattice
@@ -173,7 +172,7 @@ class TestIntegrator:
 
 
 def scalar_rk4(init, C, N):
-    """One initial datum stepped alone as a (5,) state: the pre-batching loop."""
+    """One initial datum stepped alone as a (5,) state by the textbook RK4 step."""
     grid = np.linspace(0.0, float(C), N + 1)
     h = grid[1] - grid[0]
 
@@ -181,12 +180,19 @@ def scalar_rk4(init, C, N):
         ds1, ds2 = flow_rhs(y[:4], y[4])
         return np.concatenate([ds1, [ds2]])
 
+    def step(y):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
     y = np.concatenate([init.sigma1_0, [init.sigma2_0]])
     s1 = np.empty((N + 1, 4))
     s2 = np.empty(N + 1)
     s1[0], s2[0] = y[:4], y[4]
     for i in range(N):
-        y = rk4_step(rhs, y, h)
+        y = step(y)
         s1[i + 1], s2[i + 1] = y[:4], y[4]
     return grid, s1, s2
 
