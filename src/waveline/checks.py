@@ -185,13 +185,22 @@ def flow_suite(cfg):
             checks.append(threshold_check(name, errs[k][n_top], tol))
 
     worst = {n: max([0.0] + [e[n] for e in errs if n in e]) for n in ladder}
-    if len(ladder) >= 2 and worst[ladder[-1]] > 0:
-        ratio = worst[ladder[-2]] / worst[ladder[-1]]
+    if worst[n_top] > 0:
+        ratio = worst[ladder[-2]] / worst[n_top]
         checks.append(
             window_check(
                 "flow_step_halving_contraction", ratio, CONTRACTION_LO, CONTRACTION_HI
             )
         )
+    else:
+        # RK4 is exact on a flat flow, and a screened row has no error at
+        # all: a zero error on the top rung leaves nothing to contract.
+        exact_rows = sum(n_top in e for e in errs)
+        unmeasured = NotMeasured(
+            f"worst RK4 error on N={n_top} is 0: {exact_rows} curvature(s) integrated "
+            f"exactly, {len(errs) - exact_rows} screened by the pole or the float range"
+        )
+        checks.append(failed_check("flow_step_halving_contraction", unmeasured))
 
     artifacts = {
         "flow_errors.csv": (("sigma2_0", "N", "max_abs_error"), err_rows),

@@ -25,7 +25,7 @@ def as_four_vector(v):
     arr = np.asarray(v, dtype=float)
     if arr.shape != (4,):
         raise ValueError(f"expected 4 components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("four-vector components must be finite")
     return arr
 

@@ -144,25 +144,27 @@ def frozen_coefficients(init, grid):
 
 
 def batched_rhs(y, out):
-    """flow_rhs on a (K, 5) state of rows (sigma1, sigma2), written into ``out``."""
-    # (-2 sigma2) times (sigma1, sigma2), one row per initial datum
-    np.multiply(-2.0 * y[:, 4:], y, out)
+    """flow_rhs on a (5, K) state of columns (sigma1, sigma2), written into ``out``."""
+    # (-2 sigma2) times each component row, one column per initial datum
+    np.multiply(-2.0 * y[4], y, out)
 
 
 def integrate_flow(inits, C, N):
     """Fixed-step RK4 solution of the coefficient system on N steps over [0, C].
 
     ``inits`` is a sequence of K FlowInitialData, stepped together as one
-    (K, 5) state on the shared grid; a list of K FlowCoefficients comes
-    back.  Each row sees exactly the arithmetic of a lone integration, so
-    batching never changes a result.  The textbook step, in its textbook
-    order of operations, runs in preallocated buffers and writes each new
-    state straight into the path.
+    component-major (5, K) state on the shared grid: row j holds component
+    j of every datum, so each ufunc call runs over contiguous rows of K.  A
+    list of K FlowCoefficients comes back.  Each column sees exactly the
+    arithmetic of a lone integration, so batching never changes a result.
+    The textbook step, in its textbook order of operations, runs in
+    preallocated buffers and writes each new state straight into the
+    (N+1, 5, K) path.
 
-    Every row is checked against the pole at every node before the first
-    step (see ``checked_denominator``); the first singular row raises.  A
-    row whose steps leave the float range comes back with non-finite
-    samples and no warning; rows never mix, so the others are unaffected.
+    Every datum is checked against the pole at every node before the first
+    step (see ``checked_denominator``); the first singular one raises.  A
+    column whose steps leave the float range comes back with non-finite
+    samples and no warning; columns never mix, so the others are unaffected.
     """
     grid = lattice(C, N)
     for row in inits:
@@ -170,8 +172,8 @@ def integrate_flow(inits, C, N):
     h = grid[1] - grid[0]
     half, sixth = 0.5 * h, h / 6.0
 
-    path = np.empty((N + 1, len(inits), 5))
-    path[0] = np.array([np.append(row.sigma1_0, row.sigma2_0) for row in inits]).reshape(-1, 5)
+    path = np.empty((N + 1, 5, len(inits)))
+    path[0] = np.array([np.append(row.sigma1_0, row.sigma2_0) for row in inits]).reshape(-1, 5).T
     k1, k2, k3, k4, stage = np.empty((5,) + path.shape[1:])
     rhs, add, mul = batched_rhs, np.add, np.multiply  # the last argument is out
     with np.errstate(over="ignore", invalid="ignore"):
@@ -187,7 +189,7 @@ def integrate_flow(inits, C, N):
             add(k2, k4, k2)
             add(y, mul(sixth, k2, k2), path[i + 1])
     return [
-        FlowCoefficients(grid=grid, sigma1=path[:, k, :4], sigma2=path[:, k, 4])
+        FlowCoefficients(grid=grid, sigma1=path[:, :4, k], sigma2=path[:, 4, k])
         for k in range(len(inits))
     ]
 

@@ -21,7 +21,7 @@ def flipped_flow_sign(monkeypatch):
 
     def flipped(y, out):
         rhs(y, out)
-        out[:, :4] *= -1.0
+        out[:4] *= -1.0  # the sigma1 rows of the (5, K) state
 
     monkeypatch.setattr(phase_flow, "batched_rhs", flipped)
 

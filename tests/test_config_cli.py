@@ -402,6 +402,25 @@ class TestCli:
         check = next(c for c in checks if c["name"] == "phase_trajectory_independence")
         assert check["detail"].startswith("NotMeasured: phase_q - phase_c has zero spread")
 
+    @pytest.mark.parametrize(
+        "sigma2, rows",
+        [
+            ("0", "1 curvature(s) integrated exactly, 0"),
+            ("1e300", "0 curvature(s) integrated exactly, 1"),
+        ],
+    )
+    def test_contraction_without_a_top_rung_error_is_not_measured(
+        self, tmp_path, capsys, sigma2, rows
+    ):
+        # RK4 is exact on a flat flow, and a row past the float range has no
+        # error at all: a zero worst error leaves no ratio to hold in the window
+        assert main(["flow", f"--sigma2={sigma2}", "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert (
+            "[FAIL] flow_step_halving_contraction  value=nan  (NotMeasured: worst RK4 error on "
+            f"N=1000 is 0: {rows} screened by the pole or the float range)"
+        ) in lines
+
     def test_stationary_point_past_the_pole_is_named(self, tmp_path):
         # C* = 0.9407... lies past the pole c* = 1/1.4 of sigma2_0 = -0.7
         out = tmp_path / "out"

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from waveline.errors import BadGrid
-from waveline.worldline import Worldline, perturb_interior, straight_line, velocities
+from waveline.worldline import (
+    Worldline,
+    normalization_modes,
+    perturb_interior,
+    perturbation_coefficients,
+    straight_line,
+    velocities,
+)
 
 A = np.zeros(4)
 B = np.array([2.0, 0.6, 0.3, 0.1])
@@ -116,3 +123,12 @@ class TestPerturbation:
         base = straight_line(A, B, 1.0, 32)
         w = perturb_interior(base, 0.0, seed=11)
         np.testing.assert_array_equal(w.points, base.points)
+
+    @pytest.mark.parametrize("C", [1e-3, 1.3, 1e5])
+    def test_peak_is_the_largest_norm_bit_for_bit(self, C):
+        # the column-by-column sum of squares must round as np.linalg.norm's
+        # row sum does, or the scale of every perturbation field moves
+        reference = normalization_modes(C)
+        for seed in range(2000):
+            coef, peak = perturbation_coefficients(seed, C, reference=reference)
+            assert peak == np.linalg.norm(reference @ coef, axis=1).max(), (C, seed)
