@@ -129,9 +129,10 @@ def _overflow(init, flow, n):
 def flow_suite(cfg):
     """RK4 against the exact flow on the fixed unit-duration benchmark.
 
-    Every curvature on one ladder rung is integrated in a single batched
-    call; a curvature whose interval holds the pole is left out of the
-    batch and fails its own check only.
+    Every curvature on every ladder rung, and the flow.csv trace on the top
+    rung, is integrated in a single call of n_top loop iterations; a
+    curvature whose interval holds the pole is left out of it and fails its
+    own check only.
     """
     tol = cfg.tolerances.flow_tol
     sigma2_set = cfg.sigma2_values or FLOW_BENCH_SIGMA2
@@ -156,16 +157,20 @@ def flow_suite(cfg):
     live = [k for k, err in enumerate(screens) if err is None]
     trace_error = screen(trace_init)
 
+    # rung by rung, then the trace riding along on the top rung
+    batch = [inits[k] for _ in ladder for k in live]
+    steps = [n for n in ladder for _ in live]
+    if trace_error is None:
+        batch.append(trace_init)
+        steps.append(n_top)
+    nums = integrate_flow(batch, FLOW_BENCH_C, n_top, steps) if batch else []
     errs = [{} for _ in inits]
-    for n in ladder:
-        batch = [inits[k] for k in live]
-        if n == n_top and trace_error is None:
-            # the flow.csv trace rides along as the last row of the top rung
-            batch.append(trace_init)
-        nums = integrate_flow(batch, FLOW_BENCH_C, n) if batch else []
-        for k, num in zip(live, nums):
-            # a row that left the float range fails its own check only
-            screens[k] = _overflow(inits[k], num, n)
+    for r, n in enumerate(ladder):
+        for k, num in zip(live, nums[r * len(live):]):
+            # a row that left the float range fails its own check with the
+            # first rung it left it on; its finer rungs are ignored
+            if screens[k] is None:
+                screens[k] = _overflow(inits[k], num, n)
             if screens[k] is not None:
                 continue
             exact = sample_closed_form(inits[k], num.grid)
@@ -173,7 +178,8 @@ def flow_suite(cfg):
                 float(np.abs(num.sigma1 - exact.sigma1).max()),
                 float(np.abs(num.sigma2 - exact.sigma2).max()),
             )
-        live = [k for k in live if screens[k] is None]
+    trace = nums[-1] if trace_error is None else None
+    del nums  # the rungs' results go before the artifacts are built
 
     checks, err_rows = [], []
     for k, s2 in enumerate(sigma2_set):
@@ -206,11 +212,10 @@ def flow_suite(cfg):
         "flow_errors.csv": (("sigma2_0", "N", "max_abs_error"), err_rows),
     }
     if trace_error is None:
-        trace_error = _overflow(trace_init, nums[-1], n_top)
+        trace_error = _overflow(trace_init, trace, n_top)
     if trace_error is not None:
         checks.append(failed_check(f"flow_trace[sigma2_0={cfg.sigma2_0:g}]", trace_error))
     else:
-        trace = nums[-1]
         exact = sample_closed_form(trace_init, trace.grid)
         rows = np.column_stack([flow_to_rows(trace), exact.sigma1, exact.sigma2])
         artifacts["flow.csv"] = (

@@ -17,6 +17,7 @@ the verification suite pulls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,19 @@ def flow_rhs(sigma1, sigma2):
 
 
 def denominator(sigma2_0, c):
-    """D(c) = 1 + 2 sigma2_0 c, the single scale factor of the exact flow."""
-    return 1.0 + 2.0 * sigma2_0 * np.asarray(c, dtype=float)
+    """D(c) = 1 + 2 sigma2_0 c, the single scale factor of the exact flow.
+
+    Past |sigma2_0| = DBL_MAX / 2 the factor 2 sigma2_0 is infinite, and
+    infinity times c = 0 is NaN; there D is formed as 1 + 2 (sigma2_0 c),
+    so D(0) is exactly 1 and a D past the float range is an infinity of its
+    sign, without a warning.
+    """
+    c = np.asarray(c, dtype=float)
+    two_s = 2.0 * sigma2_0
+    if math.isfinite(two_s):
+        return 1.0 + two_s * c
+    with np.errstate(over="ignore"):
+        return 1.0 + 2.0 * (sigma2_0 * c)
 
 
 def checked_denominator(sigma2_0, c):
@@ -110,7 +122,7 @@ def checked_denominator(sigma2_0, c):
     if below.any():
         k = np.argmax(below)  # flat index of the first node at or under the floor
         node, dk = float(np.ravel(c)[k]), float(np.ravel(d)[k])
-        c_star = float(-1.0 / (2.0 * sigma2_0))
+        c_star = float(-0.5 / sigma2_0)  # -1 / (2 sigma2_0), whose 2 sigma2_0 may overflow
         raise FlowSingularity(
             f"flow is singular at c={node!r} (D={dk!r}, pole at c*={c_star!r})", c_star=c_star
         )
@@ -149,49 +161,107 @@ def batched_rhs(y, out):
     np.multiply(-2.0 * y[4], y, out)
 
 
-def integrate_flow(inits, C, N):
-    """Fixed-step RK4 solution of the coefficient system on N steps over [0, C].
+def _rk4_stepper(h, half, sixth, shape):
+    """``step(y, out)``: one textbook RK4 step of ``batched_rhs`` on a ``shape`` state.
 
-    ``inits`` is a sequence of K FlowInitialData, stepped together as one
-    component-major (5, K) state on the shared grid: row j holds component
-    j of every datum, so each ufunc call runs over contiguous rows of K.  A
-    list of K FlowCoefficients comes back.  Each column sees exactly the
-    arithmetic of a lone integration, so batching never changes a result.
-    The textbook step, in its textbook order of operations, runs in
-    preallocated buffers and writes each new state straight into the
-    (N+1, 5, K) path.
+    ``h``, ``half`` and ``sixth`` are scalars or per-column rows; the step
+    runs in five preallocated buffers, and ``out`` may be ``y`` itself.
+    """
+    k1, k2, k3, k4, stage = np.empty((5,) + shape)
+    rhs, add, mul = batched_rhs, np.add, np.multiply  # the last argument is out
 
-    Every datum is checked against the pole at every node before the first
-    step (see ``checked_denominator``); the first singular one raises.  A
-    column whose steps leave the float range comes back with non-finite
-    samples and no warning; columns never mix, so the others are unaffected.
+    def step(y, out):
+        rhs(y, k1)
+        rhs(add(y, mul(half, k1, stage), stage), k2)
+        rhs(add(y, mul(half, k2, stage), stage), k3)
+        rhs(add(y, mul(h, k3, stage), stage), k4)
+        # y + (h/6) (k1 + 2 k2 + 2 k3 + k4), the sum left to right, in k2
+        add(k1, mul(2.0, k2, k2), k2)
+        add(k2, mul(2.0, k3, k3), k2)
+        add(k2, k4, k2)
+        add(y, mul(sixth, k2, k2), out)
+
+    return step
+
+
+def integrate_flow(inits, C, N, steps=None):
+    """Fixed-step RK4 solutions of the coefficient system over [0, C], in one loop.
+
+    ``inits`` is a sequence of K FlowInitialData and ``steps`` their step
+    counts, each in [2, N] (all N by default).  Datum k is integrated on
+    ``lattice(C, steps[k])``, and a list of K FlowCoefficients comes back.
+    All data step together as one component-major (5, K) state, row j
+    holding component j of every datum, so each ufunc call runs over
+    contiguous rows; each column sees exactly the arithmetic of a lone
+    integration, so batching never changes a result.
+
+    The columns are ordered longest count first, so the data still stepping
+    are always a prefix.  While more than one count is live, a contiguous
+    (5, live) state takes steps with per-column rows of h, h/2 and h/6, and
+    each count's slice is copied into its own (n+1, 5, K_n) path; when a
+    count ends, the state is narrowed by a copy (a strided view would slow
+    every ufunc call) and that count's FlowCoefficients are built and its
+    path freed.  The last count steps straight into its path.  Each step is
+    the textbook one, in its textbook order of operations.
+
+    Every datum is checked against the pole at every node of its lattice
+    before the first step (see ``checked_denominator``); the first singular
+    one raises.  A column whose steps leave the float range comes back with
+    non-finite samples and no warning; columns never mix, so the others are
+    unaffected.
     """
     grid = lattice(C, N)
-    for row in inits:
-        checked_denominator(row.sigma2_0, grid)
-    h = grid[1] - grid[0]
-    half, sixth = 0.5 * h, h / 6.0
+    steps = [N] * len(inits) if steps is None else list(steps)
+    if len(steps) != len(inits):
+        raise BadGrid(f"{len(steps)} step counts for {len(inits)} initial data")
+    for n in steps:
+        if not 2 <= n <= N:
+            raise BadGrid(f"step count {n!r} outside [2, {N}]")
+    grids = {n: grid if n == N else lattice(C, n) for n in steps}
+    for row, n in zip(inits, steps):
+        checked_denominator(row.sigma2_0, grids[n])
 
-    path = np.empty((N + 1, 5, len(inits)))
-    path[0] = np.array([np.append(row.sigma1_0, row.sigma2_0) for row in inits]).reshape(-1, 5).T
-    k1, k2, k3, k4, stage = np.empty((5,) + path.shape[1:])
-    rhs, add, mul = batched_rhs, np.add, np.multiply  # the last argument is out
+    order = sorted(range(len(inits)), key=lambda k: -steps[k])
+    counts = sorted(grids, reverse=True)
+    bounds = np.cumsum([0] + [steps.count(n) for n in counts]).tolist()
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]  # columns of each count
+    h = {n: g[1] - g[0] for n, g in grids.items()}
+    hs = np.array([h[steps[k]] for k in order])
+    rows = (hs, 0.5 * hs, hs / 6.0)
+
+    y = np.array([np.append(inits[k].sigma1_0, inits[k].sigma2_0) for k in order])
+    y = y.reshape(-1, 5).T.copy()
+    paths = [np.empty((n + 1, 5, cols.stop - cols.start)) for n, cols in zip(counts, blocks)]
+    for path, cols in zip(paths, blocks):
+        path[0] = y[:, cols]
+    flows = [None] * len(inits)
+
+    done = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(N):
-            y = path[i]
-            rhs(y, k1)
-            rhs(add(y, mul(half, k1, stage), stage), k2)
-            rhs(add(y, mul(half, k2, stage), stage), k3)
-            rhs(add(y, mul(h, k3, stage), stage), k4)
-            # y + (h/6) (k1 + 2 k2 + 2 k3 + k4), the sum left to right, in k2
-            add(k1, mul(2.0, k2, k2), k2)
-            add(k2, mul(2.0, k3, k3), k2)
-            add(k2, k4, k2)
-            add(y, mul(sixth, k2, k2), path[i + 1])
-    return [
-        FlowCoefficients(grid=grid, sigma1=path[:, :4, k], sigma2=path[:, 4, k])
-        for k in range(len(inits))
-    ]
+        for g in reversed(range(len(counts))):
+            n = counts[g]
+            if g:  # more than one count live: step the state, copy out each live block
+                step = _rk4_stepper(*(r[: bounds[g + 1]] for r in rows), y.shape)
+                for i in range(done, n):
+                    step(y, y)
+                    for path, cols in zip(paths, blocks):
+                        path[i + 1] = y[:, cols]
+                y = y[:, : bounds[g]].copy()
+            else:  # the longest count alone steps straight into its path
+                path = paths[0]
+                step = _rk4_stepper(h[n], 0.5 * h[n], h[n] / 6.0, y.shape)
+                for i in range(done, n):
+                    step(path[i], path[i + 1])
+            done = n
+            # FlowCoefficients copy their samples, so the path goes at once;
+            # paths keeps only the live counts' paths
+            path = paths.pop()
+            for j, k in enumerate(order[blocks[g]]):
+                flows[k] = FlowCoefficients(
+                    grid=grids[n], sigma1=path[:, :4, j], sigma2=path[:, 4, j]
+                )
+            del path
+    return flows
 
 
 def flow_to_rows(flow):

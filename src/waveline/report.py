@@ -7,7 +7,6 @@ report (and echoed to the terminal) but deliberately left out of the file.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -112,12 +111,13 @@ def write_csv(path, header, rows):
 
     Each row is formatted in one join: ``repr(float(v))`` for every float
     (``np.float64`` included, whose own repr is ``np.float64(...)``) and
-    ``str`` for the rest, ending in the csv module's CRLF.
+    ``str`` for the rest, ending in CRLF.  Header names are plain
+    identifiers, so no field needs quoting.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+        fh.write(",".join(header) + "\r\n")
         fh.writelines(
             ",".join([repr(float(v)) if isinstance(v, float) else str(v) for v in row])
             + "\r\n"

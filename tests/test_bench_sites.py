@@ -33,9 +33,10 @@ def test_flow_sweep_sites_and_batched_calls(tmp_path):
     # N = 200 misses the flow tolerance set for N = 1000; only the sites matter
     assert code in (0, 1)
     metrics = spans.layer_metrics(tracer.spans, "flow-sweep")
-    # one batched call per ladder rung for all 35 curvatures and the trace
-    assert metrics["phase_flow.integrate_flow.calls"] == 3
-    assert metrics["phase_flow.integrate_flow.steps"] == 50 + 100 + 200
+    # one call of N loop iterations for all 35 curvatures on every ladder
+    # rung and the trace on the top one
+    assert metrics["phase_flow.integrate_flow.calls"] == 1
+    assert metrics["phase_flow.integrate_flow.steps"] == 200
 
 
 def test_verify_default_sites_and_one_operator_call_per_case(tmp_path):

@@ -7,14 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waveline import errors
-from waveline.checks import CHECK_NAMES
+from waveline.checks import CHECK_NAMES, FLOW_BENCH_SIGMA1
 from waveline.cli import main
 from waveline.config import RunConfig, Tolerances, load_config, parse_branch
-from waveline.errors import ConfigError
+from waveline.errors import ConfigError, FlowSingularity
+from waveline.phase_flow import FlowInitialData, integrate_flow, sample_closed_form
 from waveline.report import (
     RunReport,
     failed_check,
@@ -29,6 +30,40 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMITTED_CONFIGS = sorted(ROOT.glob("configs/*.json")) + sorted(
     ROOT.glob("perfbench/workloads/*.json")
 )
+
+
+# Zero, subnormal, at and near the pole at c* = C = 1, and past the float
+# range; RK4 takes 5.0 past it on N = 4 and 5 steps, but not on twice as many
+EDGE_CURVATURES = (
+    0.0, 1e-320, -1e-320, -0.5, -0.49999999999998, -0.4999, 5.0, 1e12, 1e300, 1e308, -1e308,
+)
+
+
+def lone_rung_errors(sigma2s, n):
+    """flow_errors.csv rows from one lone RK4 call per curvature and ladder rung.
+
+    A curvature refused by its pole has no rows; one that leaves the float
+    range stops at the first rung it leaves it on.
+    """
+    n_top = max(8, min(n, 1000))
+    ladder = sorted({max(4, n_top // 4), max(4, n_top // 2), n_top})
+    rows = []
+    for s2 in sigma2s:
+        init = FlowInitialData(np.array(FLOW_BENCH_SIGMA1), s2)
+        for rung in ladder:
+            try:
+                (num,) = integrate_flow([init], 1.0, rung)
+            except FlowSingularity:
+                break
+            if not (np.isfinite(num.sigma1).all() and np.isfinite(num.sigma2).all()):
+                break
+            exact = sample_closed_form(init, num.grid)
+            err = max(
+                float(np.abs(num.sigma1 - exact.sigma1).max()),
+                float(np.abs(num.sigma2 - exact.sigma2).max()),
+            )
+            rows.append((s2, rung, err))
+    return rows
 
 
 class TestConfig:
@@ -312,6 +347,21 @@ class TestCli:
             "FlowSingularity: flow is singular at c=1.0 "
             "(D=3.9968028886505635e-14, pole at c*=1.00000000000004)"
         )
+
+    @given(
+        st.lists(st.sampled_from(EDGE_CURVATURES), min_size=1, max_size=4),
+        st.integers(2, 60),
+    )
+    @example([5.0, 0.5], 20)  # 5.0 leaves the float range on the coarse rung only
+    @settings(max_examples=60, deadline=None)
+    def test_flow_on_edge_curvatures_exits_cleanly_with_lone_rung_errors(self, sigma2s, n):
+        # pytest turns any RuntimeWarning into an error, so this also holds
+        # that no edge curvature warns
+        argv = ["flow", "--sigma2=" + ",".join(map(repr, sigma2s)), "--N", str(n)]
+        with tempfile.TemporaryDirectory() as tmp:
+            assert main(argv + ["--out", tmp]) in (0, 1)
+            rows = (Path(tmp) / "flow_errors.csv").read_text().splitlines()[1:]
+        assert rows == [f"{s2!r},{rung},{err!r}" for s2, rung, err in lone_rung_errors(sigma2s, n)]
 
     def test_bad_config_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -58,6 +58,19 @@ class TestClosedForm:
         grid = lattice(100.0, 4)
         assert np.array_equal(checked_denominator(0.25, grid), denominator(0.25, grid))
 
+    @pytest.mark.parametrize("s2_0", [1e308, -1e308, 9e307, -9e307])
+    def test_curvature_past_half_the_float_range(self, s2_0):
+        # 2 sigma2_0 overflows here: D(0) stays exactly 1, a D past the float
+        # range is an infinity of its sign, and nothing warns
+        d = denominator(s2_0, np.array([0.0, 1e-3, 1.0]))
+        assert d[0] == 1.0 and d[1] == 1.0 + 2.0 * (s2_0 * 1e-3)
+        assert d[2] == np.copysign(np.inf, s2_0)
+        if s2_0 < 0:
+            with pytest.raises(FlowSingularity) as info:
+                checked_denominator(s2_0, lattice(1.0, 1000))
+            assert info.value.c_star == -0.5 / s2_0 > 0.0
+            assert str(info.value).startswith("flow is singular at c=0.001 ")
+
     def test_checked_denominator_prints_a_plain_c(self):
         with pytest.raises(FlowSingularity) as info:
             checked_denominator(-0.5, np.float64(1.0))
@@ -210,6 +223,43 @@ class TestBatchedIntegrator:
             assert np.array_equal(flow.grid, grid)
             assert np.array_equal(flow.sigma1, s1)
             assert np.array_equal(flow.sigma2, s2)
+
+    @pytest.mark.parametrize("n_max", [1000, 600])
+    def test_mixed_step_counts_match_lone_calls_bit_for_bit(self, n_max):
+        # four counts in no order, an overflowing column among them; with
+        # n_max = 600 no datum takes the full N steps
+        cases = [(-0.4, 250), (0.0, 500), (2.0, 2), (1e150, 250), (0.5, 500),
+                 (-0.49, 500), (3.0, 250), (1.0, 500 if n_max < 1000 else 1000)]
+        inits = [FlowInitialData(S1 * (k + 1), s2) for k, (s2, _) in enumerate(cases)]
+        steps = [n for _, n in cases]
+        flows = integrate_flow(inits, 1.0, 1000, steps)
+        assert len(flows) == len(inits)
+        for init, n, flow in zip(inits, steps, flows):
+            (alone,) = integrate_flow([init], 1.0, n)
+            assert np.array_equal(flow.grid, alone.grid)
+            assert np.array_equal(flow.sigma1, alone.sigma1, equal_nan=True), init.sigma2_0
+            assert np.array_equal(flow.sigma2, alone.sigma2, equal_nan=True), init.sigma2_0
+            assert flow.sigma1.flags.f_contiguous and flow.sigma2.flags.c_contiguous
+        assert not np.isfinite(flows[3].sigma2).all()
+
+    def test_mixed_counts_refuse_a_pole_on_its_own_lattice(self):
+        # c* = 1/1.4 = 0.714: the first node past it is 0.75 on N = 4 and 0.8 on N = 10
+        pole = FlowInitialData(S1, -0.7)
+        with pytest.raises(FlowSingularity) as alone:
+            integrate_flow([pole], 1.0, 4)
+        with pytest.raises(FlowSingularity) as mixed:
+            integrate_flow([FlowInitialData(S1, 0.5), pole], 1.0, 10, [10, 4])
+        assert str(mixed.value) == str(alone.value)
+        assert str(mixed.value).startswith("flow is singular at c=0.75 ")
+
+    @pytest.mark.parametrize(
+        "n_inits, steps",
+        [(1, [1]), (1, [0]), (1, [101]), (2, [100, 1]), (2, [2, 101]), (1, [100, 100])],
+    )
+    def test_step_counts_outside_two_to_n_raise(self, n_inits, steps):
+        # the last case gives two counts for one datum
+        with pytest.raises(BadGrid):
+            integrate_flow([FlowInitialData(S1, 0.5)] * n_inits, 1.0, 100, steps)
 
     def test_one_singular_row_refuses_the_batch(self):
         inits = [FlowInitialData(S1, 0.5), FlowInitialData(S1, -0.7)]
