@@ -6,8 +6,6 @@ payloads) worth writing next to the report.  The suites are deliberately
 independent of argparse so tests and library callers can drive them directly.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .errors import FlowSingularity, NotMeasured, NumericalOverflow, WavelineError, float_errors_as

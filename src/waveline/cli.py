@@ -6,8 +6,6 @@ stdout).  Every command prints one line per check and writes
 run_report.json (plus suite artifacts) to --out.
 """
 
-from __future__ import annotations
-
 import argparse
 import ctypes
 import os

@@ -6,10 +6,7 @@ rather than ignored, so typos fail loudly with exit code 2 instead of
 silently running the defaults.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,41 +14,71 @@ import numpy as np
 from .errors import ConfigError
 from .minkowski import as_four_vector
 from .stationarity import optimal_C, optimal_sigma1
+from .values import Frozen, set_field
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class _Table(Frozen):
+    """Value built by keyword over ``FIELDS``, its ordered names and defaults; equal by value."""
+
+    __slots__ = ()
+    FIELDS = {}
+
+    def __init__(self, **values):
+        fields = {**self.FIELDS, **values}
+        if len(fields) > len(self.FIELDS):
+            unknown = sorted(values.keys() - self.FIELDS.keys())
+            raise TypeError(f"unknown {type(self).__name__} fields {unknown}")
+        for name, value in fields.items():
+            set_field(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def as_dict(self):
+        """Fields in table order; a nested table becomes a nested dict."""
+        values = zip(self.FIELDS, self._values())
+        return {k: v.as_dict() if isinstance(v, _Table) else v for k, v in values}
+
+
+class Tolerances(_Table):
     """Pass/fail thresholds for the check suites, all strictly positive."""
 
-    flow_tol: float = 1e-10
-    lambda_tol: float = 1e-6
-    stationarity_tol: float = 1e-8
-    degeneracy_tol: float = 1e-9
-    operator_tol: float = 1e-4
-    phase_tol: float = 1e-6
+    FIELDS = {
+        "flow_tol": 1e-10, "lambda_tol": 1e-6, "stationarity_tol": 1e-8,
+        "degeneracy_tol": 1e-9, "operator_tol": 1e-4, "phase_tol": 1e-6,
+    }
+    __slots__ = tuple(FIELDS)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Table):
     """Everything a command needs: geometry, lattice sizes, seeds, thresholds."""
 
-    a: tuple = (0.0, 0.0, 0.0, 0.0)
-    b: tuple = (2.0, 0.6, 0.3, 0.1)
-    m: float = 1.0
-    hbar_tilde: float = 1.0
-    N: int = 10000
-    sigma2_0: float = 0.5
-    sigma2_values: tuple | None = None
-    sigma1_0: tuple | None = None
-    C: float | None = None
-    branch: int = 1
-    seed: int = 7
-    operator_N: int = 16
-    n_perturbations: int = 100
-    n_phase_perturbations: int = 20
-    n_lambda_sets: int = 50
-    amplitude: float = 0.3
-    tolerances: Tolerances = field(default_factory=Tolerances)
+    FIELDS = {
+        "a": (0.0, 0.0, 0.0, 0.0),
+        "b": (2.0, 0.6, 0.3, 0.1),
+        "m": 1.0,
+        "hbar_tilde": 1.0,
+        "N": 10000,
+        "sigma2_0": 0.5,
+        "sigma2_values": None,
+        "sigma1_0": None,
+        "C": None,
+        "branch": 1,
+        "seed": 7,
+        "operator_N": 16,
+        "n_perturbations": 100,
+        "n_phase_perturbations": 20,
+        "n_lambda_sets": 50,
+        "amplitude": 0.3,
+        "tolerances": Tolerances(),
+    }
+    __slots__ = tuple(FIELDS)
 
     def validate(self):
         if self.N < 2:
@@ -75,7 +102,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if not (self.amplitude >= 0):
             raise ConfigError(f"amplitude must be >= 0, got {self.amplitude}")
-        for name, value in asdict(self.tolerances).items():
+        for name, value in self.tolerances.as_dict().items():
             if not (value > 0):
                 raise ConfigError(f"tolerance {name} must be positive, got {value}")
         for name in ("a", "b"):
@@ -104,18 +131,12 @@ class RunConfig:
             return np.asarray(self.sigma1_0, dtype=float)
         return optimal_sigma1(self.sigma2_0, self.a, self.b, self.run_duration())
 
-    def as_dict(self):
-        return asdict(self)
-
 
 def parse_branch(value):
-    """Accept +1/-1 as ints, or the strings '+', '-', '+1', '-1'."""
-    if isinstance(value, bool):
-        raise ConfigError(f"branch must be +1 or -1, got {value!r}")
-    if isinstance(value, int):
-        if value in (1, -1):
-            return value
-        raise ConfigError(f"branch must be +1 or -1, got {value!r}")
+    """Accept +1/-1 as ints, or the strings '+', '-', '+1', '-1'.
+
+    A bool is refused: ``str`` spells it ``True`` or ``False``.
+    """
     text = str(value).strip()
     if text in ("+", "+1", "1"):
         return 1
@@ -148,8 +169,7 @@ def _coerce_value(name, value):
     if name == "tolerances":
         if not isinstance(value, dict):
             raise ConfigError("tolerances must be an object")
-        known = {f.name for f in fields(Tolerances)}
-        bad = set(value) - known
+        bad = value.keys() - Tolerances.FIELDS.keys()
         if bad:
             raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
         return Tolerances(**{k: _finite(v) for k, v in value.items()})
@@ -188,18 +208,15 @@ def load_config(path=None, overrides=None):
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
 
-    known = {f.name: f for f in fields(RunConfig)}
-    unknown = set(data) - set(known)
+    unknown = data.keys() - RunConfig.FIELDS.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    merged = {}
-    for name, value in data.items():
-        merged[name] = _coerce(name, value)
+    merged = {name: _coerce(name, value) for name, value in data.items()}
     for name, value in (overrides or {}).items():
         if value is None:
             continue
-        if name not in known:
+        if name not in RunConfig.FIELDS:
             raise ConfigError(f"unknown override {name!r}")
         merged[name] = _coerce(name, value)
 
@@ -208,8 +225,4 @@ def load_config(path=None, overrides=None):
     if merged.get("sigma2_values"):
         merged.setdefault("sigma2_0", merged["sigma2_values"][0])
 
-    try:
-        cfg = RunConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg.validate()
+    return RunConfig(**merged).validate()

@@ -22,10 +22,6 @@ algebra above.  Functional derivatives follow the lattice dictionary
 delta/delta x(c_i) -> (1/dc) d/dx_i with delta(0) -> 1/dc.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import NumericalOverflow, NumericalUnderflow, ZeroDuration, float_errors_as
@@ -36,6 +32,7 @@ from .phase_flow import (
     require_shared_grid,
     sample_closed_form,
 )
+from .values import Frozen, set_field
 from .worldline import velocities
 
 # Wave-functional moduli below this are too flat to probe by differences.
@@ -44,45 +41,41 @@ MODULUS_FLOOR = 1e-300
 EXP_CEILING = float(np.log(np.finfo(float).max))
 
 
-@dataclass(frozen=True)
-class WaveParameters:
+class WaveParameters(Frozen):
     """Everything defining one wave functional on a given world line."""
 
-    flow_init: FlowInitialData
-    m: float
-    hbar_tilde: float = 1.0
-    r1_0: np.ndarray = field(default_factory=lambda: np.zeros(4))
-    r2_0: float = 0.0
+    __slots__ = ("flow_init", "m", "hbar_tilde", "r1_0", "r2_0")
 
-    def __post_init__(self):
-        r1 = as_four_vector(self.r1_0)
+    def __init__(self, flow_init, m, hbar_tilde=1.0, r1_0=(0.0, 0.0, 0.0, 0.0), r2_0=0.0):
+        r1 = as_four_vector(r1_0)
         r1.setflags(write=False)
-        object.__setattr__(self, "r1_0", r1)
-        if self.m < 0:
+        if m < 0:
             raise ValueError("mass must be non-negative")
-        if not (self.hbar_tilde > 0):
+        if not (hbar_tilde > 0):
             raise ValueError("hbar_tilde must be positive")
+        set_field(self, "flow_init", flow_init)
+        set_field(self, "m", m)
+        set_field(self, "hbar_tilde", hbar_tilde)
+        set_field(self, "r1_0", r1)
+        set_field(self, "r2_0", r2_0)
 
 
-@dataclass(frozen=True)
-class LambdaBreakdown:
+class LambdaBreakdown(Frozen):
     """Eigenvalue split into its boundary bracket, quadrature, and mass parts."""
 
-    boundary: float
-    quadrature: float
-    mass: float
+    __slots__ = ("boundary", "quadrature", "mass")
+
+    def __init__(self, boundary, quadrature, mass):
+        set_field(self, "boundary", boundary)
+        set_field(self, "quadrature", quadrature)
+        set_field(self, "mass", mass)
 
     @property
     def total(self):
         return self.boundary + self.quadrature + self.mass
 
     def as_dict(self):
-        return {
-            "boundary": self.boundary,
-            "quadrature": self.quadrature,
-            "mass": self.mass,
-            "total": self.total,
-        }
+        return {**{name: getattr(self, name) for name in self.__slots__}, "total": self.total}
 
 
 def lambda_closed_form(init, a, b, m, C):

@@ -5,8 +5,6 @@ Four-vectors are plain numpy arrays of shape (4,) holding raised
 leading axes, so every function here broadcasts over an (..., 4) layout.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

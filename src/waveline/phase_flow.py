@@ -15,58 +15,50 @@ agreement (and the RK4 error contracting like h^4) is one of the levers
 the verification suite pulls.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadGrid, FlowSingularity, GridMismatch
 from .minkowski import as_four_vector
+from .values import Frozen, set_field
 from .worldline import lattice
 
 # D(c) at or below this is treated as on top of the pole.
 DENOMINATOR_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class FlowInitialData:
+class FlowInitialData(Frozen):
     """Coefficients at c = 0: a four-vector sigma1_0 and a scalar sigma2_0."""
 
-    sigma1_0: np.ndarray
-    sigma2_0: float
+    __slots__ = ("sigma1_0", "sigma2_0")
 
-    def __post_init__(self):
-        v = as_four_vector(self.sigma1_0)
+    def __init__(self, sigma1_0, sigma2_0):
+        v = as_four_vector(sigma1_0)
         v.setflags(write=False)
-        object.__setattr__(self, "sigma1_0", v)
-        object.__setattr__(self, "sigma2_0", float(self.sigma2_0))
-        if not np.isfinite(self.sigma2_0):
+        s2 = float(sigma2_0)
+        if not np.isfinite(s2):
             raise ValueError("sigma2_0 must be finite")
+        set_field(self, "sigma1_0", v)
+        set_field(self, "sigma2_0", s2)
 
 
-@dataclass(frozen=True)
-class FlowCoefficients:
+class FlowCoefficients(Frozen):
     """Coefficients sampled on a grid: sigma1 is (M, 4), column-major, and sigma2 is (M,)."""
 
-    grid: np.ndarray
-    sigma1: np.ndarray
-    sigma2: np.ndarray
+    __slots__ = ("grid", "sigma1", "sigma2")
 
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        s1 = np.asarray(self.sigma1, dtype=float, order="F")
-        s2 = np.asarray(self.sigma2, dtype=float, order="F")
+    def __init__(self, grid, sigma1, sigma2):
+        g = np.asarray(grid, dtype=float)
+        s1 = np.asarray(sigma1, dtype=float, order="F")
+        s2 = np.asarray(sigma2, dtype=float, order="F")
         if g.ndim != 1 or g.size < 2:
             raise BadGrid(f"flow grid must be 1-d with >= 2 samples, got shape {g.shape}")
         if s1.shape != (g.size, 4) or s2.shape != (g.size,):
             raise BadGrid("coefficient arrays do not match the grid")
-        for arr in (g, s1, s2):
+        for name, arr in (("grid", g), ("sigma1", s1), ("sigma2", s2)):
             arr.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "sigma1", s1)
-        object.__setattr__(self, "sigma2", s2)
+            set_field(self, name, arr)
 
     @property
     def C(self):

@@ -17,10 +17,6 @@ measured here is the failure of that identity on a sampled world line; it
 should vanish at second order in the lattice spacing for any trajectory.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 import numpy as np
 
 from .eigenvalue import trapezoid_weights
@@ -33,17 +29,20 @@ from .phase_flow import (
     sample_closed_form,
 )
 from .stationarity import optimal_sigma1
+from .values import Frozen, set_field
 
 # |Q| below this leaves the rescaled clock with no room to tick.
 Q_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class PhaseGeometry:
+class PhaseGeometry(Frozen):
     """Logarithmic duration and shifted center for one coefficient choice."""
 
-    Q: float
-    x_tilde: np.ndarray
+    __slots__ = ("Q", "x_tilde")
+
+    def __init__(self, Q, x_tilde):
+        set_field(self, "Q", Q)
+        set_field(self, "x_tilde", x_tilde)
 
 
 def log_duration(sigma2_0, C):

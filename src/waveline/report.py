@@ -5,22 +5,23 @@ byte-identical run_report.json: wall-clock time is kept on the in-memory
 report (and echoed to the terminal) but deliberately left out of the file.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
+from .values import Frozen, set_field
 
-@dataclass(frozen=True)
-class CheckResult:
+
+class CheckResult(Frozen):
     """One named pass/fail measurement against its threshold."""
 
-    name: str
-    passed: bool
-    value: float
-    tolerance: float
-    detail: str = ""
+    __slots__ = ("name", "passed", "value", "tolerance", "detail")
+
+    def __init__(self, name, passed, value, tolerance, detail=""):
+        set_field(self, "name", name)
+        set_field(self, "passed", passed)
+        set_field(self, "value", value)
+        set_field(self, "tolerance", tolerance)
+        set_field(self, "detail", detail)
 
     @property
     def status(self):
@@ -70,12 +71,14 @@ def failed_check(name, exc):
     )
 
 
-@dataclass(frozen=True)
-class RunReport:
-    command: str
-    config: dict
-    checks: tuple
-    wall_clock_s: float
+class RunReport(Frozen):
+    __slots__ = ("command", "config", "checks", "wall_clock_s")
+
+    def __init__(self, command, config, checks, wall_clock_s):
+        set_field(self, "command", command)
+        set_field(self, "config", config)
+        set_field(self, "checks", checks)
+        set_field(self, "wall_clock_s", wall_clock_s)
 
     @property
     def overall(self):

@@ -14,46 +14,41 @@ action +/- m sqrt((b-a).(b-a)) for timelike endpoint pairs, which is the
 solver's main physics check.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoConvergence, NumericalOverflow, ZeroDuration, ZeroMass, float_errors_as
 from .eigenvalue import lambda_closed_form
 from .minkowski import as_four_vector, timelike_interval_squared
 from .phase_flow import DENOMINATOR_FLOOR, FlowInitialData, checked_denominator, denominator
+from .values import Frozen, set_field
 
 GRAD_STEP = 1e-6  # relative finite-difference step for gradients
 HESS_STEP = 1e-4  # relative finite-difference step for Hessians
 MAX_BACKTRACK = 30
 
 
-@dataclass(frozen=True)
-class StationarityReport:
+class StationarityReport(Frozen):
     """Outcome of one stationary search plus the flat-direction scan."""
 
-    sigma1_star: np.ndarray
-    C_star: float
-    branch: int
-    lambda_star: float
-    gradient_norm: float
-    iterations: int
-    converged: bool
-    sigma2_scan: tuple = ()
+    __slots__ = ("sigma1_star", "C_star", "branch", "lambda_star", "gradient_norm",
+                 "iterations", "converged", "sigma2_scan")
+
+    def __init__(self, sigma1_star, C_star, branch, lambda_star, gradient_norm,
+                 iterations, converged, sigma2_scan=()):
+        set_field(self, "sigma1_star", sigma1_star)
+        set_field(self, "C_star", C_star)
+        set_field(self, "branch", branch)
+        set_field(self, "lambda_star", lambda_star)
+        set_field(self, "gradient_norm", gradient_norm)
+        set_field(self, "iterations", iterations)
+        set_field(self, "converged", converged)
+        set_field(self, "sigma2_scan", sigma2_scan)
 
     def as_dict(self):
-        return {
-            "sigma1_star": list(self.sigma1_star),
-            "C_star": self.C_star,
-            "branch": self.branch,
-            "lambda_star": self.lambda_star,
-            "gradient_norm": self.gradient_norm,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "sigma2_scan": [list(pair) for pair in self.sigma2_scan],
-        }
+        d = {name: getattr(self, name) for name in self.__slots__}
+        d["sigma1_star"] = list(self.sigma1_star)
+        d["sigma2_scan"] = [list(pair) for pair in self.sigma2_scan]
+        return d
 
 
 def optimal_sigma1(sigma2_0, a, b, C):

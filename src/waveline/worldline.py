@@ -7,14 +7,11 @@ the bulk, one-sided at the ends), which keeps every downstream quadrature
 second-order accurate in the lattice spacing.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import BadGrid
 from .minkowski import as_four_vector
+from .values import Frozen, set_field
 
 # Fine grid used to normalize random perturbation fields so the same seed
 # names the same continuum bump regardless of the lattice it lands on.
@@ -33,30 +30,28 @@ def lattice(C, N):
     return np.linspace(0.0, float(C), N + 1)
 
 
-@dataclass(frozen=True)
-class Worldline:
+class Worldline(Frozen):
     """Sampled trajectory: ``points[i]`` is the event at c = i*C/N.
 
     ``points`` is column-major, like every lattice array: one component per column.
     ``grid`` is its ``lattice(C, N)``, built once and read-only.
     """
 
-    C: float
-    N: int
-    points: np.ndarray
-    grid: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("C", "N", "points", "grid")
 
-    def __post_init__(self):
-        grid = lattice(self.C, self.N)
+    def __init__(self, C, N, points):
+        grid = lattice(C, N)
         grid.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        pts = np.array(self.points, dtype=float, order="F")
-        if pts.shape != (self.N + 1, 4):
-            raise BadGrid(f"points shape {pts.shape} does not match N={self.N}")
+        pts = np.array(points, dtype=float, order="F")
+        if pts.shape != (N + 1, 4):
+            raise BadGrid(f"points shape {pts.shape} does not match N={N}")
         if not np.all(np.isfinite(pts)):
             raise BadGrid("world-line samples must be finite")
         pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        set_field(self, "C", C)
+        set_field(self, "N", N)
+        set_field(self, "points", pts)
+        set_field(self, "grid", grid)
 
     @property
     def dc(self):

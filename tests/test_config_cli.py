@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -169,12 +169,12 @@ class TestConfig:
 
     @given(
         st.dictionaries(
-            st.sampled_from([f.name for f in fields(RunConfig)]),
+            st.sampled_from(list(RunConfig.FIELDS)),
             st.recursive(
                 st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
                 lambda inner: st.lists(inner, max_size=5)
                 | st.dictionaries(
-                    st.sampled_from([f.name for f in fields(Tolerances)] + ["x"]),
+                    st.sampled_from([*Tolerances.FIELDS, "x"]),
                     inner,
                     max_size=3,
                 ),
@@ -202,6 +202,19 @@ class TestConfig:
         for bad in ("x", 0, 2, True):
             with pytest.raises(ConfigError):
                 parse_branch(bad)
+
+    @pytest.mark.parametrize(
+        "value, sign",
+        [(1, 1), (-1, -1), ("+", 1), ("-", -1), ("+1", 1), ("-1", -1), ("1", 1), (" -1 ", -1)],
+    )
+    def test_parse_branch_accepts_the_signs(self, value, sign):
+        assert parse_branch(value) == sign
+
+    @pytest.mark.parametrize("value", [True, False, 0, 2, 1.0, -1.0, "x", "", "True", None, [1]])
+    def test_parse_branch_refuses_the_rest_by_name(self, value):
+        with pytest.raises(ConfigError) as info:
+            parse_branch(value)
+        assert str(info.value) == f"branch must be +1 or -1, got {value!r}"
 
     def test_run_duration_resolution(self):
         cfg = load_config()
@@ -362,6 +375,30 @@ class TestCli:
             assert main(argv + ["--out", tmp]) in (0, 1)
             rows = (Path(tmp) / "flow_errors.csv").read_text().splitlines()[1:]
         assert rows == [f"{s2!r},{rung},{err!r}" for s2, rung, err in lone_rung_errors(sigma2s, n)]
+
+    @given(
+        st.sampled_from(["lambda", "stationary", "phase", "verify"]),
+        st.lists(st.sampled_from(EDGE_CURVATURES), min_size=1, max_size=3),
+        st.integers(1, 40),
+        st.sampled_from([1, -1, "+", "-", 0, 2, True, "x"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_commands_on_edge_curvatures_exit_cleanly(self, command, sigma2s, n, branch):
+        # load_config refuses N = 1 and a branch that is not a sign (exit 2);
+        # every other draw runs its suite to a written report.  Any warning,
+        # not only a RuntimeWarning, is an error here.
+        refused = n < 2 or isinstance(branch, bool) or branch not in (1, -1, "+", "-")
+        config = {"n_perturbations": 2, "n_phase_perturbations": 2, "n_lambda_sets": 2,
+                  "operator_N": 4, "branch": branch}
+        argv = [command, "--sigma2=" + ",".join(map(repr, sigma2s)), "--N", str(n)]
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = Path(tmp) / "run.json"
+            path.write_text(json.dumps(config))
+            code = main(argv + ["--config", str(path), "--out", tmp])
+            wrote = (Path(tmp) / "run_report.json").exists()
+        assert code in ((2,) if refused else (0, 1))
+        assert wrote != refused
 
     def test_bad_config_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
