@@ -33,23 +33,25 @@ def build_parser():
         description="Variational checks for the free-particle action eigenvalue "
         "on discretized world lines.",
     )
+    # the options every command takes, declared once and copied into each
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", default=None, metavar="PATH",
+                        help="JSON configuration file")
+    shared.add_argument("--out", default="out", metavar="DIR",
+                        help="directory for run_report.json and artifacts")
+    shared.add_argument("--seed", type=int, default=None,
+                        help="override the random seed")
+    shared.add_argument("--N", type=int, default=None,
+                        help="override the number of lattice intervals")
+    shared.add_argument("--sigma2", default=None, metavar="V[,V...]",
+                        help="override the initial curvature(s), comma-separated")
+    shared.add_argument("--branch", default=None, choices=("+", "-", "+1", "-1"),
+                        help="sign branch for the stationary point")
+    shared.add_argument("--list", action="store_true", dest="list_checks",
+                        help="print the check names this command runs and exit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, metavar="PATH",
-                       help="JSON configuration file")
-        p.add_argument("--out", default="out", metavar="DIR",
-                       help="directory for run_report.json and artifacts")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the random seed")
-        p.add_argument("--N", type=int, default=None,
-                       help="override the number of lattice intervals")
-        p.add_argument("--sigma2", default=None, metavar="V[,V...]",
-                       help="override the initial curvature(s), comma-separated")
-        p.add_argument("--branch", default=None, choices=("+", "-", "+1", "-1"),
-                       help="sign branch for the stationary point")
-        p.add_argument("--list", action="store_true", dest="list_checks",
-                       help="print the check names this command runs and exit")
+        sub.add_parser(name, help=help_text, parents=[shared])
     return parser
 
 

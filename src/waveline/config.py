@@ -205,6 +205,8 @@ def load_config(path=None, overrides=None):
             raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # a 4301-digit integer, deep nesting
+            raise ConfigError(f"config {path} cannot be parsed: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import NullSeparation, SpacelikeSeparation, ZeroMass
+from .errors import NullSeparation, NumericalOverflow, SpacelikeSeparation, ZeroMass, float_errors_as
 
 # Diagonal of the metric tensor (+, -, -, -).
 METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
@@ -61,9 +61,14 @@ def dot(u, v):
 
 
 def interval_squared(a, b):
-    """Squared invariant interval between events ``a`` and ``b``."""
-    d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-    return dot(d, d)
+    """Squared invariant interval between events ``a`` and ``b``.
+
+    A separation whose square leaves the float range (a far endpoint such
+    as b = (1e200, 0, 0, 0)) raises NumericalOverflow.
+    """
+    with float_errors_as(NumericalOverflow, "squared interval between the endpoints"):
+        d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
+        return dot(d, d)
 
 
 def timelike_interval_squared(a, b):

@@ -194,6 +194,13 @@ def _stationary_setup(w, sigma2_0):
     return flow, phase_geometry(sigma2_0, w.a, w.b, w.C)
 
 
+def _two_clock_difference(w, flow, geo, q_grid, pts_q):
+    """phase_q - phase_c of ``w`` from its flow samples, geometry and log-clock events."""
+    # x.x squares past the float range on a far-flung line (amplitude ~ 1e200)
+    with float_errors_as(NumericalOverflow, f"phase difference over C={w.C!r}"):
+        return phase_eval_q(pts_q, q_grid, geo.x_tilde) - phase_eval_c(w, flow)
+
+
 def phase_difference(w, sigma2_0):
     """phase_q - phase_c for one world line, with the stationary sigma1_0.
 
@@ -202,9 +209,7 @@ def phase_difference(w, sigma2_0):
     """
     flow, geo = _stationary_setup(w, sigma2_0)
     q_grid, pts_q = resample_on_log_clock(w, sigma2_0)
-    # x.x squares past the float range on a far-flung line (amplitude ~ 1e200)
-    with float_errors_as(NumericalOverflow, f"phase difference over C={w.C!r}"):
-        return phase_eval_q(pts_q, q_grid, geo.x_tilde) - phase_eval_c(w, flow)
+    return _two_clock_difference(w, flow, geo, q_grid, pts_q)
 
 
 def phase_expansion(base, sigma2_0, modes):
@@ -221,10 +226,14 @@ def phase_expansion(base, sigma2_0, modes):
     log-clock events are the resampled base plus the resampled mode
     columns times ``coef``, and both trapezoid rules are fixed weights.
     The endpoints, and with them sigma1_0 and x_tilde, do not move.
-    Returns ``(g, Q)`` with shapes (K, 4) and (K, K).
+    Returns ``(anchor, g, Q)``: ``anchor`` is ``phase_difference(base,
+    sigma2_0)`` bit for bit, from the splined base line already at hand,
+    and ``g`` and ``Q`` have shapes (K, 4) and (K, K).
     """
     flow, geo = _stationary_setup(base, sigma2_0)
     q_grid, base_q = resample_on_log_clock(base, sigma2_0)
+    # before the mode columns are splined, so its temporaries never coexist with theirs
+    anchor = _two_clock_difference(base, flow, geo, q_grid, base_q)
     _, modes_q = resample_on_log_clock(base, sigma2_0, values=modes)
     wq = trapezoid_weights(q_grid)
     wc = trapezoid_weights(base.grid)
@@ -235,7 +244,7 @@ def phase_expansion(base, sigma2_0, modes):
     q = 0.25 * modes_q.T @ (wq[:, None] * modes_q) - 0.5 * modes.T @ (
         (wc * flow.sigma2)[:, None] * modes
     )
-    return g, q
+    return anchor, g, q
 
 
 def predicted_phase_offset(sigma2_0, a, b, C):

@@ -40,6 +40,17 @@ QUICK = {
     "operator_N": 10,
 }
 
+# QUICK at a generic geometry: a off the origin, m and hbar_tilde off 1, so
+# terms in a, m against m**2, or hbar_tilde against its square can differ.
+_GENERIC_A = (0.1, -0.2, 0.05, 0.3)
+GENERIC = {
+    **QUICK,
+    "a": _GENERIC_A,
+    "b": tuple(np.add(_GENERIC_A, (2.0, 0.6, 0.3, 0.1)).tolist()),
+    "m": 1.3,
+    "hbar_tilde": 0.7,
+}
+
 
 def child_env():
     """The environment with this package's source first on PYTHONPATH.

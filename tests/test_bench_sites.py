@@ -71,7 +71,8 @@ def test_phase_resample_sites_and_one_spline_pass(tmp_path):
     # the 200 trajectories come from one expansion around the base line;
     # only the two-clock consistency check perturbs a line directly
     assert metrics["worldline.perturb_interior.calls"] == 1
-    assert metrics["phase_functional.phase_difference.calls"] == 2
-    # the base line for the anchor and for the expansion, the six mode
+    # the consistency line; the expansion returns the base line's anchor
+    assert metrics["phase_functional.phase_difference.calls"] == 1
+    # the base line, once for the expansion and its anchor, the six mode
     # columns (one spline over all of them), the consistency line
-    assert metrics["phase_functional.resample_on_log_clock.calls"] == 4
+    assert metrics["phase_functional.resample_on_log_clock.calls"] == 3

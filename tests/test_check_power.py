@@ -1,18 +1,19 @@
 """Each check can fail: a plausible slip in the algebra it guards makes it fail.
 
 Every case patches one slip into the package and runs the suite that holds
-the named checks on the QUICK config; the same run without the slip passes
-those checks.  phase_trajectory_independence is not used here: it already
-fails on QUICK (its 1e-8 bound does not scale with N).
+the named checks on the QUICK config, or on GENERIC where the default
+geometry (a = 0, m = 1) hides the slip; the same run without the slip
+passes those checks.  phase_trajectory_independence is not used here: it
+already fails on QUICK (its 1e-8 bound does not scale with N).
 """
 
 import numpy as np
 import pytest
 
-from waveline import checks, eigenvalue, phase_flow, phase_functional
+from waveline import checks, config, eigenvalue, phase_flow, phase_functional, stationarity
 from waveline.config import load_config
 
-from conftest import QUICK
+from conftest import GENERIC, QUICK
 
 
 def flipped_flow_sign(monkeypatch):
@@ -57,36 +58,63 @@ def swapped_x_tilde(monkeypatch):
     monkeypatch.setattr(phase_functional, "shift_point", lambda a, b, q: shift(b, a, q))
 
 
+def center_without_e_q(monkeypatch):
+    # x_tilde = -(b - a) / (e^Q - 1): the e^Q weight on a dropped
+    def dropped(a, b, q):
+        return -(np.asarray(b, dtype=float) - np.asarray(a, dtype=float)) / np.expm1(q)
+
+    monkeypatch.setattr(phase_functional, "shift_point", dropped)
+
+
+def sigma1_without_d(monkeypatch):
+    # sigma1_0 = (b - a) / (2C): the factor D on a dropped, at every lookup site
+    def dropped(sigma2_0, a, b, C):
+        return (np.asarray(b, dtype=float) - np.asarray(a, dtype=float)) / (2.0 * C)
+
+    for module in (stationarity, config, checks, phase_functional):
+        monkeypatch.setattr(module, "optimal_sigma1", dropped)
+
+
 CASES = {
     "flow-rhs-sign": (
         flipped_flow_sign, checks.flow_suite,
-        tuple(f"flow_accuracy[sigma2_0={s2:g}]" for s2 in (-0.4, 0.5, 2.0)),
+        tuple(f"flow_accuracy[sigma2_0={s2:g}]" for s2 in (-0.4, 0.5, 2.0)), QUICK,
     ),
     "delta0": (
         dropped_delta0, checks.operator_suite,
-        ("operator_phase_only", "operator_imaginary_part"),
+        ("operator_phase_only", "operator_imaginary_part"), QUICK,
     ),
     "frozen-ladder": (
-        frozen_ladder, checks.lambda_suite, ("lambda_worldline_independence_order",),
+        frozen_ladder, checks.lambda_suite, ("lambda_worldline_independence_order",), QUICK,
     ),
     "one-sided-stencil": (
         one_sided_stencil, checks.lambda_suite, ("lambda_worldline_independence_order",),
+        QUICK,
     ),
     "x-tilde": (
         swapped_x_tilde, checks.phase_suite,
-        ("phase_two_clock_consistency", "phase_center_identity"),
+        ("phase_two_clock_consistency", "phase_center_identity"), QUICK,
+    ),
+    "center-without-e^Q": (
+        center_without_e_q, checks.phase_suite,
+        ("phase_two_clock_consistency", "phase_center_identity"), GENERIC,
+    ),
+    "sigma1-without-D": (
+        sigma1_without_d, checks.verify_suite,
+        ("curvature_degeneracy", "phase_two_clock_consistency", "phase_center_identity"),
+        GENERIC,
     ),
 }
 
 
-def statuses(suite, names):
-    found = {c.name: c.passed for c in suite(load_config(overrides=QUICK)).checks}
+def statuses(suite, names, overrides):
+    found = {c.name: c.passed for c in suite(load_config(overrides=overrides)).checks}
     return [found[name] for name in names]
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_slip_fails_its_check(monkeypatch, case):
-    slip, suite, names = CASES[case]
-    assert statuses(suite, names) == [True] * len(names)
+    slip, suite, names, overrides = CASES[case]
+    assert statuses(suite, names, overrides) == [True] * len(names)
     slip(monkeypatch)
-    assert statuses(suite, names) == [False] * len(names)
+    assert statuses(suite, names, overrides) == [False] * len(names)

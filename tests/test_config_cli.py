@@ -432,6 +432,9 @@ class TestCli:
             {"tolerances": {"phase_tol": True}},
             b'\xff\xfe{"N": 200}',  # not UTF-8: raw bytes, written as they are
             {"sigma2_values": []},
+            # past Python's 4300-digit integer limit, and the decoder's recursion limit
+            pytest.param(b'{"N": 1' + b"0" * 5000 + b"}", id="5001-digit-integer"),
+            pytest.param(b"[" * 200_000, id="200000-nested-arrays"),
         ],
     )
     def test_mistyped_value_exits_2(self, tmp_path, payload, capsys):
@@ -641,6 +644,51 @@ class TestCli:
             details = {c["name"]: c.get("detail", "") for c in checks if c["status"] == "fail"}
             for name, error in failures.items():
                 assert details[name].startswith(error), (case, name, details[name])
+
+    @pytest.mark.parametrize(
+        "command, failures",
+        [
+            ("verify --sigma2=0,1e12,-0.5 --N 27",
+             ("lambda_worldline_independence_order", "lambda_breakdown",
+              "stationary_search", "operator_oracle", "phase_consistency")),
+            ("flow --sigma2=0.5 --N 10", ()),
+            ("lambda --sigma2=0.5 --N 10",
+             ("lambda_worldline_independence_order", "lambda_breakdown")),
+            ("stationary --sigma2=0.5 --N 10", ("stationary_search",)),
+            ("phase --sigma2=0.5 --N 10", ("phase_consistency",)),
+        ],
+    )
+    def test_far_endpoint_fails_by_name(self, tmp_path, capsys, command, failures):
+        # b - a = (1e200, 0, 0, 0) squares past the float range: every suite
+        # that needs the interval names the overflow and prints no warning
+        # (any warning is an error here); flow never reads the endpoints and
+        # fails only its accuracy at N = 10
+        cfgp = write_quick_config(tmp_path, b=[1e200, 0, 0, 0])
+        out = tmp_path / "out"
+        assert main(command.split() + ["--config", cfgp, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        checks = json.loads((out / "run_report.json").read_text())["checks"]
+        details = {c["name"]: c.get("detail", "") for c in checks if c["status"] == "fail"}
+        for name in failures:
+            assert details[name].startswith(
+                "NumericalOverflow: squared interval between the endpoints"
+            ), (name, details[name])
+
+    def test_far_endpoint_phase_spread_fails_by_name(self, tmp_path, capsys):
+        # at b = (1e100, 0, 0, 0) the interval is finite, but the phase
+        # differences are near 1e200 and their std squares past the float
+        # range; the other phase checks still report
+        cfgp = write_quick_config(tmp_path, b=[1e100, 0, 0, 0])
+        out = tmp_path / "out"
+        argv = ["phase", "--sigma2=0.5", "--N", "10", "--config", cfgp, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "run_report.json").read_text())
+        details = {c["name"]: c.get("detail", "") for c in report["checks"]}
+        assert details["phase_trajectory_independence"].startswith(
+            "NumericalOverflow: spread of 4 phase differences"
+        )
+        assert "phase_center_identity" in details
 
     def test_unwritable_out_exits_2(self, tmp_path):
         blocker = tmp_path / "file"

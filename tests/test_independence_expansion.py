@@ -72,6 +72,22 @@ def test_shared_normalization_table_keeps_displacements_bit_identical():
     np.testing.assert_array_equal(seed_displacements(AMP, SEEDS, C_RUN), np.array(expected))
 
 
+@pytest.mark.parametrize("amplitude", [AMP, 0.0])
+@pytest.mark.parametrize("seeds", [range(3, 4), range(1, 18), range(8, 208)])
+def test_batched_peaks_keep_displacements_bit_identical(seeds, amplitude):
+    # seed_displacements takes the peaks of several seeds per product; each
+    # seed's scaled coefficients must equal those of the one-seed path
+    # exactly, signed zeros included, whichever chunk the seed falls in and
+    # however full its chunk is
+    expected = []
+    for seed in seeds:
+        coef, peak = perturbation_coefficients(seed, C_RUN)
+        expected.append((amplitude / peak) * coef)
+    stack = seed_displacements(amplitude, seeds, C_RUN)
+    assert stack.shape == (len(seeds), 6, 4)
+    assert stack.tobytes() == np.array(expected).tobytes()
+
+
 def test_zero_amplitude_gives_zero_displacements():
     assert not np.any(seed_displacements(0.0, SEEDS, C_RUN))
 

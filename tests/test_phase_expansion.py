@@ -2,7 +2,8 @@
 
 The phase suite splines the base line and its six sine-mode columns once
 and takes every trajectory's phase_q - phase_c from
-``phase_functional.phase_expansion``.  These tests hold that expansion to
+``phase_functional.phase_expansion``, anchored at the base line's own
+difference, which the expansion computes from the same splined events.  These tests hold that expansion to
 the direct ``phase_difference(perturb_interior(...))`` path seed by seed.
 """
 
@@ -25,9 +26,9 @@ AMP = 0.3 * np.sqrt(interval_squared(A, B))
 
 
 def expanded_differences(base, sigma2_0, seeds=SEEDS, amplitude=AMP):
-    g, q = phase_expansion(base, sigma2_0, interior_modes(base))
+    anchor, g, q = phase_expansion(base, sigma2_0, interior_modes(base))
     coefs = seed_displacements(amplitude, seeds, base.C)
-    return phase_difference(base, sigma2_0) + expansion_deltas(g, q, coefs)
+    return anchor + expansion_deltas(g, q, coefs)
 
 
 def worst_miss(base, sigma2_0):
@@ -61,10 +62,21 @@ def test_relative_std_matches_direct_one():
     assert rel_std(diffs) == pytest.approx(rel_std(direct), rel=1e-6)
 
 
+@pytest.mark.parametrize("sigma2_0", [-0.3, 0.5, 2.0])
+@pytest.mark.parametrize("n", [100, 1000])
+def test_anchor_is_the_direct_difference_bit_for_bit(n, sigma2_0):
+    # the expansion reuses its splined base line for the anchor; the value
+    # must be the one phase_difference computes on its own
+    base = straight_line(A, B, C_RUN, n)
+    anchor, _, _ = phase_expansion(base, sigma2_0, interior_modes(base))
+    direct = phase_difference(base, sigma2_0)
+    assert np.float64(anchor).tobytes() == np.float64(direct).tobytes()
+
+
 def test_zero_coefficients_return_the_anchor():
     base = straight_line(A, B, C_RUN, 100)
-    anchor = phase_difference(base, 0.5)
-    g, q = phase_expansion(base, 0.5, interior_modes(base))
+    anchor, g, q = phase_expansion(base, 0.5, interior_modes(base))
+    assert anchor == phase_difference(base, 0.5)
     assert g.shape == (6, 4) and q.shape == (6, 6)
     assert anchor + expansion_deltas(g, q, np.zeros((3, 6, 4)))[0] == anchor
     np.testing.assert_array_equal(
