@@ -293,12 +293,16 @@ def independence_spread(base, flow, m, displacements):
     :func:`waveline.eigenvalue.lattice_expansion`), anchored at the base
     line's own lattice eigenvalue.
     """
-    # sigma2 ~ 1e300 squares past the float range in the expansion's weights
+    # sigma2 ~ 1e300 squares past the float range in the expansion's weights,
+    # and m, C and amplitude ~ 1e200 carry the eigenvalues themselves past it
     context = f"lattice expansion at sigma2_0={float(flow.sigma2[0])!r}"
     with float_errors_as(NumericalOverflow, context):
         g, q = lattice_expansion(base, flow, interior_modes(base))
-    lam0 = lambda_lattice(base, flow, m)
-    return float(np.ptp(np.append(lam0 + expansion_deltas(g, q, displacements), lam0)))
+        lam0 = lambda_lattice(base, flow, m)
+        lams = np.append(lam0 + expansion_deltas(g, q, displacements), lam0)
+    if not np.isfinite(lams).all():
+        raise NumericalOverflow(f"{context}: an eigenvalue leaves the float range")
+    return float(np.ptp(lams))
 
 
 def _curved_sigma2(cfg):

@@ -7,15 +7,13 @@ run_report.json (plus suite artifacts) to --out.
 """
 
 import argparse
-import ctypes
 import os
 import sys
 import time
 from pathlib import Path
 
-from .checks import CHECK_NAMES, SUITES
-from .config import load_config
-from .errors import ConfigError
+# report imports no numpy; the modules that do are imported inside main(),
+# so that entry() can set the BLAS thread count before numpy loads
 from .report import RunReport, format_check_line, write_json
 
 COMMANDS = {
@@ -63,6 +61,8 @@ def _overrides_from(args):
                 float(tok) for tok in args.sigma2.split(",") if tok.strip()
             )
         except ValueError as exc:
+            from .errors import ConfigError
+
             raise ConfigError(f"--sigma2 expects comma-separated numbers: {exc}") from exc
     return overrides
 
@@ -82,6 +82,10 @@ def _print_lines(lines):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    from .checks import CHECK_NAMES, SUITES
+    from .config import load_config
+    from .errors import ConfigError
+
     if args.list_checks:
         error = _print_lines(CHECK_NAMES[args.command])
         if error is None:
@@ -136,6 +140,8 @@ def _keep_freed_memory_mapped():
     default thresholds their pages are unmapped when freed and faulted back
     in by the next set.  Elsewhere (no ``mallopt`` symbol) this does nothing.
     """
+    import ctypes
+
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -146,15 +152,20 @@ def _keep_freed_memory_mapped():
 
 
 def entry():
-    """The ``waveline`` process: ``main()`` plus two process-wide policies.
+    """The ``waveline`` process: ``main()`` plus three process-wide policies.
 
-    Freed memory stays mapped while the suites run, and once ``main()`` has
-    returned (every report and artifact already closed) the process flushes
-    stdout and stderr and leaves with ``os._exit``, skipping interpreter
-    teardown.  A ``SystemExit`` from argparse or an exception escaping
-    ``main()`` takes the normal interpreter exit.  Library callers of
-    ``main()`` get neither policy.
+    OpenBLAS starts on one thread: the variable is set before ``main()``
+    imports numpy, unless the caller's environment already sets it, because
+    a second BLAS thread busy-waits for about 0.1 s of CPU after numpy loads
+    and the suites' matrix products are too small to share.  Freed memory
+    stays mapped while the suites run, and once ``main()`` has returned
+    (every report and artifact already closed) the process flushes stdout
+    and stderr and leaves with ``os._exit``, skipping interpreter teardown.
+    A ``SystemExit`` from argparse or an exception escaping ``main()`` takes
+    the normal interpreter exit.  Library callers of ``main()`` get none of
+    the three policies.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     _keep_freed_memory_mapped()
     code = main()
     try:

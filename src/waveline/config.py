@@ -56,6 +56,12 @@ class Tolerances(_Table):
     __slots__ = tuple(FIELDS)
 
 
+# Largest N and operator_N.  A run's lattice arrays peak at about 600 bytes
+# a node (verify: 49 MB at N = 20 000, 217 MB at 300 000), so at this cap
+# they take about 0.6 GB; past about 1e18 numpy cannot even size them.
+MAX_N = 10**6
+
+
 class RunConfig(_Table):
     """Everything a command needs: geometry, lattice sizes, seeds, thresholds."""
 
@@ -85,6 +91,9 @@ class RunConfig(_Table):
             raise ConfigError(f"N must be >= 2, got {self.N}")
         if self.operator_N < 4:
             raise ConfigError(f"operator_N must be >= 4, got {self.operator_N}")
+        for name in ("N", "operator_N"):
+            if getattr(self, name) > MAX_N:
+                raise ConfigError(f"{name} must be <= {MAX_N}, got {getattr(self, name)}")
         if not (self.m > 0):
             raise ConfigError(f"m must be positive, got {self.m}")
         if not (self.hbar_tilde > 0):

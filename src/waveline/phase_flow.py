@@ -92,11 +92,14 @@ def denominator(sigma2_0, c):
     Past |sigma2_0| = DBL_MAX / 2 the factor 2 sigma2_0 is infinite, and
     infinity times c = 0 is NaN; there D is formed as 1 + 2 (sigma2_0 c),
     so D(0) is exactly 1 and a D past the float range is an infinity of its
-    sign, without a warning.
+    sign, without a warning.  So is D wherever 2 sigma2_0 c leaves the range
+    (sigma2_0 ~ 1e300 at c ~ 1e200): the product at the largest |c|, taken
+    in Python floats, which round alike and never warn, tells in advance.
     """
     c = np.asarray(c, dtype=float)
-    two_s = 2.0 * sigma2_0
-    if math.isfinite(two_s):
+    two_s = 2.0 * float(sigma2_0)
+    reach = abs(float(c)) if c.ndim == 0 else float(np.abs(c).max(initial=0.0))
+    if math.isfinite(two_s * reach):
         return 1.0 + two_s * c
     with np.errstate(over="ignore"):
         return 1.0 + 2.0 * (sigma2_0 * c)

@@ -10,7 +10,9 @@ already fails on QUICK (its 1e-8 bound does not scale with N).
 import numpy as np
 import pytest
 
-from waveline import checks, config, eigenvalue, phase_flow, phase_functional, stationarity
+from waveline import (
+    checks, config, eigenvalue, minkowski, phase_flow, phase_functional, stationarity,
+)
 from waveline.config import load_config
 
 from conftest import GENERIC, QUICK
@@ -75,6 +77,40 @@ def sigma1_without_d(monkeypatch):
         monkeypatch.setattr(module, "optimal_sigma1", dropped)
 
 
+def reduced_lambda_with_m(monkeypatch):
+    # lambda(C) = (b-a).(b-a)/(4C) + m C: the mass term's m^2 as m
+    def slipped(C, a, b, m):
+        return stationarity.timelike_interval_squared(a, b) / (4.0 * C) + m * C
+
+    for module in (stationarity, checks):
+        monkeypatch.setattr(module, "reduced_lambda", slipped)
+
+
+def action_with_m_squared(monkeypatch):
+    # S = +/- m^2 sqrt((b-a)^2): the classical action's m as m^2
+    action = minkowski.classical_action
+
+    def slipped(a, b, m, branch=1):
+        return m * action(a, b, m, branch=branch)
+
+    for module in (minkowski, checks):
+        monkeypatch.setattr(module, "classical_action", slipped)
+
+
+def modulus_with_hbar(monkeypatch):
+    # the modulus terms of lambda_lattice weighted by hbar_tilde, not its square
+    lattice = eigenvalue.lambda_lattice
+
+    def slipped(w, flow, m, params=None):
+        phase_only = lattice(w, flow, m)
+        if params is None:
+            return phase_only
+        return phase_only + (lattice(w, flow, m, params) - phase_only) / params.hbar_tilde
+
+    for module in (eigenvalue, checks):
+        monkeypatch.setattr(module, "lambda_lattice", slipped)
+
+
 CASES = {
     "flow-rhs-sign": (
         flipped_flow_sign, checks.flow_suite,
@@ -103,6 +139,19 @@ CASES = {
         sigma1_without_d, checks.verify_suite,
         ("curvature_degeneracy", "phase_two_clock_consistency", "phase_center_identity"),
         GENERIC,
+    ),
+    "reduced-lambda-m": (
+        reduced_lambda_with_m, checks.stationarity_suite,
+        ("classical_limit_identity[branch=+1]", "classical_limit_identity[branch=-1]"), GENERIC,
+    ),
+    "action-m^2": (
+        action_with_m_squared, checks.stationarity_suite,
+        ("stationary_eigenvalue", "classical_limit_identity[branch=+1]",
+         "classical_limit_identity[branch=-1]"),
+        GENERIC,
+    ),
+    "modulus-hbar": (
+        modulus_with_hbar, checks.operator_suite, ("operator_phase_and_modulus",), GENERIC,
     ),
 }
 

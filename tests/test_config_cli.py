@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from waveline import errors
 from waveline.checks import CHECK_NAMES, FLOW_BENCH_SIGMA1
 from waveline.cli import main
-from waveline.config import RunConfig, Tolerances, load_config, parse_branch
+from waveline.config import MAX_N, RunConfig, Tolerances, load_config, parse_branch
 from waveline.errors import ConfigError, FlowSingularity
 from waveline.phase_flow import FlowInitialData, integrate_flow, sample_closed_form
 from waveline.report import (
@@ -145,6 +145,13 @@ class TestConfig:
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("field", ["N", "operator_N"])
+    def test_lattice_sizes_are_capped(self, field):
+        # the cap bounds the lattice arrays' memory, far above N = 20 000
+        assert getattr(load_config(overrides={field: MAX_N}), field) == MAX_N
+        with pytest.raises(ConfigError, match=f"^{field} must be <= {MAX_N}, got {MAX_N + 1}$"):
+            load_config(overrides={field: MAX_N + 1})
 
     @pytest.mark.parametrize(
         "payload",
@@ -689,6 +696,47 @@ class TestCli:
             "NumericalOverflow: spread of 4 phase differences"
         )
         assert "phase_center_identity" in details
+
+    @pytest.mark.parametrize(
+        "argv, config, error",
+        [
+            # 2 sigma2_0 is finite, 2 sigma2_0 C is not: D is +inf, and
+            # sigma1_0 = (b - a D) / (2C) names the overflow
+            ("verify --sigma2=1e300 --N 8", {"C": 1e200},
+             {"lambda_worldline_independence_order": "stationary sigma1_0 over C=1e+200",
+              "phase_consistency": "stationary sigma1_0 over C=1e+200"}),
+            ("phase --sigma2=1e300,-0.5,5.0 --N 3", {"m": 1e-150},
+             {"phase_consistency": "stationary sigma1_0 over C=9.4"}),
+            # the lattice eigenvalues themselves are infinite
+            ("lambda --sigma2=0,1e-320 --N 10", {"amplitude": 1e200, "C": 1e200, "m": 1e200},
+             {"lambda_worldline_independence_order":
+              "lattice expansion at sigma2_0=0.5: an eigenvalue leaves the float range"}),
+        ],
+    )
+    def test_eigenvalues_past_the_float_range_fail_by_name(
+        self, tmp_path, capsys, argv, config, error
+    ):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(argv.split() + ["--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        checks = json.loads((out / "run_report.json").read_text())["checks"]
+        details = {c["name"]: c.get("detail", "") for c in checks if c["status"] == "fail"}
+        for name, message in error.items():
+            assert details[name].startswith(f"NumericalOverflow: {message}"), details[name]
+
+    @pytest.mark.parametrize(
+        "field, argv", [("N", ["phase"]), ("operator_N", ["verify", "--N", "100"])]
+    )
+    def test_huge_lattice_size_exits_2(self, tmp_path, capsys, field, argv):
+        # np.linspace cannot even size a lattice of 10**30 nodes
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({field: 10**30}))
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {field} must be <= {MAX_N}, got {10**30}\n"
+        assert not out.exists()
 
     def test_unwritable_out_exits_2(self, tmp_path):
         blocker = tmp_path / "file"
