@@ -94,7 +94,8 @@ class SuiteResult:
                 write_json(path, payload)
 
 
-def _merge(*suites):
+def merge(*suites):
+    """One SuiteResult of the suites' checks and artifacts, in the order given."""
     checks, artifacts = [], {}
     for s in suites:
         checks.extend(s.checks)
@@ -633,7 +634,7 @@ def phase_suite(cfg):
 
 def verify_suite(cfg):
     """Every check family, plus the negative-control meta-check."""
-    return _merge(
+    return merge(
         flow_suite(cfg),
         lambda_suite(cfg, with_control=True),
         stationarity_suite(cfg),

@@ -1,3 +1,5 @@
+import fnmatch
+import glob
 import os
 from pathlib import Path
 
@@ -61,6 +63,12 @@ def child_env():
     src = str(Path(waveline.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return dict(os.environ, PYTHONPATH=path)
+
+
+def matches(name, pattern):
+    """``name`` is an instance of the CHECK_NAMES ``pattern``; ``*`` is its one wildcard."""
+    # brackets in check names are literal
+    return fnmatch.fnmatchcase(name, glob.escape(pattern).replace("[*]", "*"))
 
 
 def rel_err(x, y, floor=1.0):

@@ -9,8 +9,6 @@ command runs has no place in it.
 """
 
 import ast
-import fnmatch
-import glob
 import json
 import sys
 from pathlib import Path
@@ -21,7 +19,7 @@ import waveline
 from waveline.checks import CHECK_NAMES
 from waveline.cli import COMMANDS, main
 
-from conftest import QUICK
+from conftest import QUICK, matches
 
 # (command, extra config keys, flags); the failing runs put a pole inside
 # the run duration, make the endpoints null so every suite that needs
@@ -43,15 +41,14 @@ RUNS = (
     ("flow", {}, ["--sigma2=1e300"]),
 )
 
-# Module-level functions the runs need not reach: the process wrapper runs
-# only in a child (tests/test_cli_process.py), and flow_rhs is the test
-# oracle for the batched RK4 right-hand side and the closed form.
-NOT_REACHED = {"cli.entry", "cli._keep_freed_memory_mapped", "phase_flow.flow_rhs"}
-
-
-def matches(name, pattern):
-    # brackets in check names are literal; only * is a wildcard
-    return fnmatch.fnmatchcase(name, glob.escape(pattern).replace("[*]", "*"))
+# Module-level functions the runs need not reach: the process wrapper and
+# the two-core verify it alone selects run only in a child
+# (tests/test_cli_process.py), and flow_rhs is the test oracle for the
+# batched RK4 right-hand side and the closed form.
+NOT_REACHED = {
+    "cli.entry", "cli._keep_freed_memory_mapped", "cli._verify_on_two_cores",
+    "phase_flow.flow_rhs",
+}
 
 
 def module_functions():

@@ -2,10 +2,12 @@
 
 Every case patches one slip into the package and runs the suite that holds
 the named checks on the QUICK config, or on GENERIC where the default
-geometry (a = 0, m = 1) hides the slip; the same run without the slip
-passes those checks.  phase_trajectory_independence is not used here: it
-already fails on QUICK (its 1e-8 bound does not scale with N).
+geometry (a = 0, m = 1) hides the slip, or on the default config; the same
+run without the slip passes those checks.  Every check a passing ``verify``
+reports has a case here, or a reason in UNGUARDED why it has none.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from waveline import (
 )
 from waveline.config import load_config
 
-from conftest import GENERIC, QUICK
+from conftest import GENERIC, QUICK, matches
 
 
 def flipped_flow_sign(monkeypatch):
@@ -111,6 +113,63 @@ def modulus_with_hbar(monkeypatch):
         monkeypatch.setattr(module, "lambda_lattice", slipped)
 
 
+def closed_form_with_m(monkeypatch):
+    # lambda = ... + m C: the closed form's mass term m^2 C as m C, at every lookup site
+    closed = eigenvalue.lambda_closed_form
+
+    def slipped(init, a, b, m, C):
+        return closed(init, a, b, m, C) - m * m * C + m * C
+
+    for module in (eigenvalue, checks, stationarity):
+        monkeypatch.setattr(module, "lambda_closed_form", slipped)
+
+
+def duration_without_half(monkeypatch):
+    # C* = sqrt((b-a).(b-a)) / m: the stationary duration's 1/2 dropped
+    duration = stationarity.optimal_C
+
+    def slipped(a, b, m, branch=1):
+        return 2.0 * duration(a, b, m, branch=branch)
+
+    for module in (stationarity, config, checks):
+        monkeypatch.setattr(module, "optimal_C", slipped)
+
+
+def fourth_stage_at_half_step(monkeypatch):
+    # RK4's k4 taken at y + (h/2) k3, not y + h k3: the step drops to first order
+    rhs = phase_flow.batched_rhs
+
+    def stepper(h, half, sixth, shape):
+        k1, k2, k3, k4 = np.empty((4,) + shape)
+
+        def step(y, out):
+            rhs(y, k1)
+            rhs(y + half * k1, k2)
+            rhs(y + half * k2, k3)
+            rhs(y + half * k3, k4)
+            out[...] = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        return step
+
+    monkeypatch.setattr(phase_flow, "_rk4_stepper", stepper)
+
+
+def operator_mass_with_m(monkeypatch):
+    # the probe's analytic mass term m C, not m^2 C, at every lookup site
+    probe = eigenvalue.apply_action_operator
+
+    def slipped(params, w, h=1e-4):
+        return probe(params, w, h) - params.m * params.m * w.C + params.m * w.C
+
+    for module in (eigenvalue, checks):
+        monkeypatch.setattr(module, "apply_action_operator", slipped)
+
+
+def flowing_control(monkeypatch):
+    # the negative control's ladder fed the flowing coefficients it should freeze
+    monkeypatch.setattr(checks, "frozen_coefficients", phase_flow.sample_closed_form)
+
+
 CASES = {
     "flow-rhs-sign": (
         flipped_flow_sign, checks.flow_suite,
@@ -130,6 +189,11 @@ CASES = {
     "x-tilde": (
         swapped_x_tilde, checks.phase_suite,
         ("phase_two_clock_consistency", "phase_center_identity"), QUICK,
+    ),
+    # phase_trajectory_independence fails on QUICK (its 1e-8 bound does not
+    # scale with N), so its case runs at the default config
+    "x-tilde-default-N": (
+        swapped_x_tilde, checks.phase_suite, ("phase_trajectory_independence",), {},
     ),
     "center-without-e^Q": (
         center_without_e_q, checks.phase_suite,
@@ -153,7 +217,27 @@ CASES = {
     "modulus-hbar": (
         modulus_with_hbar, checks.operator_suite, ("operator_phase_and_modulus",), GENERIC,
     ),
+    "closed-form-m": (
+        closed_form_with_m, checks.lambda_suite, ("lambda_three_form_agreement",), QUICK,
+    ),
+    "duration-half": (
+        duration_without_half, checks.stationarity_suite, ("stationary_duration",), QUICK,
+    ),
+    "rk4-fourth-stage": (
+        fourth_stage_at_half_step, checks.flow_suite, ("flow_step_halving_contraction",), QUICK,
+    ),
+    "operator-mass-m": (
+        operator_mass_with_m, checks.operator_suite,
+        ("operator_exact_free", "operator_phase_only", "operator_phase_and_modulus"), GENERIC,
+    ),
+    "flowing-control": (
+        flowing_control, functools.partial(checks.lambda_suite, with_control=True),
+        ("lambda_violation_detected",), QUICK,
+    ),
 }
+
+# Checks of a passing verify with no case above, each with the reason: none now
+UNGUARDED = {}
 
 
 def statuses(suite, names, overrides):
@@ -167,3 +251,14 @@ def test_slip_fails_its_check(monkeypatch, case):
     assert statuses(suite, names, overrides) == [True] * len(names)
     slip(monkeypatch)
     assert statuses(suite, names, overrides) == [False] * len(names)
+
+
+def test_every_check_of_a_passing_verify_has_a_case_or_a_reason():
+    # names that appear only when a measurement raises are not in a passing run
+    reported = [c.name for c in checks.verify_suite(load_config()).checks]
+    emitted = [p for p in checks.CHECK_NAMES["verify"] if any(matches(n, p) for n in reported)]
+    guarded = [name for *_, names, _ in CASES.values() for name in names]
+    for pattern in emitted:
+        covered = any(matches(name, pattern) for name in guarded)
+        assert covered != (pattern in UNGUARDED), pattern
+    assert set(UNGUARDED) <= set(emitted)

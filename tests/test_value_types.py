@@ -1,6 +1,8 @@
 """The value types: fields set once, and RunConfig/Tolerances built from one field table."""
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from waveline.phase_flow import FlowCoefficients, FlowInitialData
 from waveline.phase_functional import PhaseGeometry
 from waveline.report import CheckResult, RunReport
 from waveline.stationarity import StationarityReport
+from waveline.values import Frozen
 from waveline.worldline import straight_line
 
 INIT = FlowInitialData(np.zeros(4), 0.5)
@@ -43,6 +46,39 @@ TOLERANCE_KEYS = [
 
 def test_every_value_type_is_listed_once():
     assert len({type(v) for v in VALUES}) == len(VALUES) == 11
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    "pickle-0": lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+}
+
+
+def identical(x, y):
+    """Same type and the same bits: arrays by dtype, shape and bytes, floats by repr."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    if isinstance(x, Frozen):
+        return all(identical(getattr(x, n), getattr(y, n)) for n in type(x).__slots__)
+    if isinstance(x, (tuple, list)):
+        return len(x) == len(y) and all(map(identical, x, y))
+    if isinstance(x, dict):
+        return list(x) == list(y) and all(identical(x[k], y[k]) for k in x)
+    return repr(x) == repr(y)
+
+
+@pytest.mark.parametrize("how", list(COPIES))
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_copies_keep_every_field_and_stay_read_only(value, how):
+    # rebuilt past __init__: Worldline's grid is no __init__ argument
+    duplicate = COPIES[how](value)
+    assert duplicate is not value
+    assert identical(duplicate, value)
+    test_fields_cannot_be_rebound_or_deleted(duplicate)
 
 
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
