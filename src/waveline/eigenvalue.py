@@ -123,27 +123,47 @@ def lambda_boundary_form(flow, a, b, m):
     return LambdaBreakdown(boundary=float(bracket), quadrature=quad, mass=m * m * flow.C)
 
 
-def lambda_lattice(w, flow, m, params=None):
-    """Eigenvalue by direct trapezoid quadrature on a sampled world line.
+def phase_gradient(flow, x):
+    """sigma1 + sigma2 x at each node of ``x``, the (N+1, 4) gradient of the phase."""
+    return flow.sigma1 + flow.sigma2[:, None] * x
 
-    The integrand is xdot . (sigma1 + sigma2 x) - |sigma1 + sigma2 x|^2;
-    the mass term is added analytically.  When the coefficients obey the
-    flow this is independent of the interior of the world line up to the
-    O(dc^2) quadrature error.  Given WaveParameters, the modulus terms
-    hb^2 [ |r1_0 + r2_0 x|^2 + 4 r2_0 delta(0) ] join the integrand, with
-    delta(0) -> 1/dc on the lattice.
+
+def lattice_integrand(w, flow, params=None):
+    """Per-node integrand of (I Psi)/Psi predicted by the coefficient algebra.
+
+    Returns two real (N+1,) arrays ``(lam, res)``, the node's integrand
+    being lam - i hb res.  ``lam`` is xdot . sp - sp . sp with sp = sigma1
+    + sigma2 x, plus, given WaveParameters, hb^2 [ rp . rp + 4 r2_0 delta(0) ]
+    with rp = r1_0 + r2_0 x.  ``res``, whose quadrature must vanish for the
+    eigenvalue to be real, is xdot . rp - 2 sp . rp - 4 sigma2 delta(0), or
+    None without WaveParameters; delta(0) -> 1/dc on the lattice.  The two
+    stay real, so each trapezoid sums in a real quadrature's order.
+    Callers reduce them under float_errors_as: velocities ~ 1/dc overflow
+    their products on a tiny lattice (C ~ 1e-300).
     """
     require_shared_grid(w.grid, flow.grid)
-    # velocities ~ 1/dc overflow their products on a tiny lattice (C ~ 1e-300)
+    x = w.points
+    v = velocities(w)
+    sp = phase_gradient(flow, x)
+    lam = dot(v, sp) - dot(sp, sp)
+    if params is None:
+        return lam, None
+    rp = params.r1_0 + params.r2_0 * x
+    hb2 = params.hbar_tilde * params.hbar_tilde
+    lam = lam + hb2 * (dot(rp, rp) + 4.0 * params.r2_0 / w.dc)
+    return lam, dot(v, rp) - 2.0 * dot(sp, rp) - 4.0 * flow.sigma2 / w.dc
+
+
+def lambda_lattice(w, flow, m):
+    """Eigenvalue by direct trapezoid quadrature on a sampled world line.
+
+    Sums the real part of :func:`lattice_integrand`; the mass term is added
+    analytically.  When the coefficients obey the flow this is independent
+    of the interior of the world line up to the O(dc^2) quadrature error.
+    """
     with float_errors_as(NumericalOverflow, f"lattice eigenvalue at dc={w.dc!r}"):
-        x = w.points
-        sp = flow.sigma1 + flow.sigma2[:, None] * x
-        integrand = dot(velocities(w), sp) - dot(sp, sp)
-        if params is not None:
-            rp = params.r1_0 + params.r2_0 * x
-            hb2 = params.hbar_tilde * params.hbar_tilde
-            integrand = integrand + hb2 * (dot(rp, rp) + 4.0 * params.r2_0 / w.dc)
-        return float(np.trapezoid(integrand, w.grid)) + m * m * w.C
+        lam, _ = lattice_integrand(w, flow)
+        return float(np.trapezoid(lam, w.grid)) + m * m * w.C
 
 
 def trapezoid_weights(grid):
@@ -173,7 +193,7 @@ def lattice_expansion(w, flow, modes):
     require_shared_grid(w.grid, flow.grid)
     weights = trapezoid_weights(w.grid)
     s2 = flow.sigma2
-    sp = flow.sigma1 + s2[:, None] * w.points
+    sp = phase_gradient(flow, w.points)
     dmodes = velocities(w, modes)
     ws2 = weights * s2
     g = dmodes.T @ (weights[:, None] * sp) + modes.T @ (
@@ -198,33 +218,19 @@ def expansion_deltas(g, q, coefs):
     return out
 
 
-def reality_residual(flow, params, w):
-    """Quadrature of the condition that keeps the eigenvalue real.
-
-    The imaginary part of the applied operator is proportional to
-
-        integral( xdot . (r1_0 + r2_0 x) - 2 (sigma1 + sigma2 x) . (r1_0 + r2_0 x)
-                  - 4 sigma2 delta(0) ) dc
-
-    with delta(0) -> 1/dc.  Zero residual means the modulus profile is
-    compatible with the phase flow; the all-zero real part is *not*
-    compatible unless sigma2 vanishes, because of the delta(0) term.
-    """
-    require_shared_grid(w.grid, flow.grid)
-    x = w.points
-    sp = flow.sigma1 + flow.sigma2[:, None] * x
-    rp = params.r1_0 + params.r2_0 * x
-    integrand = (
-        dot(velocities(w), rp) - 2.0 * dot(sp, rp) - 4.0 * flow.sigma2 / w.dc
-    )
-    return float(np.trapezoid(integrand, w.grid))
-
-
 def predicted_action_eigenvalue(params, w):
-    """(I Psi)/Psi predicted by the coefficient algebra: lambda_full - i hb R."""
+    """(I Psi)/Psi predicted by the coefficient algebra: lambda_full - i hb R.
+
+    R is the reality residual, the quadrature of :func:`lattice_integrand`'s
+    ``res``.  Zero R means the modulus profile is compatible with the phase
+    flow; the all-zero real part is *not* compatible unless sigma2
+    vanishes, because of the delta(0) term.
+    """
     flow = sample_closed_form(params.flow_init, w.grid)
-    lam = lambda_lattice(w, flow, params.m, params)
-    res = reality_residual(flow, params, w)
+    with float_errors_as(NumericalOverflow, f"lattice eigenvalue at dc={w.dc!r}"):
+        lam, res = lattice_integrand(w, flow, params)
+        lam = float(np.trapezoid(lam, w.grid)) + params.m * params.m * w.C
+        res = float(np.trapezoid(res, w.grid))
     return complex(lam, -params.hbar_tilde * res)
 
 
@@ -256,9 +262,10 @@ def apply_action_operator(params, w, h=1e-4):
         exp(E + dE)/exp(E) = 1 + cexpm1(dE) with dE computed exactly from
         the node's own quadrature contribution;
       * endpoint nodes are pinned (the world line's ends are data, not
-        variables), so their integrand contributions come from the one
-        piece of algebra a derivative-free probe cannot reach; everything
-        the conjecture is actually tested on lives at the interior nodes.
+        variables), so a derivative probe cannot reach them: rows 0 and N
+        are read from :func:`lattice_integrand` as lam - i hb res, the
+        only rows taken from the algebra under test.  Everything the
+        conjecture is actually tested on lives at the interior nodes.
 
     Raises NumericalUnderflow when the functional's modulus is too small
     to difference meaningfully, and NumericalOverflow when one probe step
@@ -279,9 +286,6 @@ def apply_action_operator(params, w, h=1e-4):
         raise NumericalUnderflow(
             f"|Psi| ~ exp({r_exponent:.1f}) is below {MODULUS_FLOOR:g}"
         )
-
-    sp = s1 + s2[:, None] * x
-    rp = r1 + r2 * x
 
     def exponent_delta(i, mu, step):
         # Exact change of the exponent when x[i, mu] moves by `step`.  Only
@@ -307,12 +311,9 @@ def apply_action_operator(params, w, h=1e-4):
                 (hb / 1j) * np.sum(v[i] * d1)
                 + hb * hb * np.sum(METRIC_DIAG * d2)
             )
+        lam, res = lattice_integrand(w, flow, params)
         for i in (0, w.N):
-            grad = (1j / hb) * sp[i] + rp[i]  # raised components, complex
-            trace = ((1j / hb) * s2[i] + r2) * 4.0 / dc
-            integrand[i] = (hb / 1j) * dot(v[i], grad) + hb * hb * (
-                dot(grad, grad) + trace
-            )
+            integrand[i] = complex(lam[i], -hb * res[i])
 
         # Mass term added analytically so the free functional is handled exactly.
         return complex(np.trapezoid(integrand, w.grid)) + params.m * params.m * w.C

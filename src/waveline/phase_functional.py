@@ -19,7 +19,7 @@ should vanish at second order in the lattice spacing for any trajectory.
 
 import numpy as np
 
-from .eigenvalue import trapezoid_weights
+from .eigenvalue import phase_gradient, trapezoid_weights
 from .errors import BadGrid, DegenerateQ, NumericalOverflow, float_errors_as
 from .minkowski import as_four_vector, dot
 from .phase_flow import (
@@ -237,7 +237,7 @@ def phase_expansion(base, sigma2_0, modes):
     _, modes_q = resample_on_log_clock(base, sigma2_0, values=modes)
     wq = trapezoid_weights(q_grid)
     wc = trapezoid_weights(base.grid)
-    sp = flow.sigma1 + flow.sigma2[:, None] * base.points
+    sp = phase_gradient(flow, base.points)
     g = 0.5 * modes_q.T @ (wq[:, None] * (base_q - geo.x_tilde)) - modes.T @ (
         wc[:, None] * sp
     )

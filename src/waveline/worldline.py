@@ -125,20 +125,16 @@ def field_peaks(coefs, reference):
     return peaks
 
 
-def perturbation_coefficients(seed, C, reference=None):
+def perturbation_coefficients(seed, C):
     """Sine-mode coefficients drawn from ``seed`` and the peak norm of their field.
 
     Returns ``(coef, peak)``: ``coef`` is (MODES, 4), one column per
     component, and ``peak`` is the largest Euclidean norm over c of the
     field sum_k coef[k] sin(k*pi*c/C), measured on a fixed fine reference
     grid so one seed denotes one continuum field on every lattice.
-    ``reference`` is ``normalization_modes(C)``, for callers that draw
-    many seeds and build it once.
     """
     coef = seed_coefficients(seed)
-    if reference is None:
-        reference = normalization_modes(C)
-    return coef, field_peaks(coef[None], reference)[0]
+    return coef, field_peaks(coef[None], normalization_modes(C))[0]
 
 
 def interior_modes(w):

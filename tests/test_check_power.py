@@ -32,13 +32,14 @@ def flipped_flow_sign(monkeypatch):
 
 
 def dropped_delta0(monkeypatch):
-    # the reality quadrature without its -4 sigma2 delta(0) term, delta(0) -> 1/dc
-    residual = eigenvalue.reality_residual
+    # the reality integrand without its -4 sigma2 delta(0) term, delta(0) -> 1/dc
+    integrand = eigenvalue.lattice_integrand
 
-    def without_delta0(flow, params, w):
-        return residual(flow, params, w) + float(np.trapezoid(4.0 * flow.sigma2 / w.dc, w.grid))
+    def without_delta0(w, flow, params=None):
+        lam, res = integrand(w, flow, params)
+        return lam, None if res is None else res + 4.0 * flow.sigma2 / w.dc
 
-    monkeypatch.setattr(eigenvalue, "reality_residual", without_delta0)
+    monkeypatch.setattr(eigenvalue, "lattice_integrand", without_delta0)
 
 
 def frozen_ladder(monkeypatch):
@@ -100,17 +101,17 @@ def action_with_m_squared(monkeypatch):
 
 
 def modulus_with_hbar(monkeypatch):
-    # the modulus terms of lambda_lattice weighted by hbar_tilde, not its square
-    lattice = eigenvalue.lambda_lattice
+    # the modulus terms of the real integrand weighted by hbar_tilde, not its square
+    integrand = eigenvalue.lattice_integrand
 
-    def slipped(w, flow, m, params=None):
-        phase_only = lattice(w, flow, m)
+    def slipped(w, flow, params=None):
+        lam, res = integrand(w, flow, params)
         if params is None:
-            return phase_only
-        return phase_only + (lattice(w, flow, m, params) - phase_only) / params.hbar_tilde
+            return lam, res
+        phase_only, _ = integrand(w, flow)
+        return phase_only + (lam - phase_only) / params.hbar_tilde, res
 
-    for module in (eigenvalue, checks):
-        monkeypatch.setattr(module, "lambda_lattice", slipped)
+    monkeypatch.setattr(eigenvalue, "lattice_integrand", slipped)
 
 
 def closed_form_with_m(monkeypatch):

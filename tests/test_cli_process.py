@@ -265,8 +265,11 @@ def minor_faults(args, cwd):
         [sys.executable, *args], cwd=cwd, env=child_env(),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
+    # wait4 for the child's rusage; Popen is told the child is reaped, or
+    # it warns that the process is still running when it is collected
     _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
     return usage.ru_minflt
 
 

@@ -9,14 +9,18 @@ from waveline.eigenvalue import (
     lambda_boundary_form,
     lambda_closed_form,
     lambda_lattice,
+    lattice_integrand,
     predicted_action_eigenvalue,
-    reality_residual,
 )
 from waveline.phase_flow import FlowInitialData, sample_closed_form
 from waveline.worldline import perturb_interior, straight_line
 
 A = np.zeros(4)
 B1 = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def reality_residual(flow, params, w):
+    return float(np.trapezoid(lattice_integrand(w, flow, params)[1], w.grid))
 
 
 def make_flow(s1, s2, C, N):
@@ -120,14 +124,14 @@ class TestLattice:
         params = WaveParameters(init, m=1.0, hbar_tilde=hb, r1_0=r1, r2_0=r2)
         rp = r1 + r2 * w.points
         extra = hb * hb * (rp[:, 0] ** 2 - (rp[:, 1:] ** 2).sum(axis=1) + 4.0 * r2 / w.dc)
-        expected = lambda_lattice(w, flow, 1.0) + np.trapezoid(extra, w.grid)
-        assert lambda_lattice(w, flow, 1.0, params) == pytest.approx(expected, rel=1e-12)
+        lam, _ = lattice_integrand(w, flow, params)
+        np.testing.assert_allclose(lam, lattice_integrand(w, flow)[0] + extra, rtol=1e-12)
 
     def test_full_reduces_to_phase_only_when_real_part_vanishes(self):
         init, flow = make_flow(B1, 0.4, 0.8, 500)
         w = perturb_interior(straight_line(A, B1, 0.8, 500), 0.2, seed=4)
         params = WaveParameters(init, m=1.0)
-        assert lambda_lattice(w, flow, 1.0, params) == lambda_lattice(w, flow, 1.0)
+        assert np.array_equal(lattice_integrand(w, flow, params)[0], lattice_integrand(w, flow)[0])
 
 
 class TestRealityResidual:
@@ -152,7 +156,8 @@ class TestRealityResidual:
         flow = sample_closed_form(init, w.grid)
         z = predicted_action_eigenvalue(params, w)
         assert z.imag == pytest.approx(-0.7 * reality_residual(flow, params, w), rel=1e-12)
-        assert z.real == pytest.approx(lambda_lattice(w, flow, 1.0, params), rel=1e-12)
+        lam = np.trapezoid(lattice_integrand(w, flow, params)[0], w.grid)
+        assert z.real == pytest.approx(lam + 1.0 * w.C, rel=1e-12)
 
 
 class TestContainers:

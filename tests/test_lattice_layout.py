@@ -15,6 +15,7 @@ from waveline.eigenvalue import (
     lambda_boundary_form,
     lambda_lattice,
     lattice_expansion,
+    lattice_integrand,
 )
 from waveline.minkowski import dot
 from waveline.phase_flow import (
@@ -59,19 +60,20 @@ def dot_row_major(u, v):
     return out.item() if out.ndim == 0 else out
 
 
-def lattice_row_major(w, flow, m, params=None):
+def integrand_row_major(w, flow, params=None):
     x = row_major(w.points)
     sp = row_major(flow.sigma1) + flow.sigma2[:, None] * x
     xdot = np.gradient(x, w.dc, axis=0, edge_order=2)
-    integrand = dot_row_major(xdot, sp) - dot_row_major(sp, sp)
-    if params is not None:
-        # the constant modulus coefficients sampled on every node
-        r1 = row_major(np.broadcast_to(params.r1_0, x.shape))
-        r2 = np.full(w.N + 1, params.r2_0)
-        rp = r1 + r2[:, None] * x
-        hb2 = params.hbar_tilde * params.hbar_tilde
-        integrand = integrand + hb2 * (dot_row_major(rp, rp) + 4.0 * r2 / w.dc)
-    return float(np.trapezoid(integrand, w.grid)) + m * m * w.C
+    lam = dot_row_major(xdot, sp) - dot_row_major(sp, sp)
+    if params is None:
+        return lam, None
+    # the constant modulus coefficients sampled on every node
+    r1 = row_major(np.broadcast_to(params.r1_0, x.shape))
+    r2 = np.full(w.N + 1, params.r2_0)
+    rp = r1 + r2[:, None] * x
+    hb2 = params.hbar_tilde * params.hbar_tilde
+    lam = lam + hb2 * (dot_row_major(rp, rp) + 4.0 * r2 / w.dc)
+    return lam, dot_row_major(xdot, rp) - 2.0 * dot_row_major(sp, rp) - 4.0 * flow.sigma2 / w.dc
 
 
 def boundary_row_major(flow, a, b, m):
@@ -186,10 +188,12 @@ class TestLatticeResultsMatchTheRowMajorFormulas:
         params = WaveParameters(
             INIT, M, hbar_tilde=0.7, r1_0=[0.05, 0.02, -0.01, 0.03], r2_0=0.1
         )
-        assert lambda_lattice(perturbed, flow, M) == lattice_row_major(perturbed, flow, M)
-        assert lambda_lattice(perturbed, flow, M, params) == lattice_row_major(
-            perturbed, flow, M, params
-        )
+        lam, _ = integrand_row_major(perturbed, flow)
+        want = float(np.trapezoid(lam, perturbed.grid)) + M * M * perturbed.C
+        assert lambda_lattice(perturbed, flow, M) == want
+        got = lattice_integrand(perturbed, flow, params)
+        for got_part, want_part in zip(got, integrand_row_major(perturbed, flow, params)):
+            assert np.array_equal(got_part, want_part)
 
     def test_lambda_boundary_form(self, base):
         for flow in (sample_closed_form(INIT, base.grid), *integrate_flow([INIT], C_RUN, N)):

@@ -10,6 +10,7 @@ the delta(0) -> 1/dc lattice rule.
 import numpy as np
 import pytest
 
+from waveline import eigenvalue
 from waveline.errors import BadGrid, FlowSingularity, NumericalOverflow, NumericalUnderflow
 from waveline.eigenvalue import (
     WaveParameters,
@@ -53,6 +54,34 @@ class TestExactCases:
         w = lattice()
         assert apply_action_operator(params, w) == 1.3 * 1.3 * 1.0 + 0.0j
         assert operator_residual(params, w) == 0.0 + 0.0j
+
+
+class TestEndpointRows:
+    """The probe reads the predicted integrand at rows 0 and N, and nowhere else."""
+
+    @staticmethod
+    def probed_with_bump(monkeypatch, rows):
+        integrand = eigenvalue.lattice_integrand
+
+        def bumped(w, flow, params=None):
+            lam, res = integrand(w, flow, params)
+            lam[rows] += 1.0
+            res[rows] += 1.0
+            return lam, res
+
+        monkeypatch.setattr(eigenvalue, "lattice_integrand", bumped)
+        return apply_action_operator(SIGMA_AND_R, lattice(seed=21))
+
+    def test_interior_rows_are_not_read(self, monkeypatch):
+        clean = apply_action_operator(SIGMA_AND_R, lattice(seed=21))
+        assert self.probed_with_bump(monkeypatch, slice(1, -1)) == clean
+
+    @pytest.mark.parametrize("row", [0, -1], ids=["row_0", "row_N"])
+    def test_endpoint_rows_are_read(self, monkeypatch, row):
+        clean = apply_action_operator(SIGMA_AND_R, lattice(seed=21))
+        moved = self.probed_with_bump(monkeypatch, row)
+        assert moved.real != clean.real
+        assert moved.imag != clean.imag
 
 
 class TestQuadraticFunctionals:
