@@ -6,6 +6,8 @@ payloads) worth writing next to the report.  The suites are deliberately
 independent of argparse so tests and library callers can drive them directly.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import FlowSingularity, NotMeasured, NumericalOverflow, WavelineError, float_errors_as
@@ -40,6 +42,7 @@ from .report import (
     CheckResult,
     failed_check,
     floor_check,
+    margin_ratio,
     threshold_check,
     window_check,
     write_csv,
@@ -68,6 +71,8 @@ FLOW_BENCH_SIGMA2 = (-0.4, 0.0, 0.5, 2.0)
 FLOW_BENCH_SIGMA1 = (1.0, -0.5, 0.25, 0.75)
 FLOW_BENCH_C = 1.0
 
+# The probe's step in units of hbar_tilde, so that one step turns the phase
+# (1/hbar_tilde) sigma by the same small angle at every quantum scale.
 OPERATOR_STEP = 1e-4
 OPERATOR_SIGMA1 = (0.3, 0.0, 0.0, 0.0)
 OPERATOR_SIGMA2 = 0.2
@@ -286,19 +291,19 @@ def seed_displacements(amplitude, seeds, C):
     return scale[:, None, None] * coefs
 
 
-def independence_spread(base, flow, m, displacements):
+def independence_spread(base, flow, m, displacements, modes):
     """Spread of the lattice eigenvalue over ``base`` and its displaced copies.
 
     Every copy's eigenvalue comes from the exact quadratic expansion of
     :func:`lambda_lattice` around ``base`` (see
     :func:`waveline.eigenvalue.lattice_expansion`), anchored at the base
-    line's own lattice eigenvalue.
+    line's own lattice eigenvalue.  ``modes`` is ``interior_modes(base)``.
     """
     # sigma2 ~ 1e300 squares past the float range in the expansion's weights,
     # and m, C and amplitude ~ 1e200 carry the eigenvalues themselves past it
     context = f"lattice expansion at sigma2_0={float(flow.sigma2[0])!r}"
     with float_errors_as(NumericalOverflow, context):
-        g, q = lattice_expansion(base, flow, interior_modes(base))
+        g, q = lattice_expansion(base, flow, modes)
         lam0 = lambda_lattice(base, flow, m)
         lams = np.append(lam0 + expansion_deltas(g, q, displacements), lam0)
     if not np.isfinite(lams).all():
@@ -327,13 +332,34 @@ def _independence_displacements(cfg):
     return seed_displacements(_amplitude(cfg), seeds, cfg.run_duration())
 
 
-def _independence_ladder(cfg, coefficients_for, displacements):
+def _run_rungs(cfg):
+    """``(line, modes)``: the run's straight line on ``n`` steps and its mode table.
+
+    Each is built on first use and kept for the rest of one suite call, so
+    the flowing ladder, the frozen control and the breakdown share them; a
+    build that raised is tried again by its next user and raises the same.
+    """
+
+    @functools.cache
+    def line(n):
+        return straight_line(cfg.a, cfg.b, cfg.run_duration(), n)
+
+    @functools.cache
+    def modes(n):
+        table = interior_modes(line(n))
+        table.setflags(write=False)  # every user reads the one table
+        return table
+
+    return line, modes
+
+
+def _independence_ladder(cfg, coefficients_for, displacements, rungs):
     """Spreads of the lattice eigenvalue over the N ladder, and their fitted order.
 
     ``coefficients_for(init, grid)`` supplies the coefficient samples, so the
     same machinery measures both the flowing (should be independent) and the
-    frozen (negative control, must not be) cases.  Returns ``(ns, spreads,
-    order)``.
+    frozen (negative control, must not be) cases.  ``rungs`` is
+    :func:`_run_rungs`'s pair.  Returns ``(ns, spreads, order)``.
     """
     s2, _ = _curved_sigma2(cfg)
     c_run = cfg.run_duration()
@@ -341,11 +367,12 @@ def _independence_ladder(cfg, coefficients_for, displacements):
     ns = _n_ladder(cfg.N)
     if len(ns) < 2:  # N = 8: one lattice, and a line through one point has no slope
         raise NotMeasured(f"lattice ladder {ns} has one size; an order needs two")
+    line, modes = rungs
     spreads = []
     for n in ns:
-        base = straight_line(cfg.a, cfg.b, c_run, n)
+        base = line(n)
         flow = coefficients_for(init, base.grid)
-        spreads.append(independence_spread(base, flow, cfg.m, displacements))
+        spreads.append(independence_spread(base, flow, cfg.m, displacements, modes(n)))
     if min(spreads) <= 0:
         # Perturbations that move nothing (zero amplitude) measure nothing;
         # an exactly zero spread is not evidence of independence.
@@ -354,9 +381,9 @@ def _independence_ladder(cfg, coefficients_for, displacements):
     return ns, spreads, float(-slope)
 
 
-def independence_checks(cfg, displacements):
+def independence_checks(cfg, displacements, rungs):
     """Eigenvalue must stop caring about the interior as the lattice refines."""
-    ns, spreads, order = _independence_ladder(cfg, sample_closed_form, displacements)
+    ns, spreads, order = _independence_ladder(cfg, sample_closed_form, displacements, rungs)
     check = floor_check(
         "lambda_worldline_independence_order",
         order,
@@ -370,19 +397,21 @@ def independence_checks(cfg, displacements):
     }
 
 
-def violation_control_checks(cfg, displacements):
+def violation_control_checks(cfg, displacements, rungs):
     """Meta-check: the independence measurement must catch frozen coefficients."""
-    ns, spreads, order = _independence_ladder(cfg, frozen_coefficients, displacements)
-    detected = order < 1.0 and spreads[-1] > 10.0 * cfg.tolerances.lambda_tol
+    ns, spreads, order = _independence_ladder(cfg, frozen_coefficients, displacements, rungs)
+    floor = 10.0 * cfg.tolerances.lambda_tol
+    detected = order < 1.0 and spreads[-1] > floor
     check = CheckResult(
         name="lambda_violation_detected",
         passed=bool(detected),
         value=spreads[-1],
-        tolerance=10.0 * cfg.tolerances.lambda_tol,
+        tolerance=floor,
         detail=_noted(
             f"frozen-coefficient spread must stay large (order {order:.2f})",
             _curved_sigma2(cfg)[1],
         ),
+        margin=margin_ratio(floor, spreads[-1]),
     )
     return [check], {
         "lambda_control_spreads.csv": (("N", "frozen_spread"), list(zip(ns, spreads)))
@@ -397,12 +426,14 @@ def lambda_suite(cfg, with_control=False):
     except WavelineError as exc:
         checks.append(failed_check("lambda_three_form_agreement", exc))
 
-    # Both independence measurements share one set of seed displacements.
+    # Both independence measurements share one set of seed displacements,
+    # and they and the breakdown share the run's line on each lattice size.
     # The control shows the flowing measurement can fail, which says nothing
     # when that measurement measured nothing: then the control is not run.
+    rungs = _run_rungs(cfg)
     try:
         displacements = _independence_displacements(cfg)
-        found, written = independence_checks(cfg, displacements)
+        found, written = independence_checks(cfg, displacements, rungs)
     except WavelineError as exc:
         checks.append(failed_check("lambda_worldline_independence_order", exc))
         if with_control:
@@ -413,7 +444,7 @@ def lambda_suite(cfg, with_control=False):
         artifacts.update(written)
         if with_control:
             try:
-                found, written = violation_control_checks(cfg, displacements)
+                found, written = violation_control_checks(cfg, displacements, rungs)
                 checks.extend(found)
                 artifacts.update(written)
             except WavelineError as exc:
@@ -422,7 +453,7 @@ def lambda_suite(cfg, with_control=False):
     try:
         c_run = cfg.run_duration()
         init = FlowInitialData(cfg.run_sigma1_0(), cfg.sigma2_0)
-        w = straight_line(cfg.a, cfg.b, c_run, cfg.N)
+        w = rungs[0](cfg.N)  # the ladder's rung of N steps
         flow = sample_closed_form(init, w.grid)
         breakdown = lambda_boundary_form(flow, cfg.a, cfg.b, cfg.m)
         payload = breakdown.as_dict()
@@ -497,11 +528,11 @@ def stationarity_suite(cfg):
             ("sigma2_0", "lambda"),
             [(s, l) for s, l in report.sigma2_scan],
         )
-        sweep = [
-            (branch, float(c), float(reduced_lambda(c, cfg.a, cfg.b, cfg.m)))
-            for branch in (1, -1)
-            for c in np.linspace(0.3, 2.5, 100) * optimal_C(cfg.a, cfg.b, cfg.m, branch)
-        ]
+        sweep = []
+        for branch in (1, -1):
+            cs = np.linspace(0.3, 2.5, 100) * optimal_C(cfg.a, cfg.b, cfg.m, branch)
+            lams = reduced_lambda(cs, cfg.a, cfg.b, cfg.m)
+            sweep.extend(zip([branch] * cs.size, cs.tolist(), lams.tolist()))
         artifacts["sweep_lambda_vs_C.csv"] = (("branch", "C", "lambda"), sweep)
     except WavelineError as exc:
         checks.append(failed_check("stationary_search", exc))
@@ -517,9 +548,11 @@ def operator_suite(cfg):
 
     The probe coefficients are fixed small numbers (geometry, mass, and
     hbar_tilde still come from the configuration): the point is to test the
-    coefficient algebra, and that test is parameter-independent.
+    coefficient algebra, and that test is parameter-independent.  The step
+    is ``OPERATOR_STEP * hbar_tilde``.
     """
     tol = cfg.tolerances.operator_tol
+    step = OPERATOR_STEP * cfg.hbar_tilde
     checks = []
     try:
         w = straight_line(cfg.a, cfg.b, cfg.run_duration(), cfg.operator_N)
@@ -554,7 +587,7 @@ def operator_suite(cfg):
         )
         for name, params, case_tol in cases:
             predicted = predicted_action_eigenvalue(params, w)
-            probed = apply_action_operator(params, w, h=OPERATOR_STEP)
+            probed = apply_action_operator(params, w, h=step)
             rel = abs(probed - predicted) / max(1.0, abs(predicted))
             checks.append(
                 threshold_check(name, rel, case_tol, detail="relative to the predicted value")

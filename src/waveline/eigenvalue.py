@@ -125,7 +125,9 @@ def lambda_boundary_form(flow, a, b, m):
 
 def phase_gradient(flow, x):
     """sigma1 + sigma2 x at each node of ``x``, the (N+1, 4) gradient of the phase."""
-    return flow.sigma1 + flow.sigma2[:, None] * x
+    out = flow.sigma2[:, None] * x
+    out += flow.sigma1  # IEEE addition commutes: the sum is sigma1 + sigma2 x bit for bit
+    return out
 
 
 def lattice_integrand(w, flow, params=None):
@@ -145,12 +147,13 @@ def lattice_integrand(w, flow, params=None):
     x = w.points
     v = velocities(w)
     sp = phase_gradient(flow, x)
-    lam = dot(v, sp) - dot(sp, sp)
+    lam = dot(v, sp)
+    lam -= dot(sp, sp)  # in place: dot's result is fresh
     if params is None:
         return lam, None
     rp = params.r1_0 + params.r2_0 * x
     hb2 = params.hbar_tilde * params.hbar_tilde
-    lam = lam + hb2 * (dot(rp, rp) + 4.0 * params.r2_0 / w.dc)
+    lam += hb2 * (dot(rp, rp) + 4.0 * params.r2_0 / w.dc)
     return lam, dot(v, rp) - 2.0 * dot(sp, rp) - 4.0 * flow.sigma2 / w.dc
 
 
@@ -267,15 +270,22 @@ def apply_action_operator(params, w, h=1e-4):
         only rows taken from the algebra under test.  Everything the
         conjecture is actually tested on lives at the interior nodes.
 
-    Raises NumericalUnderflow when the functional's modulus is too small
-    to difference meaningfully, and NumericalOverflow when one probe step
-    scales it past the float range (a huge lattice spacing) or the
-    1/dc**2 of the second difference does (a tiny one).
+    Raises NumericalUnderflow when the step ``h`` squares below the
+    smallest normal double (the second difference divides by h**2) or the
+    functional's modulus is too small to difference meaningfully, and
+    NumericalOverflow when one probe step scales it past the float range
+    (a huge lattice spacing) or the 1/dc**2 of the second difference does
+    (a tiny one).
     """
+    hb = params.hbar_tilde
+    if h * h < np.finfo(float).tiny:
+        raise NumericalUnderflow(
+            f"operator probe step h={h!r} at hbar_tilde={hb!r} squares below "
+            "the smallest normal double"
+        )
     flow = sample_closed_form(params.flow_init, w.grid)
     x = w.points
     v = velocities(w)
-    hb = params.hbar_tilde
     dc = w.dc
     s1, s2 = flow.sigma1, flow.sigma2
     r1, r2 = params.r1_0, params.r2_0

@@ -23,7 +23,8 @@ def as_four_vector(v):
     arr = np.asarray(v, dtype=float)
     if arr.shape != (4,):
         raise ValueError(f"expected 4 components, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    v0, v1, v2, v3 = arr.tolist()
+    if not (math.isfinite(v0) and math.isfinite(v1) and math.isfinite(v2) and math.isfinite(v3)):
         raise ValueError("four-vector components must be finite")
     return arr
 
@@ -53,11 +54,17 @@ def dot(u, v):
     u = u.astype(dtype, copy=False)
     v = v.astype(dtype, copy=False)
     # the space sum in np.sum's left-to-right order, without its 3-long inner loops
-    space = u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2] + u[..., 3] * v[..., 3]
-    out = u[..., 0] * v[..., 0] - space
-    if out.ndim == 0:
+    out = u[..., 1] * v[..., 1]
+    if out.ndim == 0:  # one pair of vectors: numpy scalars, as before
+        out = u[..., 0] * v[..., 0] - (out + u[..., 2] * v[..., 2] + u[..., 3] * v[..., 3])
         return out.item()
-    return out
+    # on stacks every product after the first lands in one scratch buffer
+    term = np.multiply(u[..., 2], v[..., 2])
+    out += term
+    np.multiply(u[..., 3], v[..., 3], out=term)
+    out += term
+    np.multiply(u[..., 0], v[..., 0], out=term)
+    return np.subtract(term, out, out=out)
 
 
 def interval_squared(a, b):

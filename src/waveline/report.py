@@ -6,22 +6,29 @@ report (and echoed to the terminal) but deliberately left out of the file.
 """
 
 import json
+import math
 from pathlib import Path
 
 from .values import Frozen, set_field
 
 
 class CheckResult(Frozen):
-    """One named pass/fail measurement against its threshold."""
+    """One named pass/fail measurement against its threshold.
 
-    __slots__ = ("name", "passed", "value", "tolerance", "detail")
+    ``margin`` says how close the value came to its bound, 1 or less being
+    inside it (nan when there is none); it is printed on the check's line
+    but not serialized.
+    """
 
-    def __init__(self, name, passed, value, tolerance, detail=""):
+    __slots__ = ("name", "passed", "value", "tolerance", "detail", "margin")
+
+    def __init__(self, name, passed, value, tolerance, detail="", margin=math.nan):
         set_field(self, "name", name)
         set_field(self, "passed", passed)
         set_field(self, "value", value)
         set_field(self, "tolerance", tolerance)
         set_field(self, "detail", detail)
+        set_field(self, "margin", margin)
 
     @property
     def status(self):
@@ -39,27 +46,34 @@ class CheckResult(Frozen):
         return d
 
 
+def margin_ratio(num, den):
+    """``num / den`` as a margin: a positive bound over a value at or below 0 is inf."""
+    return float(num) / float(den) if not den <= 0 else math.inf
+
+
 def threshold_check(name, value, tolerance, detail=""):
-    """CheckResult that passes when value <= tolerance."""
+    """CheckResult that passes when value <= tolerance; its margin is value/tolerance."""
     return CheckResult(
         name=name, passed=bool(value <= tolerance), value=float(value),
-        tolerance=float(tolerance), detail=detail,
+        tolerance=float(tolerance), detail=detail, margin=margin_ratio(value, tolerance),
     )
 
 
 def floor_check(name, value, floor, detail=""):
-    """CheckResult that passes when value >= floor (e.g. convergence orders)."""
+    """CheckResult that passes when value >= floor (e.g. orders); its margin is floor/value."""
     return CheckResult(
         name=name, passed=bool(value >= floor), value=float(value),
         tolerance=float(floor), detail=detail or "passes at or above the threshold",
+        margin=margin_ratio(floor, value),
     )
 
 
 def window_check(name, value, lo, hi, detail=""):
-    """CheckResult that passes when lo <= value <= hi."""
+    """CheckResult that passes when lo <= value <= hi; margin the larger of lo/value, value/hi."""
     return CheckResult(
         name=name, passed=bool(lo <= value <= hi), value=float(value),
         tolerance=float(hi), detail=detail or f"expected within [{lo:g}, {hi:g}]",
+        margin=max(margin_ratio(lo, value), margin_ratio(value, hi)),
     )
 
 
@@ -98,6 +112,8 @@ def format_check_line(check):
     tol = "" if check.tolerance != check.tolerance else f"  tol={check.tolerance:.6g}"
     val = "nan" if check.value != check.value else f"{check.value:.6g}"
     line = f"[{check.status.upper():4s}] {check.name}  value={val}{tol}"
+    if check.margin == check.margin:
+        line += f"  margin={check.margin:.3g}"
     if check.detail:
         line += f"  ({check.detail})"
     return line

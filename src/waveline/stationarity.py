@@ -70,9 +70,11 @@ def reduced_lambda(C, a, b, m):
     """lambda with sigma1_0 already re-solved: (b-a).(b-a)/(4C) + m^2 C.
 
     The sigma2_0 dependence cancels exactly in this substitution, which is
-    the flat direction the scan in the report is checking.
+    the flat direction the scan in the report is checking.  ``C`` is one
+    duration or an array of them; an array gives each entry's value, bit
+    for bit as one call per entry would, and the endpoints are checked once.
     """
-    if C == 0:
+    if np.any(C == 0):
         raise ZeroDuration("reduced eigenvalue needs C != 0")
     return timelike_interval_squared(a, b) / (4.0 * C) + m * m * C
 

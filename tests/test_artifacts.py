@@ -13,7 +13,7 @@ from waveline.config import load_config
 from waveline.minkowski import interval_squared
 from waveline.phase_flow import FlowInitialData, frozen_coefficients
 from waveline.stationarity import optimal_sigma1, reduced_lambda
-from waveline.worldline import straight_line
+from waveline.worldline import interior_modes, straight_line
 
 from conftest import QUICK
 
@@ -50,7 +50,8 @@ def test_control_spreads_are_the_frozen_spreads_per_rung(quick_verify):
     for n, spread in rows:
         base = straight_line(cfg.a, cfg.b, c_run, int(n))
         frozen = frozen_coefficients(init, base.grid)
-        assert float(spread) == independence_spread(base, frozen, cfg.m, displacements)
+        modes = interior_modes(base)
+        assert float(spread) == independence_spread(base, frozen, cfg.m, displacements, modes)
 
     control = by_name["lambda_violation_detected"]
     assert control["status"] == "pass"

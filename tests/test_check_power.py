@@ -114,6 +114,16 @@ def modulus_with_hbar(monkeypatch):
     monkeypatch.setattr(eigenvalue, "lattice_integrand", slipped)
 
 
+def fixed_probe_step(monkeypatch):
+    # the operator probe at the fixed step 1e-4 whatever hbar_tilde is
+    probe = checks.apply_action_operator
+
+    def fixed(params, w, h):
+        return probe(params, w, h=1e-4)
+
+    monkeypatch.setattr(checks, "apply_action_operator", fixed)
+
+
 def closed_form_with_m(monkeypatch):
     # lambda = ... + m C: the closed form's mass term m^2 C as m C, at every lookup site
     closed = eigenvalue.lambda_closed_form
@@ -217,6 +227,11 @@ CASES = {
     ),
     "modulus-hbar": (
         modulus_with_hbar, checks.operator_suite, ("operator_phase_and_modulus",), GENERIC,
+    ),
+    # at hbar_tilde = 1e-6 a fixed step turns the phase by radians per probe
+    "operator-fixed-step": (
+        fixed_probe_step, checks.operator_suite, ("operator_phase_only",),
+        {**QUICK, "N": 50, "hbar_tilde": 1e-6},
     ),
     "closed-form-m": (
         closed_form_with_m, checks.lambda_suite, ("lambda_three_form_agreement",), QUICK,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from waveline import errors
+from waveline import checks, errors
 from waveline.checks import CHECK_NAMES, FLOW_BENCH_SIGMA1
 from waveline.cli import main
 from waveline.config import MAX_N, RunConfig, Tolerances, load_config, parse_branch
@@ -19,6 +19,7 @@ from waveline.phase_flow import FlowInitialData, integrate_flow, sample_closed_f
 from waveline.report import (
     RunReport,
     failed_check,
+    floor_check,
     format_check_line,
     threshold_check,
     window_check,
@@ -260,8 +261,45 @@ class TestReport:
 
     def test_format_line(self):
         line = format_check_line(threshold_check("alpha", 0.5, 1.0, detail="d"))
-        assert line.startswith("[PASS] alpha")
-        assert "value=0.5" in line and "(d)" in line
+        assert line == "[PASS] alpha  value=0.5  tol=1  margin=0.5  (d)"
+
+    @pytest.mark.parametrize(
+        "check, margin",
+        [
+            # at-most checks: value / tolerance
+            (threshold_check("x", 2e-9, 1e-8), "0.2"),
+            (threshold_check("x", 3e-8, 1e-8), "3"),
+            (threshold_check("x", 0.0, 1e-8), "0"),
+            # floor checks: floor / value
+            (floor_check("x", 2.5, 2.0), "0.8"),
+            (floor_check("x", 1.6, 2.0), "1.25"),
+            (floor_check("x", 0.0, 2.0), "inf"),
+            (floor_check("x", -1.0, 2.0), "inf"),
+            # windows: the larger of lo / value and value / hi
+            (window_check("x", 16.0, 8.0, 32.0), "0.5"),
+            (window_check("x", 4.0, 8.0, 32.0), "2"),
+            (window_check("x", 64.0, 8.0, 32.0), "2"),
+        ],
+    )
+    def test_margin_is_one_or_less_inside_the_bound(self, check, margin):
+        assert f"margin={margin}" in format_check_line(check).split("  ")
+        assert (check.margin <= 1.0) == check.passed
+
+    def test_failed_and_nan_checks_print_no_margin(self):
+        for check in (failed_check("x", ValueError("boom")),
+                      threshold_check("x", float("nan"), 1.0)):
+            assert "margin" not in format_check_line(check)
+
+    def test_margin_is_not_serialized(self):
+        check = threshold_check("x", 0.5, 1.0)
+        assert "margin" not in json.dumps(check.as_dict())
+
+    def test_violation_control_margin_is_its_floor_over_the_spread(self):
+        suite = checks.lambda_suite(load_config(overrides=QUICK), with_control=True)
+        (control,) = [c for c in suite.checks if c.name == "lambda_violation_detected"]
+        assert control.passed
+        assert control.margin == control.tolerance / control.value
+        assert control.margin < 1.0
 
     def test_report_overall_and_json_shape(self):
         report = RunReport(

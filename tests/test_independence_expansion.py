@@ -50,7 +50,8 @@ def test_spread_matches_direct_spread(coefficients_for):
     flow = coefficients_for(INIT, base.grid)
     lams = [lambda_lattice(perturb_interior(base, AMP, s), flow, M) for s in SEEDS]
     lams.append(lambda_lattice(base, flow, M))
-    spread = independence_spread(base, flow, M, seed_displacements(AMP, SEEDS, C_RUN))
+    displacements = seed_displacements(AMP, SEEDS, C_RUN)
+    spread = independence_spread(base, flow, M, displacements, interior_modes(base))
     assert spread == pytest.approx(np.ptp(lams), rel=1e-10, abs=1e-14)
 
 

@@ -180,6 +180,13 @@ class TestDotMatchesTheRowMajorSum:
             assert type(got) is type(want)
             assert np.array_equal(got, want)
 
+    def test_a_vector_against_a_stack(self):
+        # the probe's modulus exponent contracts the constant r1_0 with every node
+        rng = np.random.default_rng(5)
+        u, v = rng.standard_normal(4), rng.standard_normal((N + 1, 4))
+        for left, right in ((u, v), (v, u), (u, np.asfortranarray(v))):
+            assert np.array_equal(dot(left, right), dot_row_major(left, right))
+
 
 class TestLatticeResultsMatchTheRowMajorFormulas:
     @pytest.mark.parametrize("coefficients_for", [sample_closed_form, frozen_coefficients])

@@ -7,10 +7,14 @@ therefore an independent test of the whole sigma/r bookkeeping, including
 the delta(0) -> 1/dc lattice rule.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from waveline import eigenvalue
+from waveline import checks, eigenvalue
+from waveline.cli import main
+from waveline.config import load_config
 from waveline.errors import BadGrid, FlowSingularity, NumericalOverflow, NumericalUnderflow
 from waveline.eigenvalue import (
     WaveParameters,
@@ -20,6 +24,8 @@ from waveline.eigenvalue import (
 from waveline.phase_flow import FlowInitialData
 from waveline.phase_functional import resample_on_log_clock
 from waveline.worldline import perturb_interior, straight_line
+
+from conftest import GENERIC
 
 A = np.zeros(4)
 B = np.array([1.0, 0.0, 0.0, 0.0])
@@ -156,3 +162,44 @@ class TestGuards:
         params = WaveParameters(FlowInitialData(np.zeros(4), -0.5), m=1.0)
         with pytest.raises(FlowSingularity):
             apply_action_operator(params, lattice())
+
+
+class TestStepScale:
+    """The suite probes with OPERATOR_STEP * hbar_tilde, so a phase step stays resolved."""
+
+    @pytest.mark.parametrize("hbar_tilde", [1e-3, 1e-6, 1e-12, 1e-100])
+    @pytest.mark.parametrize("geometry", [{}, GENERIC], ids=["default", "generic"])
+    def test_small_hbar_passes_the_value_checks(self, geometry, hbar_tilde):
+        cfg = load_config(overrides={**geometry, "N": 50, "hbar_tilde": hbar_tilde})
+        found = {c.name: c for c in checks.operator_suite(cfg).checks}
+        for name in ("operator_phase_only", "operator_phase_and_modulus"):
+            assert found[name].passed, (name, found[name].value)
+
+    def test_unit_hbar_keeps_the_fixed_step(self, monkeypatch):
+        steps = []
+        probe = checks.apply_action_operator
+
+        def recording(params, w, h):
+            steps.append(h)
+            return probe(params, w, h=h)
+
+        monkeypatch.setattr(checks, "apply_action_operator", recording)
+        checks.operator_suite(load_config())
+        assert steps == [checks.OPERATOR_STEP] * 3
+
+    def test_a_step_whose_square_underflows_is_refused(self):
+        with pytest.raises(NumericalUnderflow, match=r"step h=1e-160 at hbar_tilde=1.0"):
+            apply_action_operator(SIGMA_AND_R, lattice(), h=1e-160)
+
+    @pytest.mark.parametrize("geometry", [{}, GENERIC], ids=["default", "generic"])
+    def test_underflowing_step_fails_by_name(self, tmp_path, capsys, geometry):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**geometry, "hbar_tilde": 1e-200}))
+        out = tmp_path / "out"
+        assert main(["verify", "--N", "50", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "run_report.json").read_text())
+        details = {c["name"]: c.get("detail", "") for c in report["checks"]}
+        assert details["operator_oracle"].startswith(
+            "NumericalUnderflow: operator probe step h=1e-204 at hbar_tilde=1e-200"
+        )
