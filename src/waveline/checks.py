@@ -55,13 +55,12 @@ from .stationarity import (
     reduced_lambda,
     stationary_lambda,
 )
+from .values import REQUIRED, Record
 from .worldline import (
-    field_peaks,
     interior_modes,
     lattice,
-    normalization_modes,
     perturb_interior,
-    seed_coefficients,
+    seed_displacements,
     straight_line,
 )
 
@@ -71,9 +70,6 @@ FLOW_BENCH_SIGMA2 = (-0.4, 0.0, 0.5, 2.0)
 FLOW_BENCH_SIGMA1 = (1.0, -0.5, 0.25, 0.75)
 FLOW_BENCH_C = 1.0
 
-# The probe's step in units of hbar_tilde, so that one step turns the phase
-# (1/hbar_tilde) sigma by the same small angle at every quantum scale.
-OPERATOR_STEP = 1e-4
 OPERATOR_SIGMA1 = (0.3, 0.0, 0.0, 0.0)
 OPERATOR_SIGMA2 = 0.2
 OPERATOR_R1 = (0.05, 0.02, -0.01, 0.03)
@@ -84,10 +80,11 @@ OPERATOR_R2 = 0.1
 CONTRACTION_LO, CONTRACTION_HI = 8.0, 32.0
 
 
-class SuiteResult:
-    def __init__(self, checks, artifacts=None):
-        self.checks = list(checks)
-        self.artifacts = dict(artifacts or {})
+class SuiteResult(Record):
+    """A suite's CheckResult rows and its artifacts, payloads by file name."""
+
+    FIELDS = dict.fromkeys(("checks", "artifacts"), REQUIRED)
+    __slots__ = tuple(FIELDS)
 
     def write_artifacts(self, out_dir):
         """Write each artifact by its suffix: a ``.csv`` payload is ``(header, rows)``."""
@@ -278,19 +275,6 @@ def lambda_agreement_checks(cfg):
     ]
 
 
-def seed_displacements(amplitude, seeds, C):
-    """Mode coefficients of each seed's perturbation field, scaled to ``amplitude``.
-
-    Returns a (P, MODES, 4) stack: ``interior_modes(w) @ out[k]`` is the
-    displacement ``perturb_interior(w, amplitude, seeds[k])`` adds to any
-    lattice ``w`` of duration ``C``, so one stack serves every lattice.
-    """
-    coefs = np.array([seed_coefficients(seed) for seed in seeds])
-    peaks = field_peaks(coefs, normalization_modes(C))
-    scale = np.divide(amplitude, peaks, out=np.zeros_like(peaks), where=peaks > 0)
-    return scale[:, None, None] * coefs
-
-
 def independence_spread(base, flow, m, displacements, modes):
     """Spread of the lattice eigenvalue over ``base`` and its displaced copies.
 
@@ -327,8 +311,9 @@ def _noted(detail, note):
     return f"{detail} [{note}]" if detail and note else detail or note
 
 
-def _independence_displacements(cfg):
-    seeds = range(cfg.seed + 1, cfg.seed + 1 + cfg.n_perturbations)
+def _displacements(cfg, count):
+    """Displacement stack of the ``count`` seeds after ``cfg.seed``, at the run's amplitude."""
+    seeds = range(cfg.seed + 1, cfg.seed + 1 + count)
     return seed_displacements(_amplitude(cfg), seeds, cfg.run_duration())
 
 
@@ -411,7 +396,7 @@ def violation_control_checks(cfg, displacements, rungs):
             f"frozen-coefficient spread must stay large (order {order:.2f})",
             _curved_sigma2(cfg)[1],
         ),
-        margin=margin_ratio(floor, spreads[-1]),
+        margin=max(margin_ratio(floor, spreads[-1]), margin_ratio(order, 1.0)),
     )
     return [check], {
         "lambda_control_spreads.csv": (("N", "frozen_spread"), list(zip(ns, spreads)))
@@ -432,7 +417,7 @@ def lambda_suite(cfg, with_control=False):
     # when that measurement measured nothing: then the control is not run.
     rungs = _run_rungs(cfg)
     try:
-        displacements = _independence_displacements(cfg)
+        displacements = _displacements(cfg, cfg.n_perturbations)
         found, written = independence_checks(cfg, displacements, rungs)
     except WavelineError as exc:
         checks.append(failed_check("lambda_worldline_independence_order", exc))
@@ -548,46 +533,31 @@ def operator_suite(cfg):
 
     The probe coefficients are fixed small numbers (geometry, mass, and
     hbar_tilde still come from the configuration): the point is to test the
-    coefficient algebra, and that test is parameter-independent.  The step
-    is ``OPERATOR_STEP * hbar_tilde``.
+    coefficient algebra, and that test is parameter-independent.
     """
     tol = cfg.tolerances.operator_tol
-    step = OPERATOR_STEP * cfg.hbar_tilde
     checks = []
     try:
         w = straight_line(cfg.a, cfg.b, cfg.run_duration(), cfg.operator_N)
+        probe = FlowInitialData(np.array(OPERATOR_SIGMA1), OPERATOR_SIGMA2)
         cases = (
             (
                 "operator_exact_free",
-                WaveParameters(
-                    FlowInitialData(np.zeros(4), 0.0), cfg.m, cfg.hbar_tilde
-                ),
+                WaveParameters(FlowInitialData(np.zeros(4), 0.0), cfg.m, cfg.hbar_tilde),
                 1e-15,
             ),
-            (
-                "operator_phase_only",
-                WaveParameters(
-                    FlowInitialData(np.array(OPERATOR_SIGMA1), OPERATOR_SIGMA2),
-                    cfg.m,
-                    cfg.hbar_tilde,
-                ),
-                tol,
-            ),
+            ("operator_phase_only", WaveParameters(probe, cfg.m, cfg.hbar_tilde), tol),
             (
                 "operator_phase_and_modulus",
                 WaveParameters(
-                    FlowInitialData(np.array(OPERATOR_SIGMA1), OPERATOR_SIGMA2),
-                    cfg.m,
-                    cfg.hbar_tilde,
-                    r1_0=np.array(OPERATOR_R1),
-                    r2_0=OPERATOR_R2,
+                    probe, cfg.m, cfg.hbar_tilde, r1_0=np.array(OPERATOR_R1), r2_0=OPERATOR_R2
                 ),
                 tol,
             ),
         )
         for name, params, case_tol in cases:
             predicted = predicted_action_eigenvalue(params, w)
-            probed = apply_action_operator(params, w, h=step)
+            probed = apply_action_operator(params, w)
             rel = abs(probed - predicted) / max(1.0, abs(predicted))
             checks.append(
                 threshold_check(name, rel, case_tol, detail="relative to the predicted value")
@@ -601,7 +571,7 @@ def operator_suite(cfg):
         )
     except WavelineError as exc:
         checks.append(failed_check("operator_oracle", exc))
-    return SuiteResult(checks)
+    return SuiteResult(checks, {})
 
 
 # --------------------------------------------------------------------------
@@ -626,9 +596,8 @@ def phase_suite(cfg):
 
         # Every trajectory's difference comes from the exact quadratic
         # expansion around the base line, anchored at its direct value.
-        seeds = range(cfg.seed + 1, cfg.seed + 1 + cfg.n_phase_perturbations)
         anchor, g, q = phase_expansion(base, s2, interior_modes(base))
-        diffs = anchor + expansion_deltas(g, q, seed_displacements(amp, seeds, c_run))
+        diffs = anchor + expansion_deltas(g, q, _displacements(cfg, cfg.n_phase_perturbations))
         mean = float(diffs.mean())
         name = "phase_trajectory_independence"
         try:

@@ -14,22 +14,13 @@ import numpy as np
 from .errors import ConfigError
 from .minkowski import as_four_vector
 from .stationarity import optimal_C, optimal_sigma1
-from .values import Frozen, set_field
+from .values import Record
 
 
-class _Table(Frozen):
-    """Value built by keyword over ``FIELDS``, its ordered names and defaults; equal by value."""
+class _Table(Record):
+    """Record of a run's settings, every field defaulted; equal by value."""
 
     __slots__ = ()
-    FIELDS = {}
-
-    def __init__(self, **values):
-        fields = {**self.FIELDS, **values}
-        if len(fields) > len(self.FIELDS):
-            unknown = sorted(values.keys() - self.FIELDS.keys())
-            raise TypeError(f"unknown {type(self).__name__} fields {unknown}")
-        for name, value in fields.items():
-            set_field(self, name, value)
 
     def _values(self):
         return tuple(getattr(self, name) for name in self.FIELDS)

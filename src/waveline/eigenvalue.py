@@ -32,9 +32,12 @@ from .phase_flow import (
     require_shared_grid,
     sample_closed_form,
 )
-from .values import Frozen, set_field
+from .values import REQUIRED, Frozen, Record, set_field
 from .worldline import velocities
 
+# The operator probe's step in units of hbar_tilde, so that one step turns
+# the phase (1/hbar_tilde) sigma by the same small angle at every quantum scale.
+OPERATOR_STEP = 1e-4
 # Wave-functional moduli below this are too flat to probe by differences.
 MODULUS_FLOOR = 1e-300
 # exp() of a real part above this overflows a double.
@@ -60,15 +63,11 @@ class WaveParameters(Frozen):
         set_field(self, "r2_0", r2_0)
 
 
-class LambdaBreakdown(Frozen):
+class LambdaBreakdown(Record):
     """Eigenvalue split into its boundary bracket, quadrature, and mass parts."""
 
-    __slots__ = ("boundary", "quadrature", "mass")
-
-    def __init__(self, boundary, quadrature, mass):
-        set_field(self, "boundary", boundary)
-        set_field(self, "quadrature", quadrature)
-        set_field(self, "mass", mass)
+    FIELDS = dict.fromkeys(("boundary", "quadrature", "mass"), REQUIRED)
+    __slots__ = tuple(FIELDS)
 
     @property
     def total(self):
@@ -252,7 +251,7 @@ def _cexpm1(z):
     return np.expm1(x) * np.cos(y) - 2.0 * s * s + 1j * np.exp(x) * np.sin(y)
 
 
-def apply_action_operator(params, w, h=1e-4):
+def apply_action_operator(params, w):
     """Brute-force (I Psi)/Psi on the lattice, by finite differences.
 
     Treats the wave functional as a plain function of the 4(N+1) node
@@ -270,14 +269,15 @@ def apply_action_operator(params, w, h=1e-4):
         only rows taken from the algebra under test.  Everything the
         conjecture is actually tested on lives at the interior nodes.
 
-    Raises NumericalUnderflow when the step ``h`` squares below the
-    smallest normal double (the second difference divides by h**2) or the
-    functional's modulus is too small to difference meaningfully, and
-    NumericalOverflow when one probe step scales it past the float range
-    (a huge lattice spacing) or the 1/dc**2 of the second difference does
-    (a tiny one).
+    Each coordinate steps by h = OPERATOR_STEP * hbar_tilde.  Raises
+    NumericalUnderflow when h squares below the smallest normal double (the
+    second difference divides by h**2) or the functional's modulus is too
+    small to difference meaningfully, and NumericalOverflow when one probe
+    step scales it past the float range (a huge lattice spacing) or the
+    1/dc**2 of the second difference does (a tiny one).
     """
     hb = params.hbar_tilde
+    h = OPERATOR_STEP * hb
     if h * h < np.finfo(float).tiny:
         raise NumericalUnderflow(
             f"operator probe step h={h!r} at hbar_tilde={hb!r} squares below "

@@ -80,12 +80,6 @@ def require_shared_grid(g1, g2):
         raise GridMismatch("objects are sampled on different lattices")
 
 
-def flow_rhs(sigma1, sigma2):
-    """Right-hand side of the coefficient system at one instant."""
-    sigma1 = np.asarray(sigma1, dtype=float)
-    return -2.0 * sigma2 * sigma1, -2.0 * sigma2 * sigma2
-
-
 def denominator(sigma2_0, c):
     """D(c) = 1 + 2 sigma2_0 c, the single scale factor of the exact flow.
 
@@ -151,7 +145,7 @@ def frozen_coefficients(init, grid):
 
 
 def batched_rhs(y, out):
-    """flow_rhs on a (5, K) state of columns (sigma1, sigma2), written into ``out``."""
+    """The system's right-hand side on a (5, K) state of columns (sigma1, sigma2), into ``out``."""
     # (-2 sigma2) times each component row, one column per initial datum
     np.multiply(-2.0 * y[4], y, out)
 

@@ -29,20 +29,17 @@ from .phase_flow import (
     sample_closed_form,
 )
 from .stationarity import optimal_sigma1
-from .values import Frozen, set_field
+from .values import REQUIRED, Record
 
 # |Q| below this leaves the rescaled clock with no room to tick.
 Q_FLOOR = 1e-12
 
 
-class PhaseGeometry(Frozen):
+class PhaseGeometry(Record):
     """Logarithmic duration and shifted center for one coefficient choice."""
 
-    __slots__ = ("Q", "x_tilde")
-
-    def __init__(self, Q, x_tilde):
-        set_field(self, "Q", Q)
-        set_field(self, "x_tilde", x_tilde)
+    FIELDS = dict.fromkeys(("Q", "x_tilde"), REQUIRED)
+    __slots__ = tuple(FIELDS)
 
 
 def log_duration(sigma2_0, C):

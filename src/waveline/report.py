@@ -9,10 +9,10 @@ import json
 import math
 from pathlib import Path
 
-from .values import Frozen, set_field
+from .values import REQUIRED, Record
 
 
-class CheckResult(Frozen):
+class CheckResult(Record):
     """One named pass/fail measurement against its threshold.
 
     ``margin`` says how close the value came to its bound, 1 or less being
@@ -20,15 +20,12 @@ class CheckResult(Frozen):
     but not serialized.
     """
 
-    __slots__ = ("name", "passed", "value", "tolerance", "detail", "margin")
-
-    def __init__(self, name, passed, value, tolerance, detail="", margin=math.nan):
-        set_field(self, "name", name)
-        set_field(self, "passed", passed)
-        set_field(self, "value", value)
-        set_field(self, "tolerance", tolerance)
-        set_field(self, "detail", detail)
-        set_field(self, "margin", margin)
+    FIELDS = {
+        **dict.fromkeys(("name", "passed", "value", "tolerance"), REQUIRED),
+        "detail": "",
+        "margin": math.nan,
+    }
+    __slots__ = tuple(FIELDS)
 
     @property
     def status(self):
@@ -85,14 +82,9 @@ def failed_check(name, exc):
     )
 
 
-class RunReport(Frozen):
-    __slots__ = ("command", "config", "checks", "wall_clock_s")
-
-    def __init__(self, command, config, checks, wall_clock_s):
-        set_field(self, "command", command)
-        set_field(self, "config", config)
-        set_field(self, "checks", checks)
-        set_field(self, "wall_clock_s", wall_clock_s)
+class RunReport(Record):
+    FIELDS = dict.fromkeys(("command", "config", "checks", "wall_clock_s"), REQUIRED)
+    __slots__ = tuple(FIELDS)
 
     @property
     def overall(self):

@@ -20,29 +20,22 @@ from .errors import NoConvergence, NumericalOverflow, ZeroDuration, ZeroMass, fl
 from .eigenvalue import lambda_closed_form
 from .minkowski import as_four_vector, timelike_interval_squared
 from .phase_flow import DENOMINATOR_FLOOR, FlowInitialData, checked_denominator, denominator
-from .values import Frozen, set_field
+from .values import REQUIRED, Record
 
 GRAD_STEP = 1e-6  # relative finite-difference step for gradients
 HESS_STEP = 1e-4  # relative finite-difference step for Hessians
 MAX_BACKTRACK = 30
 
 
-class StationarityReport(Frozen):
+class StationarityReport(Record):
     """Outcome of one stationary search plus the flat-direction scan."""
 
-    __slots__ = ("sigma1_star", "C_star", "branch", "lambda_star", "gradient_norm",
-                 "iterations", "converged", "sigma2_scan")
-
-    def __init__(self, sigma1_star, C_star, branch, lambda_star, gradient_norm,
-                 iterations, converged, sigma2_scan=()):
-        set_field(self, "sigma1_star", sigma1_star)
-        set_field(self, "C_star", C_star)
-        set_field(self, "branch", branch)
-        set_field(self, "lambda_star", lambda_star)
-        set_field(self, "gradient_norm", gradient_norm)
-        set_field(self, "iterations", iterations)
-        set_field(self, "converged", converged)
-        set_field(self, "sigma2_scan", sigma2_scan)
+    FIELDS = {
+        **dict.fromkeys(("sigma1_star", "C_star", "branch", "lambda_star", "gradient_norm",
+                         "iterations", "converged"), REQUIRED),
+        "sigma2_scan": (),
+    }
+    __slots__ = tuple(FIELDS)
 
     def as_dict(self):
         d = {name: getattr(self, name) for name in self.__slots__}
@@ -96,10 +89,10 @@ def stationary_lambda(a, b, m, branch=1):
     return reduced_lambda(c_star, a, b, m)
 
 
-def _fd_gradient(f, z, rel=GRAD_STEP):
+def _fd_gradient(f, z):
     g = np.empty(z.size)
     for k in range(z.size):
-        h = rel * (1.0 + abs(z[k]))
+        h = GRAD_STEP * (1.0 + abs(z[k]))
         zp, zm = z.copy(), z.copy()
         zp[k] += h
         zm[k] -= h
@@ -107,9 +100,9 @@ def _fd_gradient(f, z, rel=GRAD_STEP):
     return g
 
 
-def _fd_hessian(f, z, rel=HESS_STEP):
+def _fd_hessian(f, z):
     n = z.size
-    hs = rel * (1.0 + np.abs(z))
+    hs = HESS_STEP * (1.0 + np.abs(z))
     hess = np.empty((n, n))
     f0 = f(z)
     for i in range(n):

@@ -125,16 +125,17 @@ def field_peaks(coefs, reference):
     return peaks
 
 
-def perturbation_coefficients(seed, C):
-    """Sine-mode coefficients drawn from ``seed`` and the peak norm of their field.
+def seed_displacements(amplitude, seeds, C):
+    """Mode coefficients of each seed's perturbation field, scaled to ``amplitude``.
 
-    Returns ``(coef, peak)``: ``coef`` is (MODES, 4), one column per
-    component, and ``peak`` is the largest Euclidean norm over c of the
-    field sum_k coef[k] sin(k*pi*c/C), measured on a fixed fine reference
-    grid so one seed denotes one continuum field on every lattice.
+    Returns a (P, MODES, 4) stack: ``interior_modes(w) @ out[k]`` is the
+    displacement ``perturb_interior(w, amplitude, seeds[k])`` adds to any
+    lattice ``w`` of duration ``C``, so one stack serves every lattice.
     """
-    coef = seed_coefficients(seed)
-    return coef, field_peaks(coef[None], normalization_modes(C))[0]
+    coefs = np.array([seed_coefficients(seed) for seed in seeds])
+    peaks = field_peaks(coefs, normalization_modes(C))
+    scale = np.divide(amplitude, peaks, out=np.zeros_like(peaks), where=peaks > 0)
+    return scale[:, None, None] * coefs
 
 
 def interior_modes(w):
@@ -152,10 +153,12 @@ def perturb_interior(base, amplitude, seed):
     """Add a random smooth displacement field that vanishes at both endpoints.
 
     The field is a superposition of MODES sine bumps sin(k*pi*c/C) with
-    coefficients drawn from ``seed`` (see :func:`perturbation_coefficients`),
-    scaled so its peak Euclidean norm over c is ``amplitude``.
+    coefficients ``seed_coefficients(seed)``, scaled so its peak Euclidean
+    norm over c is ``amplitude``.  The peak is taken on the fixed fine grid of
+    :func:`normalization_modes`, so one seed names one field on every lattice.
     """
-    coef, peak = perturbation_coefficients(seed, base.C)
+    coef = seed_coefficients(seed)
+    peak = field_peaks(coef[None], normalization_modes(base.C))[0]
     if peak == 0.0 or amplitude == 0.0:
         return base
     pts = base.points.copy(order="F")

@@ -217,7 +217,7 @@ def test_operator_oracle():
             r2_0=r2,
         )
         predicted = predicted_action_eigenvalue(params, w)
-        rel = abs(apply_action_operator(params, w, h=1e-4) - predicted) / max(1.0, abs(predicted))
+        rel = abs(apply_action_operator(params, w) - predicted) / max(1.0, abs(predicted))
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
     report("operator oracle (N=16, sigma-only and sigma+r)", worst, 1e-4, elapsed, 30.0)

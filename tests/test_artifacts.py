@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from waveline import checks
-from waveline.checks import independence_spread, seed_displacements
+from waveline.checks import independence_spread
 from waveline.cli import main
 from waveline.config import load_config
 from waveline.minkowski import interval_squared
 from waveline.phase_flow import FlowInitialData, frozen_coefficients
 from waveline.stationarity import optimal_sigma1, reduced_lambda
-from waveline.worldline import interior_modes, straight_line
+from waveline.worldline import interior_modes, seed_displacements, straight_line
 
 from conftest import QUICK
 

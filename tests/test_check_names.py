@@ -43,12 +43,8 @@ RUNS = (
 
 # Module-level functions the runs need not reach: the process wrapper and
 # the two-core verify it alone selects run only in a child
-# (tests/test_cli_process.py), and flow_rhs is the test oracle for the
-# batched RK4 right-hand side and the closed form.
-NOT_REACHED = {
-    "cli.entry", "cli._keep_freed_memory_mapped", "cli._verify_on_two_cores",
-    "phase_flow.flow_rhs",
-}
+# (tests/test_cli_process.py).
+NOT_REACHED = {"cli.entry", "cli._keep_freed_memory_mapped", "cli._verify_on_two_cores"}
 
 
 def module_functions():

@@ -114,14 +114,12 @@ def modulus_with_hbar(monkeypatch):
     monkeypatch.setattr(eigenvalue, "lattice_integrand", slipped)
 
 
+FIXED_STEP_HBAR = 1e-6
+
+
 def fixed_probe_step(monkeypatch):
-    # the operator probe at the fixed step 1e-4 whatever hbar_tilde is
-    probe = checks.apply_action_operator
-
-    def fixed(params, w, h):
-        return probe(params, w, h=1e-4)
-
-    monkeypatch.setattr(checks, "apply_action_operator", fixed)
+    # the operator probe at the fixed step 1e-4 on the case's hbar_tilde
+    monkeypatch.setattr(eigenvalue, "OPERATOR_STEP", 1e-4 / FIXED_STEP_HBAR)
 
 
 def closed_form_with_m(monkeypatch):
@@ -169,8 +167,8 @@ def operator_mass_with_m(monkeypatch):
     # the probe's analytic mass term m C, not m^2 C, at every lookup site
     probe = eigenvalue.apply_action_operator
 
-    def slipped(params, w, h=1e-4):
-        return probe(params, w, h) - params.m * params.m * w.C + params.m * w.C
+    def slipped(params, w):
+        return probe(params, w) - params.m * params.m * w.C + params.m * w.C
 
     for module in (eigenvalue, checks):
         monkeypatch.setattr(module, "apply_action_operator", slipped)
@@ -231,7 +229,7 @@ CASES = {
     # at hbar_tilde = 1e-6 a fixed step turns the phase by radians per probe
     "operator-fixed-step": (
         fixed_probe_step, checks.operator_suite, ("operator_phase_only",),
-        {**QUICK, "N": 50, "hbar_tilde": 1e-6},
+        {**QUICK, "N": 50, "hbar_tilde": FIXED_STEP_HBAR},
     ),
     "closed-form-m": (
         closed_form_with_m, checks.lambda_suite, ("lambda_three_form_agreement",), QUICK,

@@ -301,6 +301,23 @@ class TestReport:
         assert control.margin == control.tolerance / control.value
         assert control.margin < 1.0
 
+    def test_violation_control_margin_reads_its_order_test(self, tmp_path, capsys):
+        # at this curvature the frozen spread clears its floor but the order
+        # (1.27) fails the check: the margin is then order / 1, above 1
+        out = tmp_path / "out"
+        assert main(["verify", "--sigma2=0.001", "--N", "2000", "--out", str(out)]) == 1
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if " lambda_violation_detected " in ln]
+        assert line.startswith("[FAIL] ")
+        margin = float(line.split("  margin=")[1].split()[0])
+        assert margin > 1.0
+
+    def test_violation_control_passes_at_the_default_config(self):
+        suite = checks.lambda_suite(load_config(), with_control=True)
+        (control,) = [c for c in suite.checks if c.name == "lambda_violation_detected"]
+        assert control.passed
+        assert control.margin <= 1.0
+
     def test_report_overall_and_json_shape(self):
         report = RunReport(
             command="flow",

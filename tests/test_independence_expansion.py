@@ -10,15 +10,18 @@ frozen coefficients.
 import numpy as np
 import pytest
 
-from waveline.checks import independence_spread, seed_displacements
+from waveline.checks import independence_spread
 from waveline.eigenvalue import expansion_deltas, lambda_lattice, lattice_expansion
 from waveline.minkowski import interval_squared
 from waveline.phase_flow import FlowInitialData, frozen_coefficients, sample_closed_form
 from waveline.stationarity import optimal_C, optimal_sigma1
 from waveline.worldline import (
+    field_peaks,
     interior_modes,
+    normalization_modes,
     perturb_interior,
-    perturbation_coefficients,
+    seed_coefficients,
+    seed_displacements,
     straight_line,
 )
 
@@ -29,6 +32,12 @@ SEEDS = range(8, 14)
 C_RUN = optimal_C(A, B, M)
 AMP = 0.3 * np.sqrt(interval_squared(A, B))
 INIT = FlowInitialData(optimal_sigma1(0.5, A, B, C_RUN), 0.5)
+
+
+def one_seed(seed):
+    """``(coef, peak)`` of one seed, each taken alone as perturb_interior takes them."""
+    coef = seed_coefficients(seed)
+    return coef, field_peaks(coef[None], normalization_modes(C_RUN))[0]
 
 
 @pytest.mark.parametrize("coefficients_for", [sample_closed_form, frozen_coefficients])
@@ -68,7 +77,7 @@ def test_shared_normalization_table_keeps_displacements_bit_identical():
     # seed's scaled coefficients must equal those of a per-seed table exactly
     expected = []
     for seed in SEEDS:
-        coef, peak = perturbation_coefficients(seed, C_RUN)
+        coef, peak = one_seed(seed)
         expected.append((AMP / peak) * coef)
     np.testing.assert_array_equal(seed_displacements(AMP, SEEDS, C_RUN), np.array(expected))
 
@@ -82,7 +91,7 @@ def test_batched_peaks_keep_displacements_bit_identical(seeds, amplitude):
     # however full its chunk is
     expected = []
     for seed in seeds:
-        coef, peak = perturbation_coefficients(seed, C_RUN)
+        coef, peak = one_seed(seed)
         expected.append((amplitude / peak) * coef)
     stack = seed_displacements(amplitude, seeds, C_RUN)
     assert stack.shape == (len(seeds), 6, 4)

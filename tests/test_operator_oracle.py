@@ -42,9 +42,9 @@ SIGMA_AND_R = WaveParameters(
 )
 
 
-def operator_residual(params, w, h=1e-4):
+def operator_residual(params, w):
     """Probed minus predicted (I Psi)/Psi."""
-    return apply_action_operator(params, w, h=h) - predicted_action_eigenvalue(params, w)
+    return apply_action_operator(params, w) - predicted_action_eigenvalue(params, w)
 
 
 def lattice(n=16, seed=None):
@@ -126,12 +126,15 @@ class TestQuadraticFunctionals:
         rel = abs(operator_residual(params, w)) / max(1.0, abs(predicted))
         assert rel <= 1e-4
 
-    def test_probe_error_scales_quadratically_in_step(self):
+    def test_probe_error_scales_quadratically_in_step(self, monkeypatch):
         # residuals are dominated by the O(h^2) truncation of the central
         # differences; two decades of h should move them ~four decades
+        # (at hbar_tilde = 1 the step is OPERATOR_STEP itself)
         w = lattice()
-        r_coarse = abs(operator_residual(SIGMA_AND_R, w, h=1e-1))
-        r_fine = abs(operator_residual(SIGMA_AND_R, w, h=1e-2))
+        monkeypatch.setattr(eigenvalue, "OPERATOR_STEP", 1e-1)
+        r_coarse = abs(operator_residual(SIGMA_AND_R, w))
+        monkeypatch.setattr(eigenvalue, "OPERATOR_STEP", 1e-2)
+        r_fine = abs(operator_residual(SIGMA_AND_R, w))
         assert 30.0 < r_coarse / r_fine < 300.0
 
 
@@ -165,7 +168,21 @@ class TestGuards:
 
 
 class TestStepScale:
-    """The suite probes with OPERATOR_STEP * hbar_tilde, so a phase step stays resolved."""
+    """The probe steps by OPERATOR_STEP * hbar_tilde, so a phase step stays resolved."""
+
+    @pytest.mark.parametrize("hbar_tilde", [1e-3, 1e-6, 1e-12])
+    @pytest.mark.parametrize("geometry", [{}, GENERIC], ids=["default", "generic"])
+    def test_library_probe_matches_the_prediction(self, geometry, hbar_tilde):
+        # a library call with no step of its own: at a fixed step of 1e-4
+        # the misses are 4.7e-7 at 1e-3 and 0.33 at 1e-6 on the default geometry
+        cfg = load_config(overrides={**geometry, "hbar_tilde": hbar_tilde})
+        w = straight_line(cfg.a, cfg.b, cfg.run_duration(), cfg.operator_N)
+        init = FlowInitialData(np.array(checks.OPERATOR_SIGMA1), checks.OPERATOR_SIGMA2)
+        for extra in ({}, {"r1_0": np.array(checks.OPERATOR_R1), "r2_0": checks.OPERATOR_R2}):
+            params = WaveParameters(init, cfg.m, hbar_tilde, **extra)
+            predicted = predicted_action_eigenvalue(params, w)
+            rel = abs(apply_action_operator(params, w) - predicted) / abs(predicted)
+            assert rel <= 1e-10, (extra, rel)
 
     @pytest.mark.parametrize("hbar_tilde", [1e-3, 1e-6, 1e-12, 1e-100])
     @pytest.mark.parametrize("geometry", [{}, GENERIC], ids=["default", "generic"])
@@ -176,20 +193,18 @@ class TestStepScale:
             assert found[name].passed, (name, found[name].value)
 
     def test_unit_hbar_keeps_the_fixed_step(self, monkeypatch):
-        steps = []
-        probe = checks.apply_action_operator
+        # the refused step names h, which at hbar_tilde = 1 is OPERATOR_STEP exactly
+        monkeypatch.setattr(eigenvalue, "OPERATOR_STEP", 1e-160)
+        (failed,) = checks.operator_suite(load_config()).checks
+        assert failed.name == "operator_oracle"
+        assert failed.detail.startswith(
+            "NumericalUnderflow: operator probe step h=1e-160 at hbar_tilde=1.0 "
+        )
 
-        def recording(params, w, h):
-            steps.append(h)
-            return probe(params, w, h=h)
-
-        monkeypatch.setattr(checks, "apply_action_operator", recording)
-        checks.operator_suite(load_config())
-        assert steps == [checks.OPERATOR_STEP] * 3
-
-    def test_a_step_whose_square_underflows_is_refused(self):
+    def test_a_step_whose_square_underflows_is_refused(self, monkeypatch):
+        monkeypatch.setattr(eigenvalue, "OPERATOR_STEP", 1e-160)
         with pytest.raises(NumericalUnderflow, match=r"step h=1e-160 at hbar_tilde=1.0"):
-            apply_action_operator(SIGMA_AND_R, lattice(), h=1e-160)
+            apply_action_operator(SIGMA_AND_R, lattice())
 
     @pytest.mark.parametrize("geometry", [{}, GENERIC], ids=["default", "generic"])
     def test_underflowing_step_fails_by_name(self, tmp_path, capsys, geometry):

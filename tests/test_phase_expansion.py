@@ -11,12 +11,16 @@ import numpy as np
 import pytest
 
 from waveline import phase_functional
-from waveline.checks import seed_displacements
 from waveline.eigenvalue import expansion_deltas
 from waveline.minkowski import interval_squared
 from waveline.phase_functional import phase_difference, phase_expansion
 from waveline.stationarity import optimal_C
-from waveline.worldline import interior_modes, perturb_interior, straight_line
+from waveline.worldline import (
+    interior_modes,
+    perturb_interior,
+    seed_displacements,
+    straight_line,
+)
 
 A = np.zeros(4)
 B = np.array([2.0, 0.6, 0.3, 0.1])

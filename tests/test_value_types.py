@@ -1,4 +1,4 @@
-"""The value types: fields set once, and RunConfig/Tolerances built from one field table."""
+"""The value types: fields set once, and the records built from one field table each."""
 
 import copy
 import json
@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+from waveline.checks import SuiteResult
 from waveline.config import RunConfig, Tolerances, load_config
 from waveline.eigenvalue import LambdaBreakdown, WaveParameters
 from waveline.errors import ConfigError
@@ -14,7 +15,7 @@ from waveline.phase_flow import FlowCoefficients, FlowInitialData
 from waveline.phase_functional import PhaseGeometry
 from waveline.report import CheckResult, RunReport
 from waveline.stationarity import StationarityReport
-from waveline.values import Frozen
+from waveline.values import REQUIRED, Frozen, Record
 from waveline.worldline import straight_line
 
 INIT = FlowInitialData(np.zeros(4), 0.5)
@@ -31,7 +32,9 @@ VALUES = [
     PhaseGeometry(0.5, np.ones(4)),
     StationarityReport(np.zeros(4), 1.0, 1, 0.0, 0.0, 3, True),
     straight_line(np.zeros(4), np.array([2.0, 0.6, 0.3, 0.1]), 1.0, 4),
+    SuiteResult([CheckResult("x", True, 0.5, 1.0)], {"x.json": {"a": 1}}),
 ]
+RECORDS = [v for v in VALUES if isinstance(v, Record)]
 
 # The order dataclasses.asdict gave: the key order of run_report.json's "config"
 RUN_CONFIG_KEYS = [
@@ -45,7 +48,9 @@ TOLERANCE_KEYS = [
 
 
 def test_every_value_type_is_listed_once():
-    assert len({type(v) for v in VALUES}) == len(VALUES) == 11
+    assert len({type(v) for v in VALUES}) == len(VALUES) == 12
+    # the four that validate their arguments keep a constructor of their own
+    assert len(RECORDS) == 8
 
 
 COPIES = {
@@ -140,3 +145,45 @@ def test_unknown_field_is_a_type_error_and_a_config_error(tmp_path):
     path.write_text(json.dumps({"tolerances": {"bogus": 1}}))
     with pytest.raises(ConfigError, match=r"unknown tolerance keys: \['bogus'\]"):
         load_config(path)
+
+
+def fields(value):
+    return [getattr(value, name) for name in type(value).FIELDS]
+
+
+@pytest.mark.parametrize("value", RECORDS, ids=lambda v: type(v).__name__)
+def test_records_take_fields_by_position_or_by_keyword(value):
+    cls = type(value)
+    assert cls.__slots__ == tuple(cls.FIELDS)
+    given = fields(value)
+    by_position = cls(*given)
+    by_keyword = cls(**dict(zip(cls.FIELDS, given)))
+    assert identical(by_position, by_keyword)
+    assert identical(by_position, value)
+    # the first field by position, the rest by keyword
+    _, *rest = cls.FIELDS
+    assert identical(cls(given[0], **dict(zip(rest, given[1:]))), value)
+
+
+@pytest.mark.parametrize("value", RECORDS, ids=lambda v: type(v).__name__)
+def test_records_refuse_missing_unknown_and_doubled_fields(value):
+    cls = type(value)
+    given = dict(zip(cls.FIELDS, fields(value)))
+    for name, default in cls.FIELDS.items():
+        if default is REQUIRED:
+            with pytest.raises(TypeError, match=f"field '{name}' is required"):
+                cls(**{k: v for k, v in given.items() if k != name})
+    with pytest.raises(TypeError, match=r"unknown .* fields \['bogus'\]"):
+        cls(**given, bogus=1)
+    first = next(iter(cls.FIELDS))
+    with pytest.raises(TypeError, match=f"field '{first}' given twice"):
+        cls(given[first], **given)
+    with pytest.raises(TypeError, match=f"takes {len(given)} fields"):
+        cls(*given.values(), 1)
+
+
+def test_defaults_fill_the_fields_not_given():
+    check = CheckResult("x", True, 0.5, 1.0)
+    assert check.detail == "" and check.margin != check.margin
+    assert StationarityReport(np.zeros(4), 1.0, 1, 0.0, 0.0, 3, True).sigma2_scan == ()
+    assert RunConfig(N=200).as_dict() == {**RunConfig().as_dict(), "N": 200}
