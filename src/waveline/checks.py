@@ -587,12 +587,9 @@ def phase_suite(cfg):
         c_run = cfg.run_duration()
         amp = _amplitude(cfg)
         base = straight_line(cfg.a, cfg.b, c_run, cfg.N)
-        w = perturb_interior(base, amp, cfg.seed + 1)
-        checks.append(
-            threshold_check(
-                "phase_two_clock_consistency", consistency_gap(w, s2), tol, detail=note
-            )
-        )
+        # the perturbed line is built for this one check and gone after it
+        gap = consistency_gap(perturb_interior(base, amp, cfg.seed + 1), s2)
+        checks.append(threshold_check("phase_two_clock_consistency", gap, tol, detail=note))
 
         # Every trajectory's difference comes from the exact quadratic
         # expansion around the base line, anchored at its direct value.

@@ -82,7 +82,9 @@ def phase_eval_q(points, q_grid, x_tilde):
     ``q_grid`` (sigma2_0 < 0, so Q < 0) yields the correctly signed value.
     """
     d = np.asarray(points, dtype=float) - as_four_vector(x_tilde)
-    return float(np.trapezoid(0.25 * dot(d, d), np.asarray(q_grid, dtype=float)))
+    dd = dot(d, d)
+    del d
+    return float(np.trapezoid(0.25 * dd, np.asarray(q_grid, dtype=float)))
 
 
 # Rows of the (1, 4, 1) elimination whose pivot still differs from its
@@ -93,24 +95,28 @@ _PIVOT_ROWS = 32
 _SCAN_TERMS = 64
 
 
-def _linear_recurrence(z, c):
-    """y with y[:, j] = z[:, j] + c[j] y[:, j-1] along the last axis, c[0] = 0.
+def _linear_recurrence(z, c, scratch):
+    """Turn ``z`` in place into y with y[:, j] = z[:, j] + c[j] y[:, j-1], c[0] = 0.
 
     Recursive doubling over every row of ``z`` at once, dropping the terms
-    past the first ``_SCAN_TERMS``.
+    past the first ``_SCAN_TERMS``.  ``c`` is consumed, and each product
+    lands in ``scratch``, an array of the shape of ``z``.
     """
-    z = z.copy()
-    c = c.copy()
+    n = z.shape[-1]
     s = 1
-    while s < min(z.shape[-1], _SCAN_TERMS):
-        z[:, s:] += c[s:] * z[:, :-s]
+    while s < min(n, _SCAN_TERMS):
+        term = np.multiply(c[s:], z[:, :-s], out=scratch[:, :n - s])
+        z[:, s:] += term
         c[s:] *= c[:-s]
         s *= 2
     return z
 
 
 def _solve_141(b):
-    """x with x[:, j-1] + 4 x[:, j] + x[:, j+1] = b[:, j], zero outside 0..n-1."""
+    """x with x[:, j-1] + 4 x[:, j] + x[:, j+1] = b[:, j], zero outside 0..n-1.
+
+    Solved in place: ``b`` is overwritten with x and returned.
+    """
     n = b.shape[-1]
     # LU pivots d[j] = 4 - 1/d[j-1] from d[0] = 4; past the head they are the limit
     d = np.full(n, 2.0 + np.sqrt(3.0))
@@ -119,9 +125,13 @@ def _solve_141(b):
         d[j] = pivot
         pivot = 4.0 - 1.0 / pivot
     inv = 1.0 / d
-    y = _linear_recurrence(b, np.append(0.0, -inv[:-1]))  # forward elimination
-    x = _linear_recurrence((inv * y)[:, ::-1], np.append(0.0, -inv[-2::-1]))  # back substitution
-    return x[:, ::-1]
+    scratch = np.empty(b.shape)
+    _linear_recurrence(b, np.append(0.0, -inv[:-1]), scratch)  # forward elimination
+    b *= inv
+    # back substitution runs right to left; the reversed scratch keeps every
+    # operand's stride the same sign, which numpy walks forward
+    _linear_recurrence(b[:, ::-1], np.append(0.0, -inv[-2::-1]), scratch[:, ::-1])
+    return b
 
 
 def _not_a_knot_curvatures(y, h):
@@ -136,18 +146,25 @@ def _not_a_knot_curvatures(y, h):
     (de Boor, A Practical Guide to Splines, ch. 4) turn rows 1 and N-1 into
     6 M = rhs, leaving a (1, 4, 1) system for M[2..N-2].  N = 2 gives the
     parabola through the three points, N = 3 the cubic through the four.
+    The result is a C-ordered (k, N+1) array, and the right-hand side is
+    built and solved inside it.
     """
-    r = (6.0 / (h * h)) * (y[:, 2:] - 2.0 * y[:, 1:-1] + y[:, :-2])
+    m = np.empty(y.shape)  # C order whatever the order of y: the solve runs along rows
+    r = m[:, 1:-1]
+    np.multiply(y[:, 1:-1], 2.0, out=r)
+    np.subtract(y[:, 2:], r, out=r)
+    r += y[:, :-2]
+    r *= 6.0 / (h * h)
+    m[:, 1] /= 6.0
     if y.shape[-1] == 3:
-        return np.repeat(r / 6.0, 3, axis=-1)
-    m = np.empty_like(y)
-    m[:, 1] = r[:, 0] / 6.0
-    m[:, -2] = r[:, -1] / 6.0
-    b = r[:, 1:-1].copy()
+        m[:, 0] = m[:, 2] = m[:, 1]
+        return m
+    m[:, -2] /= 6.0
+    b = m[:, 2:-2]
     if b.size:
         b[:, 0] -= m[:, 1]
         b[:, -1] -= m[:, -2]
-        m[:, 2:-2] = _solve_141(b)
+        _solve_141(b)
     m[:, 0] = 2.0 * m[:, 1] - m[:, 2]
     m[:, -1] = 2.0 * m[:, -2] - m[:, -3]
     return m
@@ -156,12 +173,13 @@ def _not_a_knot_curvatures(y, h):
 def resample_on_log_clock(w, sigma2_0, values=None):
     """World-line events at uniform q nodes, via not-a-knot cubic spline in c.
 
-    Returns (q_grid, points) on as many q nodes as the lattice has c nodes.
-    The map c(q) = expm1(q) / (2 sigma2_0) sends [0, Q] onto [0, C]
-    monotonically for either sign of sigma2_0.  Given ``values``, an
-    (N+1, k) array of samples on the lattice of ``w``, those are resampled
-    in place of ``w.points``.  The spline is linear in the samples, column
-    by column.
+    Returns (q_grid, points) on as many q nodes as the lattice has c nodes;
+    ``points`` is C-ordered.  The map c(q) = expm1(q) / (2 sigma2_0) sends
+    [0, Q] onto [0, C] monotonically for either sign of sigma2_0.  Given
+    ``values``, an (N+1, k) array of samples on the lattice of ``w``, those
+    are resampled in place of ``w.points``.  The spline is linear in the
+    samples, column by column.  Past the samples, at most three arrays of
+    their size are live at once.
     """
     q_total = log_duration(sigma2_0, w.C)
     if abs(q_total) < Q_FLOOR:
@@ -179,9 +197,26 @@ def resample_on_log_clock(w, sigma2_0, values=None):
         # i*h is the lattice node bit for bit and within a factor 2 of c, so
         # c - i*h is exact and t keeps the digits c/h - i would lose to N
         t = (c_of_q - i * h) / h
+        del c_of_q
         s = 1.0 - t
-        bend = (h * h / 6.0) * s * t * ((1.0 + s) * m[:, i] + (1.0 + t) * m[:, i + 1])
-        return q_grid, (s * y[:, i] + t * y[:, i + 1] - bend).T
+        j = i + 1
+        # each gather is a fresh (k, N+1) array in F order, so out.T is C-ordered;
+        # out holds the bend, then the cubic
+        out = m[:, i]
+        out *= 1.0 + s
+        work = m[:, j]
+        del m
+        work *= 1.0 + t
+        out += work
+        del work
+        out *= (h * h / 6.0) * s * t
+        line = y[:, i]
+        line *= s
+        work = y[:, j]
+        work *= t
+        line += work
+        np.subtract(line, out, out=out)
+        return q_grid, out.T
 
 
 def _stationary_setup(w, sigma2_0):
@@ -231,16 +266,20 @@ def phase_expansion(base, sigma2_0, modes):
     q_grid, base_q = resample_on_log_clock(base, sigma2_0)
     # before the mode columns are splined, so its temporaries never coexist with theirs
     anchor = _two_clock_difference(base, flow, geo, q_grid, base_q)
-    _, modes_q = resample_on_log_clock(base, sigma2_0, values=modes)
-    wq = trapezoid_weights(q_grid)
+    # the c-clock terms of g and Q first, so the flow samples are gone before that spline
     wc = trapezoid_weights(base.grid)
-    sp = phase_gradient(flow, base.points)
-    g = 0.5 * modes_q.T @ (wq[:, None] * (base_q - geo.x_tilde)) - modes.T @ (
-        wc[:, None] * sp
-    )
-    q = 0.25 * modes_q.T @ (wq[:, None] * modes_q) - 0.5 * modes.T @ (
-        (wc * flow.sigma2)[:, None] * modes
-    )
+    g_c = modes.T @ (wc[:, None] * phase_gradient(flow, base.points))
+    q_c = 0.5 * modes.T @ ((wc * flow.sigma2)[:, None] * modes)
+    del flow, wc
+    wq = trapezoid_weights(q_grid)
+    del q_grid
+    # wq (x - x_tilde) at the q nodes, built in the splined base line
+    base_q -= geo.x_tilde
+    base_q *= wq[:, None]
+    _, modes_q = resample_on_log_clock(base, sigma2_0, values=modes)
+    g = 0.5 * modes_q.T @ base_q - g_c
+    del base_q
+    q = 0.25 * modes_q.T @ (wq[:, None] * modes_q) - q_c
     return anchor, g, q
 
 

@@ -27,6 +27,14 @@ HESS_STEP = 1e-4  # relative finite-difference step for Hessians
 MAX_BACKTRACK = 30
 
 
+class NewtonStep(Record):
+    """One Newton iteration: its starting gradient norm, its step's norm, and
+    how many times the step was halved to stay admissible."""
+
+    FIELDS = dict.fromkeys(("gradient_norm", "step_norm", "backtracks"), REQUIRED)
+    __slots__ = tuple(FIELDS)
+
+
 class StationarityReport(Record):
     """Outcome of one stationary search plus the flat-direction scan."""
 
@@ -34,6 +42,7 @@ class StationarityReport(Record):
         **dict.fromkeys(("sigma1_star", "C_star", "branch", "lambda_star", "gradient_norm",
                          "iterations", "converged"), REQUIRED),
         "sigma2_scan": (),
+        "newton_trace": (),
     }
     __slots__ = tuple(FIELDS)
 
@@ -41,6 +50,9 @@ class StationarityReport(Record):
         d = {name: getattr(self, name) for name in self.__slots__}
         d["sigma1_star"] = list(self.sigma1_star)
         d["sigma2_scan"] = [list(pair) for pair in self.sigma2_scan]
+        d["newton_trace"] = [
+            {name: getattr(step, name) for name in step.__slots__} for step in self.newton_trace
+        ]
         return d
 
 
@@ -143,8 +155,10 @@ def numeric_stationary_search(
     fixed sigma2_0 (the flat direction is excluded from the search and
     checked separately through ``sigma2_scan``).  Steps are halved until the
     candidate keeps branch * C > 0 and D(C) above DENOMINATOR_FLOOR, up to
-    MAX_BACKTRACK times; running past ``max_iter`` without the gradient norm
-    reaching ``tol`` raises NoConvergence.
+    MAX_BACKTRACK times.  Once the gradient norm reaches ``tol`` the search
+    takes one more Newton step and stops; running past ``max_iter`` steps
+    without reaching it raises NoConvergence.  The report's ``newton_trace``
+    holds one :class:`NewtonStep` per step taken.
 
     ``sigma2_scan`` values are evaluated *analytically* around the found
     point: for each value the stationary sigma1_0 is re-solved at C_star and
@@ -183,18 +197,24 @@ def numeric_stationary_search(
     z = np.concatenate([optimal_sigma1(sigma2_0, a, b, c0), [c0]])
 
     grad = _fd_gradient(objective, z)
-    iterations = 0
-    while np.linalg.norm(grad) > tol:
-        if iterations >= max_iter:
+    trace = []
+    final = False
+    while not final:
+        gradient_norm = np.linalg.norm(grad)
+        # Passing the gradient test leaves C off C* by about the gradient over
+        # d2 lambda/dC2, more than tol where that curvature is small (m << 1);
+        # one more Newton step takes the error to second order.
+        final = gradient_norm <= tol
+        if not final and len(trace) >= max_iter:
             raise NoConvergence(
-                f"gradient norm {np.linalg.norm(grad):.3e} after {max_iter} iterations"
+                f"gradient norm {gradient_norm:.3e} after {max_iter} iterations"
             )
         hess = _fd_hessian(objective, z)
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"singular Hessian: {exc}") from exc
-        for _ in range(MAX_BACKTRACK):
+        for backtracks in range(MAX_BACKTRACK):
             if admissible(z + step):
                 break
             step = 0.5 * step
@@ -202,7 +222,7 @@ def numeric_stationary_search(
             raise NoConvergence("step kept leaving the admissible region")
         z = z + step
         grad = _fd_gradient(objective, z)
-        iterations += 1
+        trace.append(NewtonStep(float(gradient_norm), float(np.linalg.norm(step)), backtracks))
 
     c_star = float(z[4])
     scan = []
@@ -217,7 +237,8 @@ def numeric_stationary_search(
         branch=branch,
         lambda_star=float(objective(z)),
         gradient_norm=float(np.linalg.norm(grad)),
-        iterations=iterations,
+        iterations=len(trace),
         converged=True,
         sigma2_scan=tuple(scan),
+        newton_trace=tuple(trace),
     )

@@ -82,9 +82,11 @@ def straight_line(a, b, C, N):
     return Worldline(float(C), int(N), pts)
 
 
-def _sine_modes(c, C):
-    """sin(k*pi*c/C) for k = 1..MODES, shape (len(c), MODES)."""
-    return np.sin(np.pi * np.outer(c / C, np.arange(1, MODES + 1)))
+def _sine_modes(c, C, out=None):
+    """sin(k*pi*c/C) for k = 1..MODES, shape (len(c), MODES), built in ``out`` if given."""
+    table = np.outer(c / C, np.arange(1, MODES + 1), out=out)
+    table *= np.pi
+    return np.sin(table, out=table)
 
 
 def normalization_modes(C):
@@ -145,7 +147,7 @@ def interior_modes(w):
     ``interior_modes(w) @ coef`` is a displacement that leaves the ends fixed.
     """
     out = np.zeros((w.N + 1, MODES))
-    out[1:-1] = _sine_modes(w.grid[1:-1], w.C)
+    _sine_modes(w.grid[1:-1], w.C, out=out[1:-1])
     return out
 
 

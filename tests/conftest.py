@@ -1,6 +1,7 @@
 import fnmatch
 import glob
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -73,3 +74,19 @@ def matches(name, pattern):
 
 def rel_err(x, y, floor=1.0):
     return abs(x - y) / max(floor, abs(x), abs(y))
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), peak)``: the call's result and the most bytes tracemalloc saw allocated during it.
+
+    numpy reports its array buffers to tracemalloc, so the peak counts every
+    array the call held at once, and none it was handed.
+    """
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -28,6 +28,7 @@ from conftest import timelike_pairs
 A = np.zeros(4)
 B1 = np.array([1.0, 0.0, 0.0, 0.0])
 B2 = np.array([3.0, 1.0, 1.0, 1.0])  # interval^2 = 9 - 3 = 6
+B3 = np.array([2.0, 0.6, 0.3, 0.1])  # the default config's b
 
 
 class TestOptimalSigma1:
@@ -166,6 +167,30 @@ class TestNumericSearch:
         report = numeric_stationary_search(A, B1, 1.0, sigma2_scan=(0.0, 0.5))
         text = json.dumps(report.as_dict())
         assert "lambda_star" in text
+
+    @pytest.mark.parametrize("m, sigma2_0", [(0.1, 1.5), (0.12, 0.2), (0.15, 0.5)])
+    def test_duration_within_tol_at_small_mass(self, m, sigma2_0):
+        # d2 lambda/dC2 is small at these masses (C* from 6 to 9.4): stopping
+        # on the gradient test alone left C 2e-8 to 1.2e-6 off C*
+        report = numeric_stationary_search(A, B3, m, sigma2_0=sigma2_0, tol=1e-8)
+        assert abs(report.C_star - optimal_C(A, B3, m)) <= 1e-8
+
+    def test_newton_trace(self):
+        import json
+
+        report = numeric_stationary_search(A, B3, 2.0, sigma2_0=-0.4, tol=1e-8)
+        trace = report.newton_trace
+        assert len(trace) == report.iterations == 8
+        # every step but the last starts above tol; the last follows the gradient test
+        norms = [step.gradient_norm for step in trace]
+        assert min(norms[:-1]) > 1e-8 >= norms[-1]
+        assert all(step.step_norm > 0.0 for step in trace)
+        # the first full step from the guess C = 1 leaves the admissible region
+        assert [step.backtracks for step in trace] == [1] + [0] * 7
+        rows = json.loads(json.dumps(report.as_dict()))["newton_trace"]
+        assert rows[0] == {
+            "gradient_norm": norms[0], "step_norm": trace[0].step_norm, "backtracks": 1,
+        }
 
     def test_iteration_budget_enforced(self):
         with pytest.raises(NoConvergence):

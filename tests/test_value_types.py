@@ -14,7 +14,7 @@ from waveline.errors import ConfigError
 from waveline.phase_flow import FlowCoefficients, FlowInitialData
 from waveline.phase_functional import PhaseGeometry
 from waveline.report import CheckResult, RunReport
-from waveline.stationarity import StationarityReport
+from waveline.stationarity import NewtonStep, StationarityReport
 from waveline.values import REQUIRED, Frozen, Record
 from waveline.worldline import straight_line
 
@@ -31,6 +31,7 @@ VALUES = [
     FlowCoefficients(np.linspace(0.0, 1.0, 3), np.zeros((3, 4)), np.zeros(3)),
     PhaseGeometry(0.5, np.ones(4)),
     StationarityReport(np.zeros(4), 1.0, 1, 0.0, 0.0, 3, True),
+    NewtonStep(0.1, 0.05, 0),
     straight_line(np.zeros(4), np.array([2.0, 0.6, 0.3, 0.1]), 1.0, 4),
     SuiteResult([CheckResult("x", True, 0.5, 1.0)], {"x.json": {"a": 1}}),
 ]
@@ -48,9 +49,9 @@ TOLERANCE_KEYS = [
 
 
 def test_every_value_type_is_listed_once():
-    assert len({type(v) for v in VALUES}) == len(VALUES) == 12
+    assert len({type(v) for v in VALUES}) == len(VALUES) == 13
     # the four that validate their arguments keep a constructor of their own
-    assert len(RECORDS) == 8
+    assert len(RECORDS) == 9
 
 
 COPIES = {
