@@ -7,6 +7,7 @@ independent of argparse so tests and library callers can drive them directly.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -78,6 +79,9 @@ OPERATOR_R2 = 0.1
 # Contraction window for halving the RK4 step: ~2**4 with slack for
 # error-constant drift between rungs.
 CONTRACTION_LO, CONTRACTION_HI = 8.0, 32.0
+# Top-rung errors under this many eps of the largest exact sample are
+# rounding, which no step halving contracts.
+ROUNDOFF_EPS = 16.0
 
 
 class SuiteResult(Record):
@@ -119,13 +123,32 @@ def _n_ladder(n):
 # flow fidelity
 
 
-def _overflow(init, flow, n):
-    """The NumericalOverflow of an RK4 row that left the float range, else None."""
-    if np.isfinite(flow.sigma1).all() and np.isfinite(flow.sigma2).all():
-        return None
+def _overflow(init, n):
+    """The NumericalOverflow of an RK4 row of ``init`` that left the float range on n steps."""
     return NumericalOverflow(
         f"RK4 flow for sigma2_0={init.sigma2_0!r} leaves the float range on N={n} steps"
     )
+
+
+def _rung_errors(sigma1_0, curvatures, rung):
+    """Each row's largest |RK4 - exact| of sigma1 and of sigma2 on one rung,
+    and each row's largest |exact sample|.
+
+    One closed form serves the rung: every curvature's D on the rung's
+    lattice in one (L, n+1) call; each row's exact samples are divided out
+    of its D and overwritten in place by the errors.  |exact| peaks where D
+    is smallest, at the row's largest |datum|.
+    """
+    s2 = np.array(curvatures)[:, None]
+    d = denominator(s2, rung[0].grid)
+    peaks = np.maximum(np.abs(sigma1_0).max(), np.abs(s2[:, 0])) / d.min(axis=1)
+    e1 = np.empty((4, d.shape[1]))
+    errs = []
+    for dj, s2j, num in zip(d, s2, rung):
+        np.abs(np.subtract(num.sigma1.T, np.divide(sigma1_0[:, None], dj, e1), e1), e1)
+        e2 = np.abs(np.subtract(num.sigma2, np.divide(s2j, dj, dj), dj), dj)
+        errs.append((float(e1.max()), float(e2.max())))
+    return errs, peaks.tolist()
 
 
 def flow_suite(cfg):
@@ -134,7 +157,8 @@ def flow_suite(cfg):
     Every curvature on every ladder rung, and the flow.csv trace on the top
     rung, is integrated in a single call of n_top loop iterations; a
     curvature whose interval holds the pole is left out of it and fails its
-    own check only.
+    own check only.  Each rung's exact samples come from one closed form
+    over all its curvatures.
     """
     tol = cfg.tolerances.flow_tol
     sigma2_set = cfg.sigma2_values or FLOW_BENCH_SIGMA2
@@ -167,21 +191,22 @@ def flow_suite(cfg):
         steps.append(n_top)
     nums = integrate_flow(batch, FLOW_BENCH_C, n_top, steps) if batch else []
     errs = [{} for _ in inits]
-    for r, n in enumerate(ladder):
-        for k, num in zip(live, nums[r * len(live):]):
-            # a row that left the float range fails its own check with the
-            # first rung it left it on; its finer rungs are ignored
+    curvatures = [inits[k].sigma2_0 for k in live]
+    top_sample = 0.0  # the largest |exact sample| of a measured row on the top rung
+    trace = nums.pop() if trace_error is None else None
+    for n in ladder if live else ():
+        rung_errs, peaks = _rung_errors(trace_init.sigma1_0, curvatures, nums[:len(live)])
+        del nums[:len(live)]  # each rung's results go once measured
+        for k, err, peak in zip(live, rung_errs, peaks):
+            # a row that left the float range (its exact samples are finite
+            # off the pole) fails its own check with the first rung it left
+            # it on; its finer rungs are ignored
+            if screens[k] is None and not (math.isfinite(err[0]) and math.isfinite(err[1])):
+                screens[k] = _overflow(inits[k], n)
             if screens[k] is None:
-                screens[k] = _overflow(inits[k], num, n)
-            if screens[k] is not None:
-                continue
-            exact = sample_closed_form(inits[k], num.grid)
-            errs[k][n] = max(
-                float(np.abs(num.sigma1 - exact.sigma1).max()),
-                float(np.abs(num.sigma2 - exact.sigma2).max()),
-            )
-    trace = nums[-1] if trace_error is None else None
-    del nums  # the rungs' results go before the artifacts are built
+                errs[k][n] = max(err)
+                if n == n_top:
+                    top_sample = max(top_sample, peak)
 
     checks, err_rows = [], []
     for k, s2 in enumerate(sigma2_set):
@@ -193,14 +218,8 @@ def flow_suite(cfg):
             checks.append(threshold_check(name, errs[k][n_top], tol))
 
     worst = {n: max([0.0] + [e[n] for e in errs if n in e]) for n in ladder}
-    if worst[n_top] > 0:
-        ratio = worst[ladder[-2]] / worst[n_top]
-        checks.append(
-            window_check(
-                "flow_step_halving_contraction", ratio, CONTRACTION_LO, CONTRACTION_HI
-            )
-        )
-    else:
+    floor = ROUNDOFF_EPS * float(np.finfo(float).eps) * top_sample
+    if worst[n_top] == 0:
         # RK4 is exact on a flat flow, and a screened row has no error at
         # all: a zero error on the top rung leaves nothing to contract.
         exact_rows = sum(n_top in e for e in errs)
@@ -209,12 +228,28 @@ def flow_suite(cfg):
             f"exactly, {len(errs) - exact_rows} screened by the pole or the float range"
         )
         checks.append(failed_check("flow_step_halving_contraction", unmeasured))
+    elif worst[n_top] < floor:
+        # an error at rounding level contracts by no power of the step
+        unmeasured = NotMeasured(
+            f"worst RK4 error on N={n_top} is {worst[n_top]!r}, under the roundoff floor "
+            f"{floor!r} ({ROUNDOFF_EPS:g} eps times the largest exact sample {top_sample!r})"
+        )
+        checks.append(failed_check("flow_step_halving_contraction", unmeasured))
+    else:
+        ratio = worst[ladder[-2]] / worst[n_top]
+        checks.append(
+            window_check(
+                "flow_step_halving_contraction", ratio, CONTRACTION_LO, CONTRACTION_HI
+            )
+        )
 
     artifacts = {
         "flow_errors.csv": (("sigma2_0", "N", "max_abs_error"), err_rows),
     }
-    if trace_error is None:
-        trace_error = _overflow(trace_init, trace, n_top)
+    if trace_error is None and not (
+        np.isfinite(trace.sigma1).all() and np.isfinite(trace.sigma2).all()
+    ):
+        trace_error = _overflow(trace_init, n_top)
     if trace_error is not None:
         checks.append(failed_check(f"flow_trace[sigma2_0={cfg.sigma2_0:g}]", trace_error))
     else:

@@ -83,20 +83,27 @@ def require_shared_grid(g1, g2):
 def denominator(sigma2_0, c):
     """D(c) = 1 + 2 sigma2_0 c, the single scale factor of the exact flow.
 
-    Past |sigma2_0| = DBL_MAX / 2 the factor 2 sigma2_0 is infinite, and
-    infinity times c = 0 is NaN; there D is formed as 1 + 2 (sigma2_0 c),
-    so D(0) is exactly 1 and a D past the float range is an infinity of its
-    sign, without a warning.  So is D wherever 2 sigma2_0 c leaves the range
-    (sigma2_0 ~ 1e300 at c ~ 1e200): the product at the largest |c|, taken
-    in Python floats, which round alike and never warn, tells in advance.
+    ``sigma2_0`` and ``c`` broadcast: a column of curvatures against a
+    lattice gives every curvature's D in one pass.  Past |sigma2_0| =
+    DBL_MAX / 2 the factor 2 sigma2_0 is infinite, and infinity times c = 0
+    is NaN; there D is formed as 1 + 2 (sigma2_0 c), so D(0) is exactly 1
+    and a D past the float range is an infinity of its sign, without a
+    warning.  So is D wherever 2 sigma2_0 c leaves the range (sigma2_0 ~
+    1e300 at c ~ 1e200): the product of the largest |2 sigma2_0| and |c|,
+    taken in Python floats, which round alike and never warn, tells in
+    advance.  Both forms give the same bits wherever the first is finite.
     """
     c = np.asarray(c, dtype=float)
-    two_s = 2.0 * float(sigma2_0)
-    reach = abs(float(c)) if c.ndim == 0 else float(np.abs(c).max(initial=0.0))
-    if math.isfinite(two_s * reach):
-        return 1.0 + two_s * c
+    s = np.asarray(sigma2_0, dtype=float)
+    if math.isfinite(2.0 * _reach(s) * _reach(c)):
+        return 1.0 + (2.0 * s) * c
     with np.errstate(over="ignore"):
-        return 1.0 + 2.0 * (sigma2_0 * c)
+        return 1.0 + 2.0 * (s * c)
+
+
+def _reach(x):
+    """The largest |x| as a Python float."""
+    return abs(float(x)) if x.ndim == 0 else float(np.abs(x).max(initial=0.0))
 
 
 def checked_denominator(sigma2_0, c):
@@ -145,16 +152,32 @@ def frozen_coefficients(init, grid):
 
 
 def batched_rhs(y, out):
-    """The system's right-hand side on a (5, K) state of columns (sigma1, sigma2), into ``out``."""
-    # (-2 sigma2) times each component row, one column per initial datum
-    np.multiply(-2.0 * y[4], y, out)
+    """sigma2 times each row of a (5, K) state of columns (sigma1, sigma2), into ``out``.
+
+    The system's right-hand side is -2 times this; the -2 rides in the step
+    weights of ``rk4_weights``.
+    """
+    np.multiply(y[4], y, out)
+
+
+def rk4_weights(h):
+    """The weights ``(h, half, sixth)`` of ``_rk4_stepper`` for a step ``h``, carrying the -2.
+
+    The textbook step scales k = -2 sigma2 y by h/2, h and h/6; with k
+    taken as sigma2 y the factors are -h, -2h and h/-3 (= -2 (h/6), since
+    h/3 rounds to twice h/6).  A power of two commutes with rounding, so
+    each product, each sum of k's and each step keeps the textbook bits
+    while no stage over- or underflows.
+    """
+    return -2.0 * h, -h, h / -3.0
 
 
 def _rk4_stepper(h, half, sixth, shape):
-    """``step(y, out)``: one textbook RK4 step of ``batched_rhs`` on a ``shape`` state.
+    """``step(y, out)``: one RK4 step of ``batched_rhs`` on a ``shape`` state.
 
-    ``h``, ``half`` and ``sixth`` are scalars or per-column rows; the step
-    runs in five preallocated buffers, and ``out`` may be ``y`` itself.
+    ``h``, ``half`` and ``sixth`` are ``rk4_weights``: scalars or arrays of
+    ``shape``; the step runs in five preallocated buffers, and ``out`` may
+    be ``y`` itself.
     """
     k1, k2, k3, k4, stage = np.empty((5,) + shape)
     rhs, add, mul = batched_rhs, np.add, np.multiply  # the last argument is out
@@ -164,7 +187,7 @@ def _rk4_stepper(h, half, sixth, shape):
         rhs(add(y, mul(half, k1, stage), stage), k2)
         rhs(add(y, mul(half, k2, stage), stage), k3)
         rhs(add(y, mul(h, k3, stage), stage), k4)
-        # y + (h/6) (k1 + 2 k2 + 2 k3 + k4), the sum left to right, in k2
+        # y + sixth (k1 + 2 k2 + 2 k3 + k4), the sum left to right, in k2
         add(k1, mul(2.0, k2, k2), k2)
         add(k2, mul(2.0, k3, k3), k2)
         add(k2, k4, k2)
@@ -186,17 +209,22 @@ def integrate_flow(inits, C, N, steps=None):
 
     The columns are ordered longest count first, so the data still stepping
     are always a prefix.  While more than one count is live, a contiguous
-    (5, live) state takes steps with per-column rows of h, h/2 and h/6, and
-    each count's slice is copied into its own (n+1, 5, K_n) path; when a
-    count ends, the state is narrowed by a copy (a strided view would slow
-    every ufunc call) and that count's FlowCoefficients are built and its
-    path freed.  The last count steps straight into its path.  Each step is
-    the textbook one, in its textbook order of operations.
+    (5, live) state takes steps with (5, live) weights, each column's own
+    ``rk4_weights``, and each count's slice is copied into its own
+    (n+1, 5, K_n) path; when a count ends, the state is narrowed by a copy
+    (a strided view would slow every ufunc call) and that count's
+    FlowCoefficients are built and its path freed.  The last count steps
+    straight into its path.  Each step is the textbook one, in its
+    textbook order of operations, with the -2 of the right-hand side
+    carried by the weights (see ``rk4_weights``).
 
-    Every datum is checked against the pole at every node of its lattice
-    before the first step (see ``checked_denominator``); the first singular
-    one raises.  A column whose steps leave the float range comes back with
-    non-finite samples and no warning; columns never mix, so the others are
+    Every datum is checked against the pole before the first step: D is
+    monotone in c, so a lattice holds a node at or under the floor exactly
+    when its last node C does, and all data are tested there in one call.
+    Only a datum that fails is scanned on its own lattice (see
+    ``checked_denominator``); the first such in input order raises.  A
+    column whose steps leave the float range comes back with non-finite
+    samples and no warning; columns never mix, so the others are
     unaffected.
     """
     grid = lattice(C, N)
@@ -207,16 +235,17 @@ def integrate_flow(inits, C, N, steps=None):
         if not 2 <= n <= N:
             raise BadGrid(f"step count {n!r} outside [2, {N}]")
     grids = {n: grid if n == N else lattice(C, n) for n in steps}
-    for row, n in zip(inits, steps):
-        checked_denominator(row.sigma2_0, grids[n])
+    # D's rounding is monotone in c too, and every lattice ends at C
+    d_end = denominator([row.sigma2_0 for row in inits], grid[-1])
+    for k in np.flatnonzero(d_end <= DENOMINATOR_FLOOR):
+        checked_denominator(inits[k].sigma2_0, grids[steps[k]])
 
     order = sorted(range(len(inits)), key=lambda k: -steps[k])
     counts = sorted(grids, reverse=True)
     bounds = np.cumsum([0] + [steps.count(n) for n in counts]).tolist()
     blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]  # columns of each count
     h = {n: g[1] - g[0] for n, g in grids.items()}
-    hs = np.array([h[steps[k]] for k in order])
-    rows = (hs, 0.5 * hs, hs / 6.0)
+    weights = rk4_weights(np.array([h[steps[k]] for k in order]))
 
     y = np.array([np.append(inits[k].sigma1_0, inits[k].sigma2_0) for k in order])
     y = y.reshape(-1, 5).T.copy()
@@ -230,7 +259,8 @@ def integrate_flow(inits, C, N, steps=None):
         for g in reversed(range(len(counts))):
             n = counts[g]
             if g:  # more than one count live: step the state, copy out each live block
-                step = _rk4_stepper(*(r[: bounds[g + 1]] for r in rows), y.shape)
+                live = bounds[g + 1]
+                step = _rk4_stepper(*(np.tile(w[:live], (5, 1)) for w in weights), y.shape)
                 for i in range(done, n):
                     step(y, y)
                     for path, cols in zip(paths, blocks):
@@ -238,7 +268,7 @@ def integrate_flow(inits, C, N, steps=None):
                 y = y[:, : bounds[g]].copy()
             else:  # the longest count alone steps straight into its path
                 path = paths[0]
-                step = _rk4_stepper(h[n], 0.5 * h[n], h[n] / 6.0, y.shape)
+                step = _rk4_stepper(*rk4_weights(h[n]), y.shape)
                 for i in range(done, n):
                     step(path[i], path[i + 1])
             done = n

@@ -573,6 +573,29 @@ class TestCli:
             f"N=1000 is 0: {rows} screened by the pole or the float range)"
         ) in lines
 
+    @pytest.mark.parametrize(
+        "sigma2, worst",
+        [("0.001", "1.1102230246251565e-15"), ("0.2", "1.6653345369377348e-15"),
+         ("1e-5", "4.440892098500626e-16")],
+    )
+    def test_contraction_at_roundoff_is_not_measured(self, tmp_path, capsys, sigma2, worst):
+        # the top rung's error is rounding, which halving the step does not
+        # contract: the ratio (0.7, 1.47 and 0.5 here) would measure noise
+        assert main(["flow", f"--sigma2={sigma2}", "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert (
+            "[FAIL] flow_step_halving_contraction  value=nan  (NotMeasured: worst RK4 error on "
+            f"N=1000 is {worst}, under the roundoff floor 3.552713678800501e-15 (16 eps times "
+            "the largest exact sample 1.0))"
+        ) in lines
+
+    @pytest.mark.parametrize("sigma2, ratio", [("-0.2", "8.19355"), ("0.5", "14.2391")])
+    def test_contraction_just_over_roundoff_is_measured(self, tmp_path, capsys, sigma2, ratio):
+        # top-rung errors of 6.9e-15 (largest exact sample 1/0.6) and
+        # 5.1e-15 (sample 1) clear the floor of 16 eps times the sample
+        assert main(["flow", f"--sigma2={sigma2}", "--out", str(tmp_path / "out")]) == 0
+        assert f"[PASS] flow_step_halving_contraction  value={ratio}" in capsys.readouterr().out
+
     def test_stationary_point_past_the_pole_is_named(self, tmp_path):
         # C* = 0.9407... lies past the pole c* = 1/1.4 of sigma2_0 = -0.7
         out = tmp_path / "out"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waveline.errors import BadGrid, FlowSingularity, GridMismatch
@@ -322,6 +322,76 @@ class TestBatchedIntegrator:
                 with pytest.raises(FlowSingularity) as info:
                     refuse()
                 assert str(info.value) == message
+
+
+# Curvatures of either sign from 1e-320 up, pole-free on [0, 1]: a
+# negative one stays above -1/2, a positive one reaches 1e308, past where
+# its square, then its every stage, leaves the float range.
+magnitudes = st.floats(1e-320, 1e308)
+pole_free = st.one_of(magnitudes, st.floats(1e-320, 0.4999).map(lambda v: -v))
+
+
+@st.composite
+def mixed_batches(draw):
+    """(inits, N, steps): up to six data on mixed step counts in [2, N]."""
+    n = draw(st.integers(2, 40))
+    rows = draw(st.lists(st.tuples(pole_free, st.integers(2, n)), min_size=1, max_size=6))
+    inits = [FlowInitialData(S1 * (k + 1), s2) for k, (s2, _) in enumerate(rows)]
+    return inits, n, [steps for _, steps in rows]
+
+
+class TestFoldedWeights:
+    """The step weights carry the right-hand side's -2 (``rk4_weights``):
+    every row is still the textbook RK4 of -2 sigma2 y, bit for bit, while
+    the textbook step stays in the float range."""
+
+    @given(mixed_batches())
+    @example(([FlowInitialData(S1, s2) for s2 in (9.6e153, 1.2e154, 1.7e308, 1e-160)], 8,
+              [8, 4, 8, 2]))
+    @example(([FlowInitialData(S1, s2) for s2 in (-1e-160, 5e-324, -0.49999999, 1e200)], 8,
+              [3, 8, 8, 5]))
+    # the textbook sum k1 + 2 k2 + 2 k3 + k4 overflows on the first step;
+    # the folded one is half of it and still finite
+    @example(([FlowInitialData(S1, 1.4440517193613641e20)], 12, [12]))
+    @settings(max_examples=80, deadline=None)
+    def test_every_row_is_the_textbook_step(self, batch):
+        inits, n, steps = batch
+        flows = integrate_flow(inits, 1.0, n, steps)
+        for init, count, flow in zip(inits, steps, flows):
+            with np.errstate(over="ignore", invalid="ignore"):
+                grid, s1, s2 = scalar_rk4(init, 1.0, count)
+            assert np.array_equal(flow.grid, grid)
+            got, want = np.c_[flow.sigma1, flow.sigma2], np.c_[s1, s2]
+            kept = np.isfinite(want).all(axis=1)
+            # bit for bit on every node the textbook step keeps in range ...
+            assert np.array_equal(got[kept], want[kept]), init.sigma2_0
+            # ... and a row it takes out of the range leaves the range too,
+            # so the flow suite's NumericalOverflow verdict is the same; the
+            # folded step has twice the headroom, so a node of that row may
+            # stay finite where the textbook one overflowed
+            assert np.isfinite(got).all() == kept.all(), init.sigma2_0
+
+    @pytest.mark.parametrize(
+        "s2s, steps, message",
+        [
+            # two singular rows after a regular one: -0.7 comes first in
+            # input order, though -0.9 steps longer and leads the columns
+            ((0.5, -0.7, -0.9), (10, 4, 10),
+             "flow is singular at c=0.75 (D=-0.04999999999999982, "
+             "pole at c*=0.7142857142857143)"),
+            # the two swapped: -0.9 raises, named on its own 4-step lattice
+            ((0.5, -0.9, -0.7), (10, 4, 10),
+             "flow is singular at c=0.75 (D=-0.3500000000000001, "
+             "pole at c*=0.5555555555555556)"),
+        ],
+    )
+    def test_first_singular_row_in_input_order_raises(self, s2s, steps, message):
+        inits = [FlowInitialData(S1, s2) for s2 in s2s]
+        with pytest.raises(FlowSingularity) as info:
+            integrate_flow(inits, 1.0, 10, steps)
+        assert str(info.value) == message
+        first = next(s2 for s2 in s2s if s2 < -0.5)
+        assert info.value.c_star == -0.5 / first
 
 
 class TestContainersAndControls:
