@@ -26,6 +26,7 @@ from .minkowski import classical_action, interval_squared
 from .phase_flow import (
     FlowInitialData,
     checked_denominator,
+    closed_form_errors,
     denominator,
     flow_to_rows,
     frozen_coefficients,
@@ -79,8 +80,9 @@ OPERATOR_R2 = 0.1
 # Contraction window for halving the RK4 step: ~2**4 with slack for
 # error-constant drift between rungs.
 CONTRACTION_LO, CONTRACTION_HI = 8.0, 32.0
-# Top-rung errors under this many eps of the largest exact sample are
-# rounding, which no step halving contracts.
+# Errors one rung under the top below this many eps of the largest exact
+# sample leave the top rung's, for any ratio in the contraction window, at
+# the level of rounding, which no step halving contracts.
 ROUNDOFF_EPS = 16.0
 
 
@@ -130,27 +132,6 @@ def _overflow(init, n):
     )
 
 
-def _rung_errors(sigma1_0, curvatures, rung):
-    """Each row's largest |RK4 - exact| of sigma1 and of sigma2 on one rung,
-    and each row's largest |exact sample|.
-
-    One closed form serves the rung: every curvature's D on the rung's
-    lattice in one (L, n+1) call; each row's exact samples are divided out
-    of its D and overwritten in place by the errors.  |exact| peaks where D
-    is smallest, at the row's largest |datum|.
-    """
-    s2 = np.array(curvatures)[:, None]
-    d = denominator(s2, rung[0].grid)
-    peaks = np.maximum(np.abs(sigma1_0).max(), np.abs(s2[:, 0])) / d.min(axis=1)
-    e1 = np.empty((4, d.shape[1]))
-    errs = []
-    for dj, s2j, num in zip(d, s2, rung):
-        np.abs(np.subtract(num.sigma1.T, np.divide(sigma1_0[:, None], dj, e1), e1), e1)
-        e2 = np.abs(np.subtract(num.sigma2, np.divide(s2j, dj, dj), dj), dj)
-        errs.append((float(e1.max()), float(e2.max())))
-    return errs, peaks.tolist()
-
-
 def flow_suite(cfg):
     """RK4 against the exact flow on the fixed unit-duration benchmark.
 
@@ -191,11 +172,10 @@ def flow_suite(cfg):
         steps.append(n_top)
     nums = integrate_flow(batch, FLOW_BENCH_C, n_top, steps) if batch else []
     errs = [{} for _ in inits]
-    curvatures = [inits[k].sigma2_0 for k in live]
-    top_sample = 0.0  # the largest |exact sample| of a measured row on the top rung
+    samples = dict.fromkeys(ladder, 0.0)  # each rung's largest |exact sample| of a measured row
     trace = nums.pop() if trace_error is None else None
     for n in ladder if live else ():
-        rung_errs, peaks = _rung_errors(trace_init.sigma1_0, curvatures, nums[:len(live)])
+        rung_errs, peaks = closed_form_errors([inits[k] for k in live], nums[:len(live)])
         del nums[:len(live)]  # each rung's results go once measured
         for k, err, peak in zip(live, rung_errs, peaks):
             # a row that left the float range (its exact samples are finite
@@ -205,8 +185,7 @@ def flow_suite(cfg):
                 screens[k] = _overflow(inits[k], n)
             if screens[k] is None:
                 errs[k][n] = max(err)
-                if n == n_top:
-                    top_sample = max(top_sample, peak)
+                samples[n] = max(samples[n], peak)
 
     checks, err_rows = [], []
     for k, s2 in enumerate(sigma2_set):
@@ -218,7 +197,8 @@ def flow_suite(cfg):
             checks.append(threshold_check(name, errs[k][n_top], tol))
 
     worst = {n: max([0.0] + [e[n] for e in errs if n in e]) for n in ladder}
-    floor = ROUNDOFF_EPS * float(np.finfo(float).eps) * top_sample
+    below = ladder[-2]
+    floor = ROUNDOFF_EPS * float(np.finfo(float).eps) * samples[below]
     if worst[n_top] == 0:
         # RK4 is exact on a flat flow, and a screened row has no error at
         # all: a zero error on the top rung leaves nothing to contract.
@@ -228,15 +208,16 @@ def flow_suite(cfg):
             f"exactly, {len(errs) - exact_rows} screened by the pole or the float range"
         )
         checks.append(failed_check("flow_step_halving_contraction", unmeasured))
-    elif worst[n_top] < floor:
-        # an error at rounding level contracts by no power of the step
+    elif worst[below] < floor:
+        # a ratio inside the window would put the top rung's error at a
+        # couple of eps, where rounding, not the step, sets it
         unmeasured = NotMeasured(
-            f"worst RK4 error on N={n_top} is {worst[n_top]!r}, under the roundoff floor "
-            f"{floor!r} ({ROUNDOFF_EPS:g} eps times the largest exact sample {top_sample!r})"
+            f"worst RK4 error on N={below} is {worst[below]!r}, under the roundoff floor "
+            f"{floor!r} ({ROUNDOFF_EPS:g} eps times the largest exact sample {samples[below]!r})"
         )
         checks.append(failed_check("flow_step_halving_contraction", unmeasured))
     else:
-        ratio = worst[ladder[-2]] / worst[n_top]
+        ratio = worst[below] / worst[n_top]
         checks.append(
             window_check(
                 "flow_step_halving_contraction", ratio, CONTRACTION_LO, CONTRACTION_HI

@@ -136,6 +136,32 @@ def sample_closed_form(init, grid):
     )
 
 
+def closed_form_errors(inits, flows):
+    """Each flow's largest |flow - exact| of sigma1 and of sigma2, and its largest |exact sample|.
+
+    ``flows[k]`` runs from ``inits[k]``, and all share one grid.  One closed
+    form serves them all: every curvature's D on the grid in one (K, M)
+    ``denominator`` call; each row's exact samples are divided out of its D
+    and overwritten in place by the errors, with the bits of
+    ``sample_closed_form``.  |exact| peaks where D is smallest, at the
+    row's largest |datum|.  Off the pole the exact samples are finite, so a
+    non-finite error marks a flow that left the float range.
+    """
+    grid = flows[0].grid
+    s1 = np.array([init.sigma1_0 for init in inits])
+    s2 = np.array([init.sigma2_0 for init in inits])[:, None]
+    d = denominator(s2, grid)
+    peaks = np.maximum(np.abs(s1).max(axis=1), np.abs(s2[:, 0])) / d.min(axis=1)
+    e1 = np.empty((4, grid.size))
+    errs = []
+    for dj, s1j, s2j, flow in zip(d, s1, s2, flows):
+        require_shared_grid(flow.grid, grid)
+        np.abs(np.subtract(flow.sigma1.T, np.divide(s1j[:, None], dj, e1), e1), e1)
+        e2 = np.abs(np.subtract(flow.sigma2, np.divide(s2j, dj, dj), dj), dj)
+        errs.append((float(e1.max()), float(e2.max())))
+    return errs, peaks.tolist()
+
+
 def frozen_coefficients(init, grid):
     """Constant-in-c coefficients (a deliberate violation of the flow).
 

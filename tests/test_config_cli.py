@@ -574,25 +574,35 @@ class TestCli:
         ) in lines
 
     @pytest.mark.parametrize(
-        "sigma2, worst",
-        [("0.001", "1.1102230246251565e-15"), ("0.2", "1.6653345369377348e-15"),
-         ("1e-5", "4.440892098500626e-16")],
+        "sigma2, worst, floor",
+        [("0.001", "7.771561172376096e-16", "3.552713678800501e-15 (16 eps times the largest "
+          "exact sample 1.0)"),
+         ("0.2", "2.4424906541753444e-15", "3.552713678800501e-15 (16 eps times the largest "
+          "exact sample 1.0)"),
+         ("1e-5", "2.220446049250313e-16", "3.552713678800501e-15 (16 eps times the largest "
+          "exact sample 1.0)"),
+         ("-0.03", "1.5543122344752192e-15", "3.7794826370218094e-15 (16 eps times the largest "
+          "exact sample 1.0638297872340425)")],
     )
-    def test_contraction_at_roundoff_is_not_measured(self, tmp_path, capsys, sigma2, worst):
-        # the top rung's error is rounding, which halving the step does not
-        # contract: the ratio (0.7, 1.47 and 0.5 here) would measure noise
+    def test_contraction_at_roundoff_is_not_measured(self, tmp_path, capsys, sigma2, worst, floor):
+        # the error one rung under the top is rounding, so any ratio in the
+        # window leaves the top rung's at rounding too: the ratio (0.7, 1.47,
+        # 0.5 and 0.35 here) would measure noise
         assert main(["flow", f"--sigma2={sigma2}", "--out", str(tmp_path / "out")]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert (
             "[FAIL] flow_step_halving_contraction  value=nan  (NotMeasured: worst RK4 error on "
-            f"N=1000 is {worst}, under the roundoff floor 3.552713678800501e-15 (16 eps times "
-            "the largest exact sample 1.0))"
+            f"N=500 is {worst}, under the roundoff floor {floor})"
         ) in lines
 
-    @pytest.mark.parametrize("sigma2, ratio", [("-0.2", "8.19355"), ("0.5", "14.2391")])
+    @pytest.mark.parametrize(
+        "sigma2, ratio",
+        [("-0.2", "8.19355"), ("0.5", "14.2391"), ("0.4", "9.88889"), ("0.295", "10.5714")],
+    )
     def test_contraction_just_over_roundoff_is_measured(self, tmp_path, capsys, sigma2, ratio):
-        # top-rung errors of 6.9e-15 (largest exact sample 1/0.6) and
-        # 5.1e-15 (sample 1) clear the floor of 16 eps times the sample
+        # top-rung errors of 3.5 to 23 eps of the largest exact sample: the
+        # floor sits on the rung under the top, whose errors here are 37 eps
+        # (0.295) and up, so these ratios are read against the window
         assert main(["flow", f"--sigma2={sigma2}", "--out", str(tmp_path / "out")]) == 0
         assert f"[PASS] flow_step_halving_contraction  value={ratio}" in capsys.readouterr().out
 

@@ -9,6 +9,7 @@ from waveline.phase_flow import (
     FlowCoefficients,
     FlowInitialData,
     checked_denominator,
+    closed_form_errors,
     denominator,
     flow_to_rows,
     frozen_coefficients,
@@ -148,6 +149,23 @@ class TestIntegrator:
             np.abs(num.sigma2 - exact.sigma2).max(),
         )
         assert err <= 1e-10
+
+    def test_closed_form_errors_are_each_rows_own_bit_for_bit(self):
+        # rows with their own sigma1_0: one D call serves them all, with the
+        # bits of each row's sample_closed_form and its largest |exact|
+        inits = [FlowInitialData(S1, -0.4), FlowInitialData(-3.0 * S1, 0.5),
+                 FlowInitialData(S1 / 7.0, 0.0), FlowInitialData(S1, 2.0)]
+        nums = integrate_flow(inits, 1.0, 200)
+        errs, peaks = closed_form_errors(inits, nums)
+        for init, num, err, peak in zip(inits, nums, errs, peaks):
+            exact = sample_closed_form(init, num.grid)
+            assert err == (
+                float(np.abs(num.sigma1 - exact.sigma1).max()),
+                float(np.abs(num.sigma2 - exact.sigma2).max()),
+            )
+            assert peak == max(np.abs(exact.sigma1).max(), np.abs(exact.sigma2).max())
+        with pytest.raises(GridMismatch):
+            closed_form_errors(inits[:2], [nums[0], *integrate_flow(inits[1:2], 1.0, 100)])
 
     def test_zero_curvature_is_exact(self):
         init = FlowInitialData(S1, 0.0)
