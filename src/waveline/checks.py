@@ -102,7 +102,7 @@ class SuiteResult(Record):
                 write_json(path, payload)
 
 
-def merge(*suites):
+def _merge(*suites):
     """One SuiteResult of the suites' checks and artifacts, in the order given."""
     checks, artifacts = [], {}
     for s in suites:
@@ -649,7 +649,7 @@ def phase_suite(cfg):
 
 def verify_suite(cfg):
     """Every check family, plus the negative-control meta-check."""
-    return merge(
+    return _merge(
         flow_suite(cfg),
         lambda_suite(cfg, with_control=True),
         stationarity_suite(cfg),

@@ -7,14 +7,12 @@ run_report.json (plus suite artifacts) to --out.
 """
 
 import argparse
-import contextlib
 import os
 import sys
 import time
-import warnings
 from pathlib import Path
 
-# report imports no numpy; the modules that do are imported inside _run(),
+# report imports no numpy; the modules that do are imported inside main(),
 # so that entry() can set the BLAS thread count before numpy loads
 from .report import RunReport, format_check_line, write_json
 
@@ -84,10 +82,6 @@ def _print_lines(lines):
 
 def main(argv=None):
     """Run one command in this process and return its exit code."""
-    return _run(argv, two_cores=False)
-
-
-def _run(argv, two_cores):
     args = build_parser().parse_args(argv)
     from .checks import CHECK_NAMES, SUITES
     from .config import load_config
@@ -107,14 +101,7 @@ def _run(argv, two_cores):
         return 2
 
     started = time.perf_counter()
-    if two_cores and args.command == "verify":
-        with _verify_on_two_cores(cfg) as suite:
-            return _report(args, cfg, suite, started)
-    return _report(args, cfg, SUITES[args.command](cfg), started)
-
-
-def _report(args, cfg, suite, started):
-    """Print and write the run's results; return the exit code."""
+    suite = SUITES[args.command](cfg)
     wall = time.perf_counter() - started
     report = RunReport(
         command=args.command,
@@ -147,81 +134,6 @@ def _report(args, cfg, suite, started):
     return 0 if report.overall == "pass" else 1
 
 
-@contextlib.contextmanager
-def _verify_on_two_cores(cfg):
-    """Yield ``checks.verify_suite(cfg)``, its lambda and operator suites run by a forked worker.
-
-    This process runs the flow, stationary and phase suites meanwhile.  The
-    worker pickles its two SuiteResults into a pipe and leaves with
-    ``os._exit``; it writes nothing to stdout or stderr, and sends nothing
-    if a suite raised or warned.  A payload that does not unpickle (the
-    worker failed or died) makes this process run those two suites itself,
-    so an exception or warning comes from here, as in the serial run.  The
-    worker is reaped on leaving the ``with`` block, killed first if its
-    payload was never read.  Without ``os.fork``, with a second thread
-    running (a BLAS started with more threads, say), which would not go on
-    in the child, or when the fork fails, all five suites run here.
-    """
-    import pickle
-
-    from . import checks
-
-    def worker_suites():
-        return checks.lambda_suite(cfg, with_control=True), checks.operator_suite(cfg)
-
-    try:
-        forkable = hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
-    except OSError:  # no /proc: the thread count is unknown
-        forkable = False
-    if forkable:
-        import numpy.random  # numpy loads it lazily; both sides draw seeds, so load it once
-
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process or memory to spare
-            os.close(read_fd)
-            os.close(write_fd)
-            forkable = False
-    if not forkable:
-        yield checks.verify_suite(cfg)
-        return
-
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            with warnings.catch_warnings(record=True) as caught:
-                results = worker_suites()
-            if not caught:
-                with os.fdopen(write_fd, "wb") as pipe:
-                    pickle.dump(results, pipe, pickle.HIGHEST_PROTOCOL)
-                code = 0
-        finally:
-            os._exit(code)
-
-    os.close(write_fd)
-    pipe = os.fdopen(read_fd, "rb")
-    try:
-        flow = checks.flow_suite(cfg)
-        stationary = checks.stationarity_suite(cfg)
-        phase = checks.phase_suite(cfg)
-        with pipe:
-            payload = pipe.read()
-        try:
-            lam, operator = pickle.loads(payload)
-        except Exception:  # empty or cut short: the worker raised, warned or died
-            lam, operator = worker_suites()
-        yield checks.merge(flow, lam, stationary, operator, phase)
-    finally:
-        if not pipe.closed:
-            import signal
-
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
 def _keep_freed_memory_mapped():
     """Stop glibc handing freed lattice memory back to the OS between sets.
 
@@ -241,25 +153,23 @@ def _keep_freed_memory_mapped():
 
 
 def entry():
-    """The ``waveline`` process: ``main()`` plus four process-wide policies.
+    """The ``waveline`` process: ``main()`` plus three process-wide policies.
 
     OpenBLAS starts on one thread: the variable is set before ``main()``
     imports numpy, unless the caller's environment already sets it, because
     a second BLAS thread busy-waits for about 0.1 s of CPU after numpy loads
     and the suites' matrix products are too small to share.  Freed memory
-    stays mapped while the suites run.  ``verify`` runs on two cores: once
-    the config is loaded, a forked worker runs the lambda and operator
-    suites while this process runs the other three, and the results merge
-    in ``checks.verify_suite``'s order (see ``_verify_on_two_cores``).  Once
-    the run has returned (every report and artifact already closed) the
-    process flushes stdout and stderr and leaves with ``os._exit``, skipping
-    interpreter teardown.  A ``SystemExit`` from argparse or an exception
-    escaping the run takes the normal interpreter exit.  Library callers of
-    ``main()`` get none of the four policies.
+    stays mapped while the suites run, and once ``main()`` has returned
+    (every report and artifact already closed) the process flushes stdout
+    and stderr and leaves with ``os._exit``, skipping interpreter teardown.
+    A ``SystemExit`` from argparse or an exception escaping ``main()`` takes
+    the normal interpreter exit.  Every suite, ``verify``'s five included,
+    runs in this one process.  Library callers of ``main()`` get none of
+    the three policies.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     _keep_freed_memory_mapped()
-    code = _run(None, two_cores=True)
+    code = main()
     try:
         for name in ("stdout", "stderr"):
             stream = getattr(sys, name)

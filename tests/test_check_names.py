@@ -42,9 +42,9 @@ RUNS = (
 )
 
 # Module-level functions the runs need not reach: the process wrapper and
-# the two-core verify it alone selects run only in a child
+# the memory policy it alone sets run only in a child
 # (tests/test_cli_process.py).
-NOT_REACHED = {"cli.entry", "cli._keep_freed_memory_mapped", "cli._verify_on_two_cores"}
+NOT_REACHED = {"cli.entry", "cli._keep_freed_memory_mapped"}
 
 
 def module_functions():

@@ -1,9 +1,10 @@
 """The ``waveline`` process: ``cli.entry()`` run as ``python -m waveline.cli``.
 
-``entry()`` leaves through ``os._exit`` after flushing, on glibc keeps freed
-memory mapped, and runs ``verify``'s lambda and operator suites in a forked
-worker.  None of them may change what a run prints or writes: every exit
-code, line and file must be what an in-process ``main()`` gives.
+``entry()`` starts OpenBLAS on one thread, on glibc keeps freed memory
+mapped, and leaves through ``os._exit`` after flushing.  None of them may
+change what a run prints or writes: every exit code, line and file must be
+what an in-process ``main()`` gives, ``verify``'s five suites included,
+which run in the one process.
 """
 
 import json
@@ -87,7 +88,7 @@ def test_child_matches_in_process_main(tmp_path, configs, capsys, command, extra
 
 
 def test_callers_blas_threads_keep_verify_serial_and_its_output(tmp_path, configs, capsys):
-    # a second OpenBLAS thread rules out the fork; the run is the same
+    # a caller's second OpenBLAS thread changes nothing the run prints or writes
     args = ["verify", "--config", configs["QUICK"]]
     proc = run_cli(args + ["--out", "child"], cwd=tmp_path, env={"OPENBLAS_NUM_THREADS": "2"})
     assert_matches_main(proc, args, 1, tmp_path, capsys)
@@ -96,109 +97,29 @@ def test_callers_blas_threads_keep_verify_serial_and_its_output(tmp_path, config
 def patched_entry(args, patches):
     """Source of a child that runs ``cli.entry()`` on ``args`` with ``patches`` applied.
 
-    ``patches`` replaces functions of ``checks`` or ``os``; it sees
-    ``parent``, the pid of the process before the worker is forked.
+    ``patches`` replaces functions of ``os``.
     """
     return (
-        "import os, sys, warnings\n"
-        "from waveline import checks, cli\n"
-        "parent = os.getpid()\n"
+        "import os, sys\n"
+        "from waveline import cli\n"
         f"{patches}"
         f"sys.argv[1:] = {args!r}\n"
         "cli.entry()\n"
     )
 
 
-# the worker is forked only where /proc shows this process has one thread
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork") or not os.path.isdir("/proc/self/task"), reason="forks a worker"
-)
-
-
-@needs_fork
-def test_dead_worker_hands_its_suites_back(tmp_path, configs, capsys):
-    args = ["verify", "--config", configs["QUICK"]]
-    patches = (
-        "lambda_suite = checks.lambda_suite\n"
-        "def dying(cfg, with_control=False):\n"
-        "    if os.getpid() != parent:\n"
-        "        open('worker-ran', 'w').close()\n"
-        "        os._exit(3)\n"
-        "    return lambda_suite(cfg, with_control=with_control)\n"
-        "checks.lambda_suite = dying\n"
-    )
-    proc = run_python(patched_entry(args + ["--out", "child"], patches), tmp_path)
-    assert (tmp_path / "worker-ran").is_file()
-    assert_matches_main(proc, args, 1, tmp_path, capsys)
-
-
-@needs_fork
-def test_failed_fork_runs_every_suite_here(tmp_path, configs, capsys):
+def test_entry_runs_verify_without_forking(tmp_path, configs, capsys):
+    # every suite runs in the one process; a fork would leave the marker
     args = ["verify", "--config", configs["QUICK"]]
     patches = (
         "def no_fork():\n"
-        "    open('fork-tried', 'w').close()\n"
+        "    open('forked', 'w').close()\n"
         "    raise BlockingIOError(11, 'Resource temporarily unavailable')\n"
         "os.fork = no_fork\n"
     )
     proc = run_python(patched_entry(args + ["--out", "child"], patches), tmp_path)
-    assert (tmp_path / "fork-tried").is_file()
+    assert not (tmp_path / "forked").exists()
     assert_matches_main(proc, args, 1, tmp_path, capsys)
-
-
-@needs_fork
-def test_warning_in_the_worker_is_printed_once_by_the_parent(tmp_path, configs, capsys):
-    # the worker sends nothing when a suite warns; this process runs its
-    # suites again, so the warning is printed once, as in a serial run
-    args = ["verify", "--config", configs["QUICK"]]
-    patches = (
-        "operator_suite = checks.operator_suite\n"
-        "def warning(cfg):\n"
-        "    warnings.warn(f'probe warning from {os.getpid() == parent}', UserWarning)\n"
-        "    return operator_suite(cfg)\n"
-        "checks.operator_suite = warning\n"
-    )
-    proc = run_python(patched_entry(args + ["--out", "child"], patches), tmp_path)
-    assert proc.stderr.count("probe warning") == 1
-    assert "UserWarning: probe warning from True" in proc.stderr
-    proc.stderr = ""
-    assert_matches_main(proc, args, 1, tmp_path, capsys)
-
-
-@needs_fork
-def test_two_core_run_leaves_no_child(tmp_path, configs):
-    # the worker is reaped when the run returns, and when it raises in this
-    # process while the worker still runs
-    args = ["verify", "--config", configs["QUICK"], "--out", "o"]
-    code = (
-        "import os\n"
-        "from waveline import checks, cli\n"
-        "forks = []\n"
-        "fork = os.fork\n"
-        "def counted():\n"
-        "    forks.append(1)\n"
-        "    return fork()\n"
-        "def failing(cfg):\n"
-        "    raise RuntimeError('parent suite failed')\n"
-        "def left_behind():\n"
-        "    try:\n"
-        "        os.waitpid(-1, os.WNOHANG)\n"
-        "    except ChildProcessError:\n"
-        "        return 'no child'\n"
-        "    return 'a child'\n"
-        "os.fork = counted\n"
-        f"code = cli._run({args!r}, two_cores=True)\n"
-        "print('returned', code, left_behind(), len(forks))\n"
-        "checks.phase_suite = failing\n"
-        "try:\n"
-        f"    cli._run({args!r}, two_cores=True)\n"
-        "except RuntimeError as exc:\n"
-        "    print('raised', exc, left_behind(), len(forks))\n"
-    )
-    proc = run_python(code, tmp_path)
-    assert proc.stderr == ""
-    assert proc.stdout.splitlines()[-1] == "raised parent suite failed no child 2"
-    assert "returned 1 no child 1" in proc.stdout.splitlines()
 
 
 def test_missing_config_exits_2(tmp_path):

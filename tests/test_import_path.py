@@ -48,17 +48,16 @@ def test_verify_and_phase_runs_do_not_load_scipy(tmp_path):
 def blas_seen_by_entry(**env):
     """``OPENBLAS_NUM_THREADS`` and the thread count a patched run sees.
 
-    The child runs ``cli.entry()`` with the run it makes (``main()``'s body)
-    replaced by one that imports numpy, as the real one does, and prints
-    what it finds.
+    The child runs ``cli.entry()`` with ``main()`` replaced by one that
+    imports numpy, as the real one does, and prints what it finds.
     """
     code = (
         "import os, waveline.cli as cli\n"
-        "def probe(argv, two_cores):\n"
+        "def probe(argv=None):\n"
         "    import numpy\n"
         "    print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))\n"
         "    return 0\n"
-        "cli._run = probe\n"
+        "cli.main = probe\n"
         "cli.entry()\n"
     )
     base = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
