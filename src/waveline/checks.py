@@ -6,7 +6,6 @@ payloads) worth writing next to the report.  The suites are deliberately
 independent of argparse so tests and library callers can drive them directly.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -163,6 +162,13 @@ def flow_suite(cfg):
     screens = [screen(init) for init in inits]
     live = [k for k, err in enumerate(screens) if err is None]
     trace_error = screen(trace_init)
+    if trace_error is not None:
+        # the trace runs the run's sigma2_0 over the benchmark's duration,
+        # which may reach a pole that the run's own C does not
+        trace_error = FlowSingularity(
+            f"{trace_error} over the flow trace's fixed duration C={FLOW_BENCH_C!r}",
+            c_star=trace_error.c_star,
+        )
 
     # rung by rung, then the trace riding along on the top rung
     batch = [inits[k] for _ in ladder for k in live]
@@ -333,25 +339,51 @@ def _displacements(cfg, count):
     return seed_displacements(_amplitude(cfg), seeds, cfg.run_duration())
 
 
-def _run_rungs(cfg):
-    """``(line, modes)``: the run's straight line on ``n`` steps and its mode table.
+class _RunRungs:
+    """The run's straight line and mode table on each lattice size, and its seed displacements.
 
-    Each is built on first use and kept for the rest of one suite call, so
-    the flowing ladder, the frozen control and the breakdown share them; a
-    build that raised is tried again by its next user and raises the same.
+    Each is built on first use and kept while its owner holds this object:
+    one suite call, or one ``verify_suite`` call, whose lambda and phase
+    suites then share the N rung and the displacement stack.  A build that
+    raised is tried again by its next user and raises the same.
     """
 
-    @functools.cache
-    def line(n):
-        return straight_line(cfg.a, cfg.b, cfg.run_duration(), n)
+    def __init__(self, cfg):
+        self._cfg = cfg
+        self._lines = {}
+        self._modes = {}
+        self._stack = None
 
-    @functools.cache
-    def modes(n):
-        table = interior_modes(line(n))
-        table.setflags(write=False)  # every user reads the one table
-        return table
+    def line(self, n):
+        """The run's straight line on ``n`` steps."""
+        if n not in self._lines:
+            cfg = self._cfg
+            self._lines[n] = straight_line(cfg.a, cfg.b, cfg.run_duration(), n)
+        return self._lines[n]
 
-    return line, modes
+    def modes(self, n):
+        """``interior_modes`` of ``line(n)``, read-only: every user reads the one table."""
+        if n not in self._modes:
+            table = interior_modes(self.line(n))
+            table.setflags(write=False)
+            self._modes[n] = table
+        return self._modes[n]
+
+    def displacements(self, count):
+        """The first ``count`` rows of the stack built so far, or a stack of ``count`` seeds.
+
+        Row k is seed ``cfg.seed + 1 + k``'s whatever the stack's length.
+        """
+        if self._stack is None or len(self._stack) < count:
+            self._stack = _displacements(self._cfg, count)
+        return self._stack[:count]
+
+    def keep_only(self, n, rows):
+        """Release every rung but the one of ``n`` steps, and the stack's rows past ``rows``."""
+        self._lines = {k: v for k, v in self._lines.items() if k == n}
+        self._modes = {k: v for k, v in self._modes.items() if k == n}
+        if self._stack is not None and len(self._stack) > rows:
+            self._stack = self._stack[:rows].copy()  # a view would keep every row
 
 
 def _independence_ladder(cfg, coefficients_for, displacements, rungs):
@@ -359,8 +391,8 @@ def _independence_ladder(cfg, coefficients_for, displacements, rungs):
 
     ``coefficients_for(init, grid)`` supplies the coefficient samples, so the
     same machinery measures both the flowing (should be independent) and the
-    frozen (negative control, must not be) cases.  ``rungs`` is
-    :func:`_run_rungs`'s pair.  Returns ``(ns, spreads, order)``.
+    frozen (negative control, must not be) cases.  ``rungs`` is the run's
+    :class:`_RunRungs`.  Returns ``(ns, spreads, order)``.
     """
     s2, _ = _curved_sigma2(cfg)
     c_run = cfg.run_duration()
@@ -368,12 +400,11 @@ def _independence_ladder(cfg, coefficients_for, displacements, rungs):
     ns = _n_ladder(cfg.N)
     if len(ns) < 2:  # N = 8: one lattice, and a line through one point has no slope
         raise NotMeasured(f"lattice ladder {ns} has one size; an order needs two")
-    line, modes = rungs
     spreads = []
     for n in ns:
-        base = line(n)
+        base = rungs.line(n)
         flow = coefficients_for(init, base.grid)
-        spreads.append(independence_spread(base, flow, cfg.m, displacements, modes(n)))
+        spreads.append(independence_spread(base, flow, cfg.m, displacements, rungs.modes(n)))
     if min(spreads) <= 0:
         # Perturbations that move nothing (zero amplitude) measure nothing;
         # an exactly zero spread is not evidence of independence.
@@ -419,7 +450,12 @@ def violation_control_checks(cfg, displacements, rungs):
     }
 
 
-def lambda_suite(cfg, with_control=False):
+def lambda_suite(cfg, with_control=False, rungs=None):
+    """Eigenvalue agreement, world-line independence and its control, and the breakdown.
+
+    ``rungs`` is a :class:`_RunRungs` to build on and leave the N rung in,
+    else the suite builds its own.
+    """
     checks = []
     artifacts = {}
     try:
@@ -431,9 +467,9 @@ def lambda_suite(cfg, with_control=False):
     # and they and the breakdown share the run's line on each lattice size.
     # The control shows the flowing measurement can fail, which says nothing
     # when that measurement measured nothing: then the control is not run.
-    rungs = _run_rungs(cfg)
+    rungs = _RunRungs(cfg) if rungs is None else rungs
     try:
-        displacements = _displacements(cfg, cfg.n_perturbations)
+        displacements = rungs.displacements(cfg.n_perturbations)
         found, written = independence_checks(cfg, displacements, rungs)
     except WavelineError as exc:
         checks.append(failed_check("lambda_worldline_independence_order", exc))
@@ -450,11 +486,12 @@ def lambda_suite(cfg, with_control=False):
                 artifacts.update(written)
             except WavelineError as exc:
                 checks.append(failed_check("lambda_violation_detected", exc))
+    rungs.keep_only(cfg.N, cfg.n_phase_perturbations)  # what the phase suite reads
 
     try:
         c_run = cfg.run_duration()
         init = FlowInitialData(cfg.run_sigma1_0(), cfg.sigma2_0)
-        w = rungs[0](cfg.N)  # the ladder's rung of N steps
+        w = rungs.line(cfg.N)  # the ladder's rung of N steps
         flow = sample_closed_form(init, w.grid)
         breakdown = lambda_boundary_form(flow, cfg.a, cfg.b, cfg.m)
         payload = breakdown.as_dict()
@@ -594,23 +631,30 @@ def operator_suite(cfg):
 # phase functional consistency
 
 
-def phase_suite(cfg):
+def phase_suite(cfg, rungs=None):
+    """Two-clock consistency, trajectory independence and the shifted center.
+
+    ``rungs`` is a :class:`_RunRungs` whose N rung and displacement stack
+    the suite reads, else it builds its own.
+    """
     tol = cfg.tolerances.phase_tol
     s2, note = _curved_sigma2(cfg)
+    rungs = _RunRungs(cfg) if rungs is None else rungs
     checks = []
     artifacts = {}
     try:
         c_run = cfg.run_duration()
         amp = _amplitude(cfg)
-        base = straight_line(cfg.a, cfg.b, c_run, cfg.N)
+        base = rungs.line(cfg.N)
+        modes = rungs.modes(cfg.N)
         # the perturbed line is built for this one check and gone after it
-        gap = consistency_gap(perturb_interior(base, amp, cfg.seed + 1), s2)
+        gap = consistency_gap(perturb_interior(base, amp, cfg.seed + 1, modes), s2)
         checks.append(threshold_check("phase_two_clock_consistency", gap, tol, detail=note))
 
         # Every trajectory's difference comes from the exact quadratic
         # expansion around the base line, anchored at its direct value.
-        anchor, g, q = phase_expansion(base, s2, interior_modes(base))
-        diffs = anchor + expansion_deltas(g, q, _displacements(cfg, cfg.n_phase_perturbations))
+        anchor, g, q = phase_expansion(base, s2, modes)
+        diffs = anchor + expansion_deltas(g, q, rungs.displacements(cfg.n_phase_perturbations))
         mean = float(diffs.mean())
         name = "phase_trajectory_independence"
         try:
@@ -648,13 +692,19 @@ def phase_suite(cfg):
 
 
 def verify_suite(cfg):
-    """Every check family, plus the negative-control meta-check."""
+    """Every check family, plus the negative-control meta-check.
+
+    The lambda and phase suites share one :class:`_RunRungs`: the phase
+    suite reads the N rung's line and mode table and the first rows of the
+    displacement stack that the lambda suite built.
+    """
+    rungs = _RunRungs(cfg)
     return _merge(
         flow_suite(cfg),
-        lambda_suite(cfg, with_control=True),
+        lambda_suite(cfg, with_control=True, rungs=rungs),
         stationarity_suite(cfg),
         operator_suite(cfg),
-        phase_suite(cfg),
+        phase_suite(cfg, rungs=rungs),
     )
 
 

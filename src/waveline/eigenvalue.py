@@ -84,16 +84,22 @@ def lambda_closed_form(init, a, b, m, C):
 
         lambda = sigma1_0 . (b/D - a) + (sigma2_0/2) (b.b/D - a.a)
                  - (sigma1_0 . sigma1_0) C / D + m^2 C.
+
+    ``init.sigma1_0`` may be a (P, 4) stack and ``C`` an array of P
+    durations: the P points' values come back as an array, each bit for bit
+    what one call per point gives, and the zero-duration and pole tests run
+    once, the pole's naming the first point at or past it.
     """
-    if C == 0:
+    if np.any(C == 0):
         raise ZeroDuration("eigenvalue needs a nonzero invariant duration")
     a = as_four_vector(a)
     b = as_four_vector(b)
     d = checked_denominator(init.sigma2_0, C)
+    s1 = init.sigma1_0
     return (
-        dot(init.sigma1_0, b / d - a)
+        dot(s1, b / (d[..., None] if np.ndim(d) else d) - a)
         + 0.5 * init.sigma2_0 * (dot(b, b) / d - dot(a, a))
-        - dot(init.sigma1_0, init.sigma1_0) * C / d
+        - dot(s1, s1) * C / d
         + m * m * C
     )
 
@@ -118,7 +124,7 @@ def lambda_boundary_form(flow, a, b, m):
             - dot(flow.sigma1[0], a)
             - 0.5 * flow.sigma2[0] * dot(a, a)
         )
-        quad = -float(np.trapezoid(dot(flow.sigma1, flow.sigma1), flow.grid))
+        quad = -float(trapezoid(dot(flow.sigma1, flow.sigma1), flow.grid))
     return LambdaBreakdown(boundary=float(bracket), quadrature=quad, mass=m * m * flow.C)
 
 
@@ -165,11 +171,23 @@ def lambda_lattice(w, flow, m):
     """
     with float_errors_as(NumericalOverflow, f"lattice eigenvalue at dc={w.dc!r}"):
         lam, _ = lattice_integrand(w, flow)
-        return float(np.trapezoid(lam, w.grid)) + m * m * w.C
+        return float(trapezoid(lam, w.grid)) + m * m * w.C
+
+
+def trapezoid(y, grid):
+    """``np.trapezoid(y, grid)`` for samples ``y`` on a 1-d lattice, in its arithmetic and bits.
+
+    The interval sums y[1:] + y[:-1] times the steps, halved and summed
+    pairwise, in one buffer and without ``np.trapezoid``'s shape handling.
+    """
+    out = y[1:] + y[:-1]
+    out *= np.subtract(grid[1:], grid[:-1])  # np.diff's steps; IEEE products commute
+    out /= 2.0
+    return out.sum()
 
 
 def trapezoid_weights(grid):
-    """Weights v with v @ y == np.trapezoid(y, grid) up to summation order."""
+    """Weights v with v @ y == trapezoid(y, grid) up to summation order."""
     half = 0.5 * np.diff(grid)
     weights = np.zeros(grid.size)
     weights[:-1] += half
@@ -231,8 +249,8 @@ def predicted_action_eigenvalue(params, w):
     flow = sample_closed_form(params.flow_init, w.grid)
     with float_errors_as(NumericalOverflow, f"lattice eigenvalue at dc={w.dc!r}"):
         lam, res = lattice_integrand(w, flow, params)
-        lam = float(np.trapezoid(lam, w.grid)) + params.m * params.m * w.C
-        res = float(np.trapezoid(res, w.grid))
+        lam = float(trapezoid(lam, w.grid)) + params.m * params.m * w.C
+        res = float(trapezoid(res, w.grid))
     return complex(lam, -params.hbar_tilde * res)
 
 
@@ -291,7 +309,7 @@ def apply_action_operator(params, w):
     r1, r2 = params.r1_0, params.r2_0
 
     # Modulus exponent of Psi at the base point; differences divide by Psi.
-    r_exponent = float(np.trapezoid(dot(r1, x) + 0.5 * r2 * dot(x, x), w.grid))
+    r_exponent = float(trapezoid(dot(r1, x) + 0.5 * r2 * dot(x, x), w.grid))
     if r_exponent < np.log(MODULUS_FLOOR):
         raise NumericalUnderflow(
             f"|Psi| ~ exp({r_exponent:.1f}) is below {MODULUS_FLOOR:g}"
@@ -326,4 +344,4 @@ def apply_action_operator(params, w):
             integrand[i] = complex(lam[i], -hb * res[i])
 
         # Mass term added analytically so the free functional is handled exactly.
-        return complex(np.trapezoid(integrand, w.grid)) + params.m * params.m * w.C
+        return complex(trapezoid(integrand, w.grid)) + params.m * params.m * w.C

@@ -29,12 +29,22 @@ DENOMINATOR_FLOOR = 1e-12
 
 
 class FlowInitialData(Frozen):
-    """Coefficients at c = 0: a four-vector sigma1_0 and a scalar sigma2_0."""
+    """Coefficients at c = 0: a four-vector sigma1_0 and a scalar sigma2_0.
+
+    ``sigma1_0`` may also be a (P, 4) stack of four-vectors sharing the one
+    sigma2_0: P points of initial data for ``lambda_closed_form``, which is
+    the only reader of a stack.
+    """
 
     __slots__ = ("sigma1_0", "sigma2_0")
 
     def __init__(self, sigma1_0, sigma2_0):
-        v = as_four_vector(sigma1_0)
+        v = np.asarray(sigma1_0, dtype=float)
+        if v.ndim == 2 and v.shape[1] == 4:
+            if not np.isfinite(v).all():
+                raise ValueError("four-vector components must be finite")
+        else:
+            v = as_four_vector(v)
         v.setflags(write=False)
         s2 = float(sigma2_0)
         if not np.isfinite(s2):
@@ -84,21 +94,30 @@ def denominator(sigma2_0, c):
     """D(c) = 1 + 2 sigma2_0 c, the single scale factor of the exact flow.
 
     ``sigma2_0`` and ``c`` broadcast: a column of curvatures against a
-    lattice gives every curvature's D in one pass.  Past |sigma2_0| =
-    DBL_MAX / 2 the factor 2 sigma2_0 is infinite, and infinity times c = 0
-    is NaN; there D is formed as 1 + 2 (sigma2_0 c), so D(0) is exactly 1
-    and a D past the float range is an infinity of its sign, without a
-    warning.  So is D wherever 2 sigma2_0 c leaves the range (sigma2_0 ~
-    1e300 at c ~ 1e200): the product of the largest |2 sigma2_0| and |c|,
-    taken in Python floats, which round alike and never warn, tells in
-    advance.  Both forms give the same bits wherever the first is finite.
+    lattice gives every curvature's D in one pass.  D is 1 plus
+    :func:`denominator_minus_one`.
+    """
+    return 1.0 + denominator_minus_one(sigma2_0, c)
+
+
+def denominator_minus_one(sigma2_0, c):
+    """2 sigma2_0 c, the D(c) - 1 of :func:`denominator`, before the 1 rounds it.
+
+    Past |sigma2_0| = DBL_MAX / 2 the factor 2 sigma2_0 is infinite, and
+    infinity times c = 0 is NaN; there the product is formed as
+    2 (sigma2_0 c), so D(0) is exactly 1 and a D past the float range is an
+    infinity of its sign, without a warning.  So is D wherever 2 sigma2_0 c
+    leaves the range (sigma2_0 ~ 1e300 at c ~ 1e200): the product of the
+    largest |2 sigma2_0| and |c|, taken in Python floats, which round alike
+    and never warn, tells in advance.  Both forms give the same bits
+    wherever the first is finite.
     """
     c = np.asarray(c, dtype=float)
     s = np.asarray(sigma2_0, dtype=float)
     if math.isfinite(2.0 * _reach(s) * _reach(c)):
-        return 1.0 + (2.0 * s) * c
+        return (2.0 * s) * c
     with np.errstate(over="ignore"):
-        return 1.0 + 2.0 * (s * c)
+        return 2.0 * (s * c)
 
 
 def _reach(x):
@@ -111,18 +130,23 @@ def checked_denominator(sigma2_0, c):
 
     D is linear with D(0) = 1, so a D at or below the floor puts the pole
     c* = -1 / (2 sigma2_0) between 0 and that node (on either side of 0);
-    the first such node raises FlowSingularity with c*.
+    the first such node raises FlowSingularity with c*.  The rounded D is
+    monotone in c too, so the test reads only the smallest D, which sits at
+    the smallest or the largest c; only a failure scans every node.
     """
     d = denominator(sigma2_0, c)
-    below = d <= DENOMINATOR_FLOOR
-    if below.any():
-        k = np.argmax(below)  # flat index of the first node at or under the floor
-        node, dk = float(np.ravel(c)[k]), float(np.ravel(d)[k])
-        c_star = float(-0.5 / sigma2_0)  # -1 / (2 sigma2_0), whose 2 sigma2_0 may overflow
-        raise FlowSingularity(
-            f"flow is singular at c={node!r} (D={dk!r}, pole at c*={c_star!r})", c_star=c_star
-        )
-    return float(d) if d.ndim == 0 else d
+    # a NaN D is no node under the floor, and fmin passes over it
+    if d.ndim == 0:
+        if not float(d) <= DENOMINATOR_FLOOR:
+            return float(d)
+    elif not np.fmin.reduce(d, axis=None, initial=np.inf) <= DENOMINATOR_FLOOR:
+        return d
+    k = np.argmax(d <= DENOMINATOR_FLOOR)  # flat index of the first node at or under the floor
+    node, dk = float(np.ravel(c)[k]), float(np.ravel(d)[k])
+    c_star = float(-0.5 / sigma2_0)  # -1 / (2 sigma2_0), whose 2 sigma2_0 may overflow
+    raise FlowSingularity(
+        f"flow is singular at c={node!r} (D={dk!r}, pole at c*={c_star!r})", c_star=c_star
+    )
 
 
 def sample_closed_form(init, grid):

@@ -19,12 +19,13 @@ should vanish at second order in the lattice spacing for any trajectory.
 
 import numpy as np
 
-from .eigenvalue import phase_gradient, trapezoid_weights
+from .eigenvalue import phase_gradient, trapezoid, trapezoid_weights
 from .errors import BadGrid, DegenerateQ, NumericalOverflow, float_errors_as
 from .minkowski import as_four_vector, dot
 from .phase_flow import (
     FlowInitialData,
     checked_denominator,
+    denominator_minus_one,
     require_shared_grid,
     sample_closed_form,
 )
@@ -43,8 +44,13 @@ class PhaseGeometry(Record):
 
 
 def log_duration(sigma2_0, C):
-    """Q = ln(1 + 2 sigma2_0 C); requires the flow regular on [0, C]."""
-    return float(np.log(checked_denominator(sigma2_0, C)))
+    """Q = ln(1 + 2 sigma2_0 C); requires the flow regular on [0, C].
+
+    Q is log1p of 2 sigma2_0 C, not log of the rounded D: the rounding of
+    1 + 2 sigma2_0 C would leave Q off by about eps / (2 sigma2_0 C) of itself.
+    """
+    checked_denominator(sigma2_0, C)
+    return float(np.log1p(denominator_minus_one(sigma2_0, C)))
 
 
 def shift_point(a, b, Q):
@@ -72,7 +78,7 @@ def phase_eval_c(w, flow):
     require_shared_grid(w.grid, flow.grid)
     x = w.points
     integrand = dot(flow.sigma1, x) + 0.5 * flow.sigma2 * dot(x, x)
-    return float(np.trapezoid(integrand, w.grid))
+    return float(trapezoid(integrand, w.grid))
 
 
 def phase_eval_q(points, q_grid, x_tilde):
@@ -84,7 +90,7 @@ def phase_eval_q(points, q_grid, x_tilde):
     d = np.asarray(points, dtype=float) - as_four_vector(x_tilde)
     dd = dot(d, d)
     del d
-    return float(np.trapezoid(0.25 * dd, np.asarray(q_grid, dtype=float)))
+    return float(trapezoid(0.25 * dd, np.asarray(q_grid, dtype=float)))
 
 
 # Rows of the (1, 4, 1) elimination whose pivot still differs from its

@@ -102,39 +102,60 @@ def stationary_lambda(a, b, m, branch=1):
 
 
 def _fd_gradient(f, z):
-    g = np.empty(z.size)
-    for k in range(z.size):
-        h = GRAD_STEP * (1.0 + abs(z[k]))
-        zp, zm = z.copy(), z.copy()
-        zp[k] += h
-        zm[k] -= h
-        g[k] = (f(zp) - f(zm)) / (2.0 * h)
-    return g
+    """Central differences of ``f`` at ``z``, the 2n-point stencil in one call of ``f``.
+
+    ``f`` takes a stack of points.  Rows 2k and 2k + 1 of the stencil step
+    coordinate k up and down, and each difference keeps the bits of one
+    call per point.
+    """
+    h = GRAD_STEP * (1.0 + np.abs(z))
+    k = np.arange(z.size)
+    points = np.repeat(z[None], 2 * z.size, axis=0)
+    points[2 * k, k] += h
+    points[2 * k + 1, k] -= h
+    values = f(points)
+    return (values[0::2] - values[1::2]) / (2.0 * h)
 
 
 def _fd_hessian(f, z):
+    """Central second differences of ``f`` at ``z``, the whole stencil in one call of ``f``.
+
+    The stencil is z, then for each pair i <= j in turn z stepped by +h_i
+    and -h_i when i == j, else by (+h_i, +h_j), (+h_i, -h_j), (-h_i, +h_j)
+    and (-h_i, -h_j): the order of one call per point, whose bits every
+    entry keeps.
+    """
     n = z.size
     hs = HESS_STEP * (1.0 + np.abs(z))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    rows, cols, signs = [], [], []  # one (row, col) cell per step taken
+    row = 1
+    for i, j in pairs:
+        if i == j:
+            rows += [row, row + 1]
+            cols += [i, i]
+            signs += [1.0, -1.0]
+            row += 2
+        else:
+            rows += [row, row, row + 1, row + 1, row + 2, row + 2, row + 3, row + 3]
+            cols += [i, j] * 4
+            signs += [1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0]
+            row += 4
+    points = np.repeat(z[None], row, axis=0)
+    points[rows, cols] += np.multiply(signs, hs[cols])  # z - h is z + (-h) in IEEE
+    values = f(points)
+    f0 = values[0]
     hess = np.empty((n, n))
-    f0 = f(z)
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                zp, zm = z.copy(), z.copy()
-                zp[i] += hs[i]
-                zm[i] -= hs[i]
-                hess[i, i] = (f(zp) - 2.0 * f0 + f(zm)) / hs[i] ** 2
-            else:
-                zpp, zpm, zmp, zmm = z.copy(), z.copy(), z.copy(), z.copy()
-                zpp[[i, j]] += [hs[i], hs[j]]
-                zpm[i] += hs[i]
-                zpm[j] -= hs[j]
-                zmp[i] -= hs[i]
-                zmp[j] += hs[j]
-                zmm[[i, j]] -= [hs[i], hs[j]]
-                hess[i, j] = hess[j, i] = (
-                    f(zpp) - f(zpm) - f(zmp) + f(zmm)
-                ) / (4.0 * hs[i] * hs[j])
+    row = 1
+    for i, j in pairs:
+        if i == j:
+            hess[i, i] = (values[row] - 2.0 * f0 + values[row + 1]) / hs[i] ** 2
+            row += 2
+        else:
+            hess[i, j] = hess[j, i] = (
+                values[row] - values[row + 1] - values[row + 2] + values[row + 3]
+            ) / (4.0 * hs[i] * hs[j])
+            row += 4
     return hess
 
 
@@ -182,8 +203,9 @@ def numeric_stationary_search(
         raise ZeroDuration(f"guess_C must be positive and finite, got {guess_C!r}")
 
     def objective(z):
-        init = FlowInitialData(sigma1_0=z[:4], sigma2_0=sigma2_0)
-        return lambda_closed_form(init, a, b, m, z[4])
+        # one point (5,) or a stack (P, 5) of them, as lambda_closed_form takes
+        init = FlowInitialData(sigma1_0=z[..., :4], sigma2_0=sigma2_0)
+        return lambda_closed_form(init, a, b, m, z[..., 4])
 
     def admissible(z):
         c = z[4]

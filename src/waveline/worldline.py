@@ -151,20 +151,23 @@ def interior_modes(w):
     return out
 
 
-def perturb_interior(base, amplitude, seed):
+def perturb_interior(base, amplitude, seed, modes=None):
     """Add a random smooth displacement field that vanishes at both endpoints.
 
     The field is a superposition of MODES sine bumps sin(k*pi*c/C) with
     coefficients ``seed_coefficients(seed)``, scaled so its peak Euclidean
     norm over c is ``amplitude``.  The peak is taken on the fixed fine grid of
     :func:`normalization_modes`, so one seed names one field on every lattice.
+    ``modes``, when given, is ``interior_modes(base)``, whose sines are then
+    read rather than computed again.
     """
     coef = seed_coefficients(seed)
     peak = field_peaks(coef[None], normalization_modes(base.C))[0]
     if peak == 0.0 or amplitude == 0.0:
         return base
+    sines = _sine_modes(base.grid[1:-1], base.C) if modes is None else modes[1:-1]
     pts = base.points.copy(order="F")
-    pts[1:-1] += (amplitude / peak) * (_sine_modes(base.grid[1:-1], base.C) @ coef)
+    pts[1:-1] += (amplitude / peak) * (sines @ coef)
     return Worldline(base.C, base.N, pts)
 
 

@@ -616,6 +616,36 @@ class TestCli:
             "FlowSingularity: flow is singular at c=0.9407443861113389 (D=-0.317"
         )
 
+    def test_trace_pole_names_the_fixed_duration(self, tmp_path):
+        # D(C) = 0.05 at the run's C = 0.9407: the run never meets the pole
+        # at c* = 0.990, but the trace integrates sigma2_0 over
+        # FLOW_BENCH_C = 1.0 and does
+        out = tmp_path / "out"
+        assert main(["verify", "--sigma2=-0.50493", "--out", str(out)]) == 1
+        checks = json.loads((out / "run_report.json").read_text())["checks"]
+        detail = next(c["detail"] for c in checks if c["name"] == "flow_trace[sigma2_0=-0.50493]")
+        assert detail == (
+            "FlowSingularity: flow is singular at c=0.991 (D=-0.0007712600000000513, "
+            "pole at c*=0.9902362703741113) over the flow trace's fixed duration C=1.0"
+        )
+        assert not (out / "flow.csv").exists()
+
+    @pytest.mark.parametrize(
+        "sigma2, value",
+        [("1e-3", 0.0), ("-1e-3", 0.0), ("1e-4", 0.0), ("1e-5", 3.637978807091713e-12)],
+    )
+    def test_small_curvature_center_identity(self, tmp_path, sigma2, value):
+        # Q = log1p(2 sigma2_0 C) keeps x_tilde ~ 1/sigma2_0 to its last
+        # digits; the log of the rounded D read 2.2e-11 at +-1e-3 and 4.8e-9
+        # at 1e-4.  At 1e-5 x_tilde grows like 1/sigma2_0: it reads 3.6e-12,
+        # one ulp of its 3.2e4 component, over the absolute 1e-12 bound.
+        out = tmp_path / "out"
+        main(["verify", f"--sigma2={sigma2}", "--out", str(out)])
+        checks = json.loads((out / "run_report.json").read_text())["checks"]
+        (check,) = [c for c in checks if c["name"] == "phase_center_identity"]
+        assert check["value"] == value
+        assert check["status"] == ("pass" if value <= 1e-12 else "fail")
+
     def test_flat_curvature_substitution_is_named(self, tmp_path):
         cfgp = write_quick_config(tmp_path, sigma2_0=0.0, N=200)
         out = tmp_path / "out"

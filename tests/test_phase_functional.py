@@ -39,6 +39,18 @@ class TestLogDuration:
         with pytest.raises(FlowSingularity):
             log_duration(-0.5, 1.0)
 
+    def test_keeps_its_bits_at_the_default_config(self):
+        assert log_duration(0.5, C_RUN) == 0.6630716036607154
+
+    @pytest.mark.parametrize("s2", [1e-3, -1e-3, 1e-4, 1e-5, -1e-5, 1e-7, 1e-9])
+    def test_small_curvatures_keep_their_digits(self, s2):
+        # ln(1 + x) by its series, exact to a few eps for |x| < 2e-3; the log
+        # of the rounded 1 + x was off by about eps / x of itself (2e-14 at
+        # sigma2_0 = 1e-3, 2e-8 at 1e-9)
+        x = 2.0 * s2 * C_RUN
+        series = sum((-1) ** (k + 1) * x**k / k for k in range(1, 8))
+        assert abs(log_duration(s2, C_RUN) - series) <= 2 * np.finfo(float).eps * abs(series)
+
 
 class TestShiftPoint:
     def test_degenerate_q(self):
@@ -104,6 +116,15 @@ class TestResampling:
         assert q[-1] == pytest.approx(log_duration(0.5, C_RUN), abs=1e-14)
         np.testing.assert_allclose(pts[0], A, atol=1e-12)
         np.testing.assert_allclose(pts[-1], B, atol=1e-10)
+
+    @pytest.mark.parametrize("s2", [0.5, -0.3, 1e-3, -1e-3, 1e-4, 1e-5, -1e-5, 1e-7, 1e-9])
+    def test_the_clock_map_ends_at_the_last_event(self, s2):
+        # c(Q) = expm1(Q) / (2 sigma2_0) lands on C to an ulp or two, so the
+        # last resampled event is b; with Q taken as the log of the rounded
+        # D it fell short by up to 1e-7 C and missed b by 4e-8 at 1e-9
+        w = perturb_interior(straight_line(A, B, C_RUN, 500), 0.3, seed=2)
+        _, pts = resample_on_log_clock(w, s2)
+        assert np.abs(pts[-1] - B).max() <= 4 * np.finfo(float).eps * np.abs(B).max()
 
     def test_respects_requested_resolution(self):
         # the q grid has as many nodes as the lattice
