@@ -57,13 +57,14 @@ def _overrides_from(args):
     overrides = {"seed": args.seed, "N": args.N, "branch": args.branch}
     if args.sigma2 is not None:
         try:
-            overrides["sigma2_values"] = tuple(
-                float(tok) for tok in args.sigma2.split(",") if tok.strip()
-            )
+            values = tuple(float(tok) for tok in args.sigma2.split(",") if tok.strip())
         except ValueError as exc:
             from .errors import ConfigError
 
             raise ConfigError(f"--sigma2 expects comma-separated numbers: {exc}") from exc
+        overrides["sigma2_values"] = values
+        if values:  # the single-curvature commands run the first, over a file's sigma2_0
+            overrides["sigma2_0"] = values[0]
     return overrides
 
 

@@ -90,7 +90,7 @@ def lambda_closed_form(init, a, b, m, C):
     what one call per point gives, and the zero-duration and pole tests run
     once, the pole's naming the first point at or past it.
     """
-    if np.any(C == 0):
+    if (C == 0) if isinstance(C, float) else np.any(C == 0):
         raise ZeroDuration("eigenvalue needs a nonzero invariant duration")
     a = as_four_vector(a)
     b = as_four_vector(b)
@@ -254,19 +254,40 @@ def predicted_action_eigenvalue(params, w):
     return complex(lam, -params.hbar_tilde * res)
 
 
-def _cexpm1(z):
-    """exp(z) - 1 for complex z without cancellation near z = 0.
+def _times(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) as its real and imaginary parts.
 
-    Splits into expm1(x) cos(y) - 2 sin^2(y/2) + i exp(x) sin(y); every term
-    is O(z) small when z is, which is what keeps the second-difference
-    (exp(dE+) + exp(dE-) - 2) accurate at step sizes around 1e-4.
+    These are the operations of Python's complex product and of numpy's on
+    scalars, a real factor b entering as b + 0i, so each part keeps their
+    bits, signed zeros and the NaN of 0 * inf included.
     """
-    x = np.real(z)
-    if x > EXP_CEILING:
-        raise NumericalOverflow(f"a probe step scales |Psi| by exp({x:.3g})")
-    y = np.imag(z)
-    s = np.sin(0.5 * y)
-    return np.expm1(x) * np.cos(y) - 2.0 * s * s + 1j * np.exp(x) * np.sin(y)
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _over(ar, ai, b):
+    """(ar + i ai) / b for a real b >= 0, as numpy's complex division forms it.
+
+    b enters as b + 0i: the parts are scaled by 1/b after the ratio terms,
+    and a zero b divides both parts by it in one call, so that a nonzero
+    part's division by zero is reported before a zero part's 0/0.  1/b is
+    a numpy scalar, so that its overflow on a subnormal b raises as numpy's
+    own division does.
+    """
+    if b == 0:
+        re, im = np.divide((ar, ai), 0.0)
+        return re, im
+    ratio = 0.0 / b
+    scale = np.float64(1.0) / (b + 0.0 * ratio)
+    return (ar + ai * ratio) * scale, (ai - ar * ratio) * scale
+
+
+def _row_sums(p):
+    """``np.sum`` over the last axis of four complex values, for their real or imaginary part.
+
+    numpy sums four complex values pairwise, (p0 + p1) + (p2 + p3), onto
+    its identity 0.0, which turns a -0.0 total into 0.0.
+    """
+    return 0.0 + ((p[..., 0] + p[..., 1]) + (p[..., 2] + p[..., 3]))
 
 
 def apply_action_operator(params, w):
@@ -315,30 +336,44 @@ def apply_action_operator(params, w):
             f"|Psi| ~ exp({r_exponent:.1f}) is below {MODULUS_FLOOR:g}"
         )
 
-    def exponent_delta(i, mu, step):
-        # Exact change of the exponent when x[i, mu] moves by `step`.  Only
-        # node i's term of the quadrature sum changes, with trapezoid
-        # weight 1 at the interior nodes this is called for.
-        sgn = METRIC_DIAG[mu]
-        df = sgn * step * (s1[i, mu] + s2[i] * (x[i, mu] + 0.5 * step))
-        dg = sgn * step * (r1[mu] + r2 * (x[i, mu] + 0.5 * step))
-        return dc * ((1j / hb) * df + dg)
-
     # 1/dc**2 leaves the float range on a tiny lattice (C ~ 1e-300)
     with float_errors_as(NumericalOverflow, f"operator probe at dc={dc!r}"):
+        # Every interior node's + and - probe of each coordinate at once, as
+        # (2, N-1, 4) arrays of (sign, node, component).  Moving x[i, mu] by
+        # `step` changes only node i's term of the quadrature sum, whose
+        # trapezoid weight is 1 there, by exactly dE = dc ((i/hb) df + dg).
+        step = np.array([h, -h])[:, None, None]
+        t = x[1:-1] + 0.5 * step
+        sgn_step = METRIC_DIAG * step
+        df = sgn_step * (s1[1:-1] + s2[1:-1, None] * t)
+        dg = sgn_step * (r1 + r2 * t)
+        i_hb = 1j / hb
+        with np.errstate(over="ignore", invalid="ignore"):  # as complex scalars: no flag
+            de = _times(i_hb.real, i_hb.imag, df, 0.0)
+            de_re, de_im = _times(dc, 0.0, de[0] + dg, de[1] + 0.0)
+        # exp(dE) - 1 without cancellation near dE = 0, as
+        # expm1(x) cos(y) - 2 sin^2(y/2) + i exp(x) sin(y): every term is
+        # O(dE) small when dE is, which keeps the second difference
+        # exp(dE+) + exp(dE-) - 2 accurate at steps around 1e-4.
+        over = de_re > EXP_CEILING
+        if over.any():  # the first offending step in node, component, sign order
+            first = de_re.transpose(1, 2, 0)[over.transpose(1, 2, 0)][0]
+            raise NumericalOverflow(f"a probe step scales |Psi| by exp({first:.3g})")
+        half = np.sin(0.5 * de_im)
+        re = np.expm1(de_re) * np.cos(de_im) - 2.0 * half * half
+        grow, turn = np.exp(de_re), np.sin(de_im)
+        with np.errstate(over="ignore", invalid="ignore"):
+            turned = _times(*_times(0.0, 1.0, grow, 0.0), turn, 0.0)
+        (plus_re, minus_re), (plus_im, minus_im) = re + turned[0], 0.0 + turned[1]
+
+        d1 = _over(*_over(plus_re - minus_re, plus_im - minus_im, 2.0 * h), dc)
+        d2 = _over(*_over(plus_re + minus_re, plus_im + minus_im, h * h), dc * dc)
+        hb_i = hb / 1j
+        kinetic = _times(hb_i.real, hb_i.imag, *map(_row_sums, _times(v[1:-1], 0.0, *d1)))
+        laplacian = _times(hb * hb, 0.0, *map(_row_sums, _times(METRIC_DIAG, 0.0, *d2)))
         integrand = np.empty(w.N + 1, dtype=complex)
-        for i in range(1, w.N):
-            d1 = np.empty(4, dtype=complex)
-            d2 = np.empty(4, dtype=complex)
-            for mu in range(4):
-                plus = _cexpm1(exponent_delta(i, mu, +h))
-                minus = _cexpm1(exponent_delta(i, mu, -h))
-                d1[mu] = (plus - minus) / (2.0 * h) / dc
-                d2[mu] = (plus + minus) / (h * h) / (dc * dc)
-            integrand[i] = (
-                (hb / 1j) * np.sum(v[i] * d1)
-                + hb * hb * np.sum(METRIC_DIAG * d2)
-            )
+        integrand.real[1:-1] = kinetic[0] + laplacian[0]
+        integrand.imag[1:-1] = kinetic[1] + laplacian[1]
         lam, res = lattice_integrand(w, flow, params)
         for i in (0, w.N):
             integrand[i] = complex(lam[i], -hb * res[i])

@@ -5,8 +5,6 @@ catch solver-domain failures without swallowing genuine bugs;
 ``float_errors_as`` turns numpy's floating-point faults into one of them.
 """
 
-from contextlib import contextmanager
-
 import numpy as np
 
 
@@ -73,17 +71,29 @@ class ConfigError(WavelineError):
     """Unusable run configuration: bad file, unknown key, or out-of-range value."""
 
 
-@contextmanager
-def float_errors_as(error, context):
+class float_errors_as:
     """Raise ``error`` for numpy overflow, invalid or divide-by-zero in the block.
 
     Extreme lattice spacings (C ~ 1e200 or 1e-300) carry intermediate
     values past the float range; this names the failure where it happens
     instead of letting a NaN reach a check with a RuntimeWarning on stderr.
-    Underflow to zero is left alone: it is harmless roundoff here.
+    Underflow to zero is left alone: it is harmless roundoff here.  The
+    raised error reads ``"<context>: <numpy's message>"`` and has the
+    FloatingPointError as its cause.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise error(f"{context}: {exc}") from exc
+
+    __slots__ = ("_error", "_context", "_state")
+
+    def __init__(self, error, context):
+        self._error = error
+        self._context = context
+        self._state = np.errstate(over="raise", invalid="raise", divide="raise")
+
+    def __enter__(self):
+        self._state.__enter__()
+
+    def __exit__(self, kind, exc, tb):
+        self._state.__exit__(kind, exc, tb)
+        if kind is not None and issubclass(kind, FloatingPointError):
+            raise self._error(f"{self._context}: {exc}") from exc
+        return False

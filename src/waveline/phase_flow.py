@@ -110,8 +110,11 @@ def denominator_minus_one(sigma2_0, c):
     leaves the range (sigma2_0 ~ 1e300 at c ~ 1e200): the product of the
     largest |2 sigma2_0| and |c|, taken in Python floats, which round alike
     and never warn, tells in advance.  Both forms give the same bits
-    wherever the first is finite.
+    wherever the first is finite.  Two floats give a Python float.
     """
+    if isinstance(sigma2_0, float) and isinstance(c, float):
+        s, c = float(sigma2_0), float(c)
+        return (2.0 * s) * c if math.isfinite(2.0 * abs(s) * abs(c)) else 2.0 * (s * c)
     c = np.asarray(c, dtype=float)
     s = np.asarray(sigma2_0, dtype=float)
     if math.isfinite(2.0 * _reach(s) * _reach(c)):
@@ -121,8 +124,10 @@ def denominator_minus_one(sigma2_0, c):
 
 
 def _reach(x):
-    """The largest |x| as a Python float."""
-    return abs(float(x)) if x.ndim == 0 else float(np.abs(x).max(initial=0.0))
+    """The largest |x| as a Python float, NaN if x holds one."""
+    if x.ndim == 0:
+        return abs(float(x))
+    return max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
 
 
 def checked_denominator(sigma2_0, c):
@@ -136,7 +141,7 @@ def checked_denominator(sigma2_0, c):
     """
     d = denominator(sigma2_0, c)
     # a NaN D is no node under the floor, and fmin passes over it
-    if d.ndim == 0:
+    if isinstance(d, float):
         if not float(d) <= DENOMINATOR_FLOOR:
             return float(d)
     elif not np.fmin.reduce(d, axis=None, initial=np.inf) <= DENOMINATOR_FLOOR:

@@ -120,17 +120,13 @@ def write_json(path, obj):
 def write_csv(path, header, rows):
     """CSV of numbers with full float round-trip precision via repr.
 
-    Each row is formatted in one join: ``repr(float(v))`` for every float
-    (``np.float64`` included, whose own repr is ``np.float64(...)``) and
-    ``str`` for the rest, ending in CRLF.  Header names are plain
-    identifiers, so no field needs quoting.
+    Every cell is a Python ``int`` or ``float`` (a numpy scalar's repr is
+    ``np.float64(...)``, so payloads hold Python scalars), and each row is
+    one ``repr`` join ending in CRLF.  Header names are plain identifiers,
+    so no field needs quoting.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(
-            ",".join([repr(float(v)) if isinstance(v, float) else str(v) for v in row])
-            + "\r\n"
-            for row in rows
-        )
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)

@@ -27,7 +27,19 @@ def lattice(C, N):
         raise BadGrid(f"need at least 2 steps, got N={N!r}")
     if not (C > 0) or not np.isfinite(C):
         raise BadGrid(f"duration must be positive and finite, got {C!r}")
-    return np.linspace(0.0, float(C), N + 1)
+    # np.linspace(0.0, C, N + 1) in its own arithmetic and bits, without its
+    # argument handling: i * (C/N), or (i/N) * C where C/N underflows to 0,
+    # and the last node C itself
+    C = float(C)
+    nodes = np.arange(N + 1, dtype=float)
+    step = C / N
+    if step == 0:
+        nodes /= N
+        nodes *= C
+    else:
+        nodes *= step
+    nodes[-1] = C
+    return nodes
 
 
 class Worldline(Frozen):
@@ -45,7 +57,7 @@ class Worldline(Frozen):
         pts = np.array(points, dtype=float, order="F")
         if pts.shape != (N + 1, 4):
             raise BadGrid(f"points shape {pts.shape} does not match N={N}")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise BadGrid("world-line samples must be finite")
         pts.setflags(write=False)
         set_field(self, "C", C)
@@ -70,13 +82,9 @@ def straight_line(a, b, C, N):
     """Uniform-velocity world line from ``a`` to ``b``, endpoints exact."""
     a = as_four_vector(a)
     b = as_four_vector(b)
-    t = np.linspace(0.0, 1.0, N + 1)
-    d = b - a
     pts = np.empty((N + 1, 4), order="F")
-    for k in range(4):  # column k is t * d[k] + a[k], built in place
-        col = pts[:, k]
-        np.multiply(t, d[k], out=col)
-        col += a[k]
+    np.multiply(lattice(1.0, N)[:, None], b - a, out=pts)  # column k is t * d[k] + a[k]
+    pts += a
     pts[0] = a
     pts[-1] = b
     return Worldline(float(C), int(N), pts)

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import waveline
+from waveline import checks
 from waveline.checks import CHECK_NAMES
 from waveline.cli import COMMANDS, main
 
@@ -61,34 +62,43 @@ def module_functions():
 
 @pytest.fixture(scope="module")
 def emitted(tmp_path_factory):
-    """Check names reported by each run in RUNS, keyed by its index, and the
-    code locations of every function the runs called."""
-    names, called = {}, set()
+    """Check names reported by each run in RUNS, keyed by its index, the code
+    locations of every function the runs called, and the type of every cell
+    of every CSV artifact they wrote."""
+    names, called, cells = {}, set(), set()
 
     def record(frame, event, arg):
         if event == "call":
             called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-    for k, (command, extra, flags) in enumerate(RUNS):
-        tmp = tmp_path_factory.mktemp(f"run{k}")
-        config = tmp / "quick.json"
-        config.write_text(json.dumps({**QUICK, **extra}))
-        out = tmp / "out"
-        sys.setprofile(record)
-        try:
-            code = main([command, "--config", str(config), "--out", str(out), *flags])
-        finally:
-            sys.setprofile(None)
-        assert code in (0, 1)
-        report = json.loads((out / "run_report.json").read_text())
-        names[k] = [c["name"] for c in report["checks"]]
+    def write_csv(path, header, rows):
+        rows = list(rows)
+        cells.update(type(value) for row in rows for value in row)
+        write_csv.real(path, header, rows)
+
+    write_csv.real = checks.write_csv
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "write_csv", write_csv)
+        for k, (command, extra, flags) in enumerate(RUNS):
+            tmp = tmp_path_factory.mktemp(f"run{k}")
+            config = tmp / "quick.json"
+            config.write_text(json.dumps({**QUICK, **extra}))
+            out = tmp / "out"
+            sys.setprofile(record)
+            try:
+                code = main([command, "--config", str(config), "--out", str(out), *flags])
+            finally:
+                sys.setprofile(None)
+            assert code in (0, 1)
+            report = json.loads((out / "run_report.json").read_text())
+            names[k] = [c["name"] for c in report["checks"]]
     reached = {(str(Path(f).resolve()), line) for f, line in called}
-    return names, reached
+    return names, reached, cells
 
 
 @pytest.mark.parametrize("k", range(len(RUNS)), ids=[f"{k}-{run[0]}" for k, run in enumerate(RUNS)])
 def test_every_emitted_name_is_declared(emitted, k):
-    names, _ = emitted
+    names, _, _ = emitted
     command = RUNS[k][0]
     assert names[k]
     for name in names[k]:
@@ -97,18 +107,25 @@ def test_every_emitted_name_is_declared(emitted, k):
 
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_every_declared_name_is_emitted(emitted, command):
-    names, _ = emitted
+    names, _, _ = emitted
     found = [n for k, run in enumerate(RUNS) if run[0] == command for n in names[k]]
     for pattern in CHECK_NAMES[command]:
         assert any(matches(n, pattern) for n in found), pattern
 
 
 def test_every_module_function_is_reached(emitted):
-    _, reached = emitted
+    _, reached, _ = emitted
     functions = module_functions()
     assert NOT_REACHED <= set(functions.values())
     unreached = {name for where, name in functions.items() if where not in reached}
     assert unreached == NOT_REACHED
+
+
+def test_every_csv_cell_is_a_python_scalar(emitted):
+    # write_csv writes each cell as its repr: a numpy scalar's reads
+    # np.float64(...), and a string's would be quoted
+    _, _, cells = emitted
+    assert cells == {int, float}
 
 
 def test_list_prints_the_table(capsys):

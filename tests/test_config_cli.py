@@ -33,6 +33,9 @@ COMMITTED_CONFIGS = sorted(ROOT.glob("configs/*.json")) + sorted(
 )
 
 
+# The stationary duration at the default geometry
+C_STAR = 0.9407443861113389
+
 # Zero, subnormal, at and near the pole at c* = C = 1, and past the float
 # range; RK4 takes 5.0 past it on N = 4 and 5 steps, but not on twice as many
 EDGE_CURVATURES = (
@@ -89,10 +92,16 @@ class TestConfig:
         assert cfg.tolerances.flow_tol == 1e-12
         assert cfg.tolerances.phase_tol == 1e-6  # untouched default
 
-    def test_sigma2_list_pins_scalar(self):
+    def test_sigma2_list_pins_scalar(self, tmp_path):
         cfg = load_config(None, {"sigma2_values": (0.25, 1.0)})
         assert cfg.sigma2_0 == 0.25
         assert cfg.sigma2_values == (0.25, 1.0)
+        # so does a file's list, unless the file gives sigma2_0 itself
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"sigma2_values": [0.25, 1.0]}))
+        assert load_config(path).sigma2_0 == 0.25
+        path.write_text(json.dumps({"sigma2_values": [0.25, 1.0], "sigma2_0": 0.75}))
+        assert load_config(path).sigma2_0 == 0.75
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.json"
@@ -629,6 +638,52 @@ class TestCli:
             "pole at c*=0.9902362703741113) over the flow trace's fixed duration C=1.0"
         )
         assert not (out / "flow.csv").exists()
+
+    def test_sigma2_flag_overrides_the_files_sigma2_0(self, tmp_path):
+        # the flag's first curvature replaces the file's sigma2_0 = 0.5, so
+        # the file of defaults changes nothing
+        flagged, filed = tmp_path / "flag", tmp_path / "file"
+        assert main(["verify", "--sigma2=-0.50493", "--out", str(flagged)]) == 1
+        default = str(ROOT / "configs" / "default.json")
+        assert main(["verify", "--config", default, "--sigma2=-0.50493", "--out", str(filed)]) == 1
+        names = sorted(p.name for p in flagged.iterdir())
+        assert names == sorted(p.name for p in filed.iterdir())
+        for name in names:
+            assert (filed / name).read_bytes() == (flagged / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "d_star, failures",
+        [
+            (0.5, ()),
+            (0.2, ()),
+            (0.1, ("flow_accuracy", "lambda_worldline_independence_order")),
+            (0.05, ("flow_accuracy", "flow_step_halving_contraction", "flow_trace",
+                    "lambda_worldline_independence_order")),
+            (0.02, ("flow_accuracy", "flow_step_halving_contraction", "flow_trace",
+                    "lambda_worldline_independence_order", "phase_two_clock_consistency")),
+            (0.01, ("flow_accuracy", "flow_step_halving_contraction", "flow_trace",
+                    "lambda_worldline_independence_order", "stationary_duration",
+                    "phase_two_clock_consistency")),
+        ],
+    )
+    def test_near_pole_failures(self, tmp_path, d_star, failures):
+        # verify at D(C*) = 1 + 2 sigma2_0 C* falling toward the pole, at the
+        # default geometry.  Each failure is correct code missing a fixed
+        # bound (CHANGES.md names the causes): flow_accuracy's absolute
+        # flow_tol against RK4 error growing like the flow on FLOW_BENCH_C =
+        # 1.0, where D(1) < D(C*), and from 0.05 on the pole itself inside
+        # that fixed duration, which screens the one curvature (no
+        # contraction to measure) and the trace; the independence order's
+        # floor of 2.0, its exact order; the two-clock gap's O(dc**2) lattice
+        # error against phase_tol; the Newton search's stop at a gradient
+        # norm of stationarity_tol against the duration's own bound.
+        sigma2 = (d_star - 1.0) / (2.0 * C_STAR)
+        out = tmp_path / "out"
+        code = main(["verify", f"--sigma2={sigma2!r}", "--out", str(out)])
+        checks = json.loads((out / "run_report.json").read_text())["checks"]
+        failed = tuple(c["name"].split("[")[0] for c in checks if c["status"] == "fail")
+        assert sorted(failed) == sorted(failures)
+        assert code == (1 if failures else 0)
 
     @pytest.mark.parametrize(
         "sigma2, value",

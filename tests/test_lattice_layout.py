@@ -30,6 +30,7 @@ from waveline.stationarity import optimal_C, optimal_sigma1
 from waveline.worldline import (
     Worldline,
     interior_modes,
+    lattice,
     perturb_interior,
     straight_line,
     velocities,
@@ -242,3 +243,27 @@ class TestKernelsMatchTheirNumpyFormulas:
         points = straight_line(A, B, C_RUN, n).points
         assert_lattice_layout(points, n)
         assert np.array_equal(points, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, N, 9_999, 10_000, 200_000])
+    def test_lattice_is_np_linspace_byte_for_byte(self, n):
+        # from the smallest subnormal, where C/N underflows to 0 and linspace
+        # takes its zero-step branch, to 1e200
+        durations = [5e-324, 1e-323, 3e-320, 2.2250738585072014e-308, 1e-300, 1e-5,
+                     C_RUN, 1.0, 3.7, 1e5, 1e200, *np.logspace(-323, 200, 40).tolist()]
+        for c in durations:
+            assert lattice(c, n).tobytes() == np.linspace(0.0, c, n + 1).tobytes(), c
+
+    @pytest.mark.parametrize("n", [2, 7, N, 10_000])
+    def test_straight_line_is_the_per_column_fill(self, n):
+        # the broadcast fill of lattice(1, n) against b - a, against the
+        # column-by-column fill it replaced; tobytes tells -0.0 from 0.0
+        rng = np.random.default_rng(n)
+        for a, b in [(A, B)] + [tuple(rng.uniform(-3.0, 3.0, (2, 4))) for _ in range(6)]:
+            t = np.linspace(0.0, 1.0, n + 1)
+            want = np.empty((n + 1, 4), order="F")
+            for k in range(4):
+                np.multiply(t, (b - a)[k], out=want[:, k])
+                want[:, k] += a[k]
+            want[0], want[-1] = a, b
+            got = straight_line(a, b, C_RUN, n).points
+            assert got.tobytes(order="F") == want.tobytes(order="F")

@@ -17,13 +17,19 @@ from waveline.cli import main
 from waveline.config import load_config
 from waveline.errors import BadGrid, FlowSingularity, NumericalOverflow, NumericalUnderflow
 from waveline.eigenvalue import (
+    EXP_CEILING,
+    OPERATOR_STEP,
     WaveParameters,
     apply_action_operator,
+    lattice_integrand,
     predicted_action_eigenvalue,
+    trapezoid,
 )
-from waveline.phase_flow import FlowInitialData
+from waveline.errors import float_errors_as
+from waveline.minkowski import METRIC_DIAG
+from waveline.phase_flow import FlowInitialData, sample_closed_form
 from waveline.phase_functional import resample_on_log_clock
-from waveline.worldline import perturb_interior, straight_line
+from waveline.worldline import perturb_interior, straight_line, velocities
 
 from conftest import GENERIC
 
@@ -40,6 +46,57 @@ SIGMA_AND_R = WaveParameters(
     r1_0=np.array([0.05, 0.02, -0.01, 0.03]),
     r2_0=0.1,
 )
+
+
+def _cexpm1(z):
+    """exp(z) - 1 for one complex z, as expm1(x) cos(y) - 2 sin^2(y/2) + i exp(x) sin(y)."""
+    x = np.real(z)
+    if x > EXP_CEILING:
+        raise NumericalOverflow(f"a probe step scales |Psi| by exp({x:.3g})")
+    y = np.imag(z)
+    s = np.sin(0.5 * y)
+    return np.expm1(x) * np.cos(y) - 2.0 * s * s + 1j * np.exp(x) * np.sin(y)
+
+
+def reference_probe(params, w):
+    """``apply_action_operator`` node by node, one complex scalar per probe step.
+
+    The probe before it ran on whole-lattice arrays; the array probe must
+    give these bits.  Its guards before the probe loop are left out.
+    """
+    hb = params.hbar_tilde
+    h = OPERATOR_STEP * hb
+    flow = sample_closed_form(params.flow_init, w.grid)
+    x = w.points
+    v = velocities(w)
+    dc = w.dc
+    s1, s2 = flow.sigma1, flow.sigma2
+    r1, r2 = params.r1_0, params.r2_0
+
+    def exponent_delta(i, mu, step):
+        sgn = METRIC_DIAG[mu]
+        df = sgn * step * (s1[i, mu] + s2[i] * (x[i, mu] + 0.5 * step))
+        dg = sgn * step * (r1[mu] + r2 * (x[i, mu] + 0.5 * step))
+        return dc * ((1j / hb) * df + dg)
+
+    with float_errors_as(NumericalOverflow, f"operator probe at dc={dc!r}"):
+        integrand = np.empty(w.N + 1, dtype=complex)
+        for i in range(1, w.N):
+            d1 = np.empty(4, dtype=complex)
+            d2 = np.empty(4, dtype=complex)
+            for mu in range(4):
+                plus = _cexpm1(exponent_delta(i, mu, +h))
+                minus = _cexpm1(exponent_delta(i, mu, -h))
+                d1[mu] = (plus - minus) / (2.0 * h) / dc
+                d2[mu] = (plus + minus) / (h * h) / (dc * dc)
+            integrand[i] = (
+                (hb / 1j) * np.sum(v[i] * d1)
+                + hb * hb * np.sum(METRIC_DIAG * d2)
+            )
+        lam, res = lattice_integrand(w, flow, params)
+        for i in (0, w.N):
+            integrand[i] = complex(lam[i], -hb * res[i])
+        return complex(trapezoid(integrand, w.grid)) + params.m * params.m * w.C
 
 
 def operator_residual(params, w):
@@ -136,6 +193,65 @@ class TestQuadraticFunctionals:
         monkeypatch.setattr(eigenvalue, "OPERATOR_STEP", 1e-2)
         r_fine = abs(operator_residual(SIGMA_AND_R, w))
         assert 30.0 < r_coarse / r_fine < 300.0
+
+
+def bits(z):
+    """The bytes of a complex value, so that signed zeros and NaNs compare too."""
+    return np.complex128(z).tobytes()
+
+
+def random_case(rng, n, perturbed, sigma, r, hbar_tilde):
+    """A random (params, world line) on n steps with the named parts zero or not."""
+    a = rng.uniform(-1.0, 1.0, 4)
+    b = a + np.concatenate([[rng.uniform(0.5, 3.0)], rng.uniform(-0.4, 0.4, 3)])
+    w = straight_line(a, b, float(rng.uniform(0.2, 3.0)), n)
+    if perturbed:
+        w = perturb_interior(w, float(rng.uniform(0.05, 0.5)), int(rng.integers(1000)))
+    init = (
+        FlowInitialData(rng.uniform(-1.0, 1.0, 4), float(rng.uniform(-0.1, 1.0)))
+        if sigma else FlowInitialData(np.zeros(4), 0.0)
+    )
+    modulus = (
+        {"r1_0": rng.uniform(-0.2, 0.2, 4), "r2_0": float(rng.uniform(-0.2, 0.2))} if r else {}
+    )
+    return WaveParameters(init, float(rng.uniform(0.1, 2.0)), hbar_tilde, **modulus), w
+
+
+class TestArrayProbe:
+    """The probe over whole-lattice arrays gives the node-by-node loop's bits."""
+
+    @pytest.mark.parametrize("hbar_tilde", [1e-12, 1e-6, 0.37, 1.0])
+    @pytest.mark.parametrize("r", [False, True], ids=["r0", "r"])
+    @pytest.mark.parametrize("sigma", [False, True], ids=["sigma0", "sigma"])
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["straight", "perturbed"])
+    def test_matches_the_reference_loop(self, perturbed, sigma, r, hbar_tilde):
+        rng = np.random.default_rng([perturbed, sigma, r, int(-np.log10(hbar_tilde))])
+        for n in (2, 3, 4, 16, *rng.integers(5, 41, 3).tolist(), 40):
+            params, w = random_case(rng, n, perturbed, sigma, r, hbar_tilde)
+            assert bits(apply_action_operator(params, w)) == bits(reference_probe(params, w)), n
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_huge_step_names_the_loops_first_exponent(self, seed):
+        # at dc ~ 1e199 a probe step that grows |Psi| overflows exp(); the
+        # message names the first in node, component, sign order, as the
+        # loop raised it.  Along x0 from 0 to -1, r1_0 = (-0.05, ...) grows
+        # |Psi|, and the first node's + step in x0 shrinks it, so that step
+        # is not the first to overflow.
+        rng = np.random.default_rng(seed)
+        for n in (2, 5, 16):
+            w = perturb_interior(straight_line(A, -B, 1e200, n), 0.2, int(rng.integers(1000)))
+            params = WaveParameters(
+                FlowInitialData(rng.uniform(-1.0, 1.0, 4), float(rng.uniform(0.0, 1.0))),
+                m=1.0,
+                r1_0=np.append(-0.05, rng.uniform(-0.02, 0.02, 3)),
+                r2_0=float(rng.uniform(0.0, 0.2)),
+            )
+            with pytest.raises(NumericalOverflow) as want:
+                reference_probe(params, w)
+            with pytest.raises(NumericalOverflow) as got:
+                apply_action_operator(params, w)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).startswith("a probe step scales |Psi| by exp(")
 
 
 class TestGuards:

@@ -11,6 +11,7 @@ from waveline.phase_flow import (
     checked_denominator,
     closed_form_errors,
     denominator,
+    denominator_minus_one,
     flow_to_rows,
     frozen_coefficients,
     integrate_flow,
@@ -43,6 +44,23 @@ class TestRhs:
 
 
 class TestClosedForm:
+    def test_denominator_minus_one_on_floats_is_the_array_form(self):
+        # the Python-float path gives the array path's bits, its overflow-safe
+        # form included (2 sigma2_0 c past the float range at 1e300 and 1e200,
+        # 2 sigma2_0 itself past it at 1e308), and a Python float
+        rng = np.random.default_rng(11)
+        curvatures = [0.0, -0.0, 0.5, -0.4, 1e-320, -1e-320, 1e300, -1e300, 1e308, -1.7e308,
+                      *rng.standard_normal(12).tolist()]
+        durations = [0.0, 1e-320, 1e-300, 0.3, 1.0, 1e200, 1e308,
+                     *rng.uniform(0.0, 5.0, 12).tolist()]
+        for s2 in curvatures:
+            for c in durations:
+                want = denominator_minus_one(np.array([s2]), np.array([c]))
+                for got in (denominator_minus_one(s2, c),
+                            denominator_minus_one(np.float64(s2), np.float64(c))):
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == want.tobytes(), (s2, c)
+
     def test_halving_at_unit_time(self):
         init = FlowInitialData(S1, 0.5)
         flow = sample_closed_form(init, np.linspace(0.0, 1.0, 3))  # D = 1, 1.5, 2
