@@ -18,22 +18,13 @@ from .values import Record
 
 
 class _Table(Record):
-    """Record of a run's settings, every field defaulted; equal by value."""
+    """Record of a run's settings, every field defaulted."""
 
     __slots__ = ()
 
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.FIELDS)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
     def as_dict(self):
         """Fields in table order; a nested table becomes a nested dict."""
-        values = zip(self.FIELDS, self._values())
+        values = ((name, getattr(self, name)) for name in self.FIELDS)
         return {k: v.as_dict() if isinstance(v, _Table) else v for k, v in values}
 
 

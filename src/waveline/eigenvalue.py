@@ -254,42 +254,6 @@ def predicted_action_eigenvalue(params, w):
     return complex(lam, -params.hbar_tilde * res)
 
 
-def _times(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) as its real and imaginary parts.
-
-    These are the operations of Python's complex product and of numpy's on
-    scalars, a real factor b entering as b + 0i, so each part keeps their
-    bits, signed zeros and the NaN of 0 * inf included.
-    """
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _over(ar, ai, b):
-    """(ar + i ai) / b for a real b >= 0, as numpy's complex division forms it.
-
-    b enters as b + 0i: the parts are scaled by 1/b after the ratio terms,
-    and a zero b divides both parts by it in one call, so that a nonzero
-    part's division by zero is reported before a zero part's 0/0.  1/b is
-    a numpy scalar, so that its overflow on a subnormal b raises as numpy's
-    own division does.
-    """
-    if b == 0:
-        re, im = np.divide((ar, ai), 0.0)
-        return re, im
-    ratio = 0.0 / b
-    scale = np.float64(1.0) / (b + 0.0 * ratio)
-    return (ar + ai * ratio) * scale, (ai - ar * ratio) * scale
-
-
-def _row_sums(p):
-    """``np.sum`` over the last axis of four complex values, for their real or imaginary part.
-
-    numpy sums four complex values pairwise, (p0 + p1) + (p2 + p3), onto
-    its identity 0.0, which turns a -0.0 total into 0.0.
-    """
-    return 0.0 + ((p[..., 0] + p[..., 1]) + (p[..., 2] + p[..., 3]))
-
-
 def apply_action_operator(params, w):
     """Brute-force (I Psi)/Psi on the lattice, by finite differences.
 
@@ -324,7 +288,6 @@ def apply_action_operator(params, w):
         )
     flow = sample_closed_form(params.flow_init, w.grid)
     x = w.points
-    v = velocities(w)
     dc = w.dc
     s1, s2 = flow.sigma1, flow.sigma2
     r1, r2 = params.r1_0, params.r2_0
@@ -336,8 +299,10 @@ def apply_action_operator(params, w):
             f"|Psi| ~ exp({r_exponent:.1f}) is below {MODULUS_FLOOR:g}"
         )
 
-    # 1/dc**2 leaves the float range on a tiny lattice (C ~ 1e-300)
+    # 1/dc**2 leaves the float range on a tiny lattice (C ~ 1e-300), and
+    # the velocity stencil's 1/dc can on a subnormal one
     with float_errors_as(NumericalOverflow, f"operator probe at dc={dc!r}"):
+        v = velocities(w)
         # Every interior node's + and - probe of each coordinate at once, as
         # (2, N-1, 4) arrays of (sign, node, component).  Moving x[i, mu] by
         # `step` changes only node i's term of the quadrature sum, whose
@@ -347,33 +312,31 @@ def apply_action_operator(params, w):
         sgn_step = METRIC_DIAG * step
         df = sgn_step * (s1[1:-1] + s2[1:-1, None] * t)
         dg = sgn_step * (r1 + r2 * t)
-        i_hb = 1j / hb
         with np.errstate(over="ignore", invalid="ignore"):  # as complex scalars: no flag
-            de = _times(i_hb.real, i_hb.imag, df, 0.0)
-            de_re, de_im = _times(dc, 0.0, de[0] + dg, de[1] + 0.0)
+            de = dc * ((1j / hb) * df + dg)
         # exp(dE) - 1 without cancellation near dE = 0, as
         # expm1(x) cos(y) - 2 sin^2(y/2) + i exp(x) sin(y): every term is
         # O(dE) small when dE is, which keeps the second difference
         # exp(dE+) + exp(dE-) - 2 accurate at steps around 1e-4.
-        over = de_re > EXP_CEILING
+        over = de.real > EXP_CEILING
         if over.any():  # the first offending step in node, component, sign order
-            first = de_re.transpose(1, 2, 0)[over.transpose(1, 2, 0)][0]
+            first = de.real.transpose(1, 2, 0)[over.transpose(1, 2, 0)][0]
             raise NumericalOverflow(f"a probe step scales |Psi| by exp({first:.3g})")
-        half = np.sin(0.5 * de_im)
-        re = np.expm1(de_re) * np.cos(de_im) - 2.0 * half * half
-        grow, turn = np.exp(de_re), np.sin(de_im)
+        half = np.sin(0.5 * de.imag)
+        re = np.expm1(de.real) * np.cos(de.imag) - 2.0 * half * half
+        grow, turn = np.exp(de.real), np.sin(de.imag)
         with np.errstate(over="ignore", invalid="ignore"):
-            turned = _times(*_times(0.0, 1.0, grow, 0.0), turn, 0.0)
-        (plus_re, minus_re), (plus_im, minus_im) = re + turned[0], 0.0 + turned[1]
+            plus, minus = re + 1j * grow * turn
 
-        d1 = _over(*_over(plus_re - minus_re, plus_im - minus_im, 2.0 * h), dc)
-        d2 = _over(*_over(plus_re + minus_re, plus_im + minus_im, h * h), dc * dc)
-        hb_i = hb / 1j
-        kinetic = _times(hb_i.real, hb_i.imag, *map(_row_sums, _times(v[1:-1], 0.0, *d1)))
-        laplacian = _times(hb * hb, 0.0, *map(_row_sums, _times(METRIC_DIAG, 0.0, *d2)))
+        d1 = (plus - minus) / (2.0 * h) / dc
+        d2 = (plus + minus) / (h * h) / (dc * dc)
+        # C-ordered products: the velocities are Fortran-ordered, and numpy
+        # sums a product laid out like them in another order than the node
+        # loop's np.sum over one contiguous row
         integrand = np.empty(w.N + 1, dtype=complex)
-        integrand.real[1:-1] = kinetic[0] + laplacian[0]
-        integrand.imag[1:-1] = kinetic[1] + laplacian[1]
+        integrand[1:-1] = (hb / 1j) * np.multiply(v[1:-1], d1, order="C").sum(axis=-1) + (
+            hb * hb * np.multiply(METRIC_DIAG, d2, order="C").sum(axis=-1)
+        )
         lam, res = lattice_integrand(w, flow, params)
         for i in (0, w.N):
             integrand[i] = complex(lam[i], -hb * res[i])

@@ -1,7 +1,5 @@
 """Base classes of the package's value types."""
 
-import copyreg
-
 set_field = object.__setattr__  # how an ``__init__`` sets each field once, past Frozen's guard
 
 REQUIRED = object()  # the FIELDS default of a field every construction must give
@@ -16,16 +14,6 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
     __delattr__ = __setattr__
-
-    # copy, deepcopy and pickle rebuild the fields as they are, past the
-    # guard: __init__ would validate again, and not every field is its argument
-    def __reduce__(self):
-        cls = type(self)
-        return copyreg.__newobj__, (cls,), tuple(getattr(self, name) for name in cls.__slots__)
-
-    def __setstate__(self, fields):
-        for name, value in zip(type(self).__slots__, fields):
-            set_field(self, name, value)
 
 
 class Record(Frozen):

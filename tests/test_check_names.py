@@ -4,7 +4,7 @@
 prints it.  Every name a run reports must match a declared pattern (``*``
 stands for a swept parameter), and every declared pattern, the names that
 only appear on failure included, must be reported by some run below.
-The same runs reach every module-level function of the package: code no
+The same runs reach every function and method of the package: code no
 command runs has no place in it.
 """
 
@@ -42,21 +42,28 @@ RUNS = (
     ("flow", {}, ["--sigma2=1e300"]),
 )
 
-# Module-level functions the runs need not reach: the process wrapper and
+# Functions and methods the runs need not reach: the process wrapper and
 # the memory policy it alone sets run only in a child
-# (tests/test_cli_process.py).
-NOT_REACHED = {"cli.entry", "cli._keep_freed_memory_mapped"}
+# (tests/test_cli_process.py), and no command sets a value type's field
+# after __init__, which the read-only guard refuses (tests/test_value_types.py).
+NOT_REACHED = {"cli.entry", "cli._keep_freed_memory_mapped", "values.Frozen.__setattr__"}
 
 
 def module_functions():
-    """``module.function`` for every module-level function of the package, by code location."""
+    """``module.function`` and ``module.Class.method`` for every function and
+    method of the package, by code location."""
     found = {}
     for path in sorted(Path(waveline.__file__).resolve().parent.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        body = ast.parse(path.read_text()).body
+        defs = [(path.stem, node) for node in body] + [
+            (f"{path.stem}.{node.name}", item)
+            for node in body if isinstance(node, ast.ClassDef) for item in node.body
+        ]
+        for owner, node in defs:
             if isinstance(node, ast.FunctionDef):
                 # a decorated function's code starts at its first decorator
                 first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                found[(str(path), first)] = f"{path.stem}.{node.name}"
+                found[(str(path), first)] = f"{owner}.{node.name}"
     return found
 
 

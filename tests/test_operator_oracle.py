@@ -277,6 +277,38 @@ class TestGuards:
             apply_action_operator(SIGMA_AND_R, straight_line(A, B, 1e-300, 8))
         assert not [r for r in recwarn if issubclass(r.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("C, fault", [(1e-310, "overflow encountered in divide"),
+                                          (5e-324, "divide by zero encountered in divide")])
+    def test_subnormal_spacing_raises_without_a_warning(self, recwarn, C, fault):
+        # the velocity stencil's 1/dc already leaves the float range here
+        w = straight_line(A, B, C, 16)
+        with pytest.raises(NumericalOverflow, match=f"^operator probe at dc={w.dc!r}: {fault}$"):
+            apply_action_operator(SIGMA_AND_R, w)
+        assert not [r for r in recwarn if issubclass(r.category, RuntimeWarning)]
+
+    def test_an_infinite_probe_angle_names_the_loops_fault(self):
+        # at sigma1_0 = 1e305 a probe step turns the phase by an infinite
+        # angle.  The loop formed that product in Python's complex
+        # arithmetic, which raises no flag, so the fault it names is sin's
+        params = WaveParameters(FlowInitialData(np.array([1e305, 0.0, 0.0, 0.0]), 0.0), m=1.0)
+        w = straight_line(A, B, 1e10, 8)
+        with pytest.raises(NumericalOverflow) as want:
+            reference_probe(params, w)
+        with pytest.raises(NumericalOverflow) as got:
+            apply_action_operator(params, w)
+        assert str(got.value) == str(want.value) == (
+            "operator probe at dc=1250000000.0: invalid value encountered in sin"
+        )
+
+    def test_subnormal_square_spacing_names_numpys_divide(self):
+        # dc*dc is subnormal, so the second difference's division overflows
+        cfg = load_config(overrides={"C": 1e-158})
+        (failed,) = checks.operator_suite(cfg).checks
+        assert failed.name == "operator_oracle"
+        assert failed.detail == (
+            "NumericalOverflow: operator probe at dc=6.25e-160: overflow encountered in divide"
+        )
+
     def test_singular_flow_rejected(self):
         params = WaveParameters(FlowInitialData(np.zeros(4), -0.5), m=1.0)
         with pytest.raises(FlowSingularity):
