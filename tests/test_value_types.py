@@ -1,6 +1,8 @@
 """The value types: fields set once, and the records built from one field table each."""
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -67,6 +69,31 @@ def identical(x, y):
     return repr(x) == repr(y)
 
 
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    "pickle-0": lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+}
+# what each refuses with: protocol 0 cannot pickle a slotted class at all
+REFUSALS = {
+    "copy": (AttributeError, r"\.\w+ is read-only$"),
+    "deepcopy": (AttributeError, r"\.\w+ is read-only$"),
+    "pickle": (AttributeError, r"\.\w+ is read-only$"),
+    "pickle-0": (TypeError, "__slots__"),
+}
+
+
+@pytest.mark.parametrize("how", list(COPIES))
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_copies_are_refused_rather_than_built_past_init(value, how):
+    # a value is built by its __init__ only: copy, deepcopy and unpickling
+    # set the fields of a blank instance one by one, which the guard refuses
+    error, message = REFUSALS[how]
+    with pytest.raises(error, match=message):
+        COPIES[how](value)
+
+
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
 def test_fields_cannot_be_rebound_or_deleted(value):
     assert not hasattr(value, "__dict__")
@@ -97,6 +124,29 @@ def test_as_dict_keeps_the_field_order_and_nests_the_tolerances():
     }
     assert list(RunConfig.FIELDS) == RUN_CONFIG_KEYS
     assert list(Tolerances.FIELDS) == TOLERANCE_KEYS
+
+
+# a value other than the default for each field, a tolerance by its own key
+CHANGED = [
+    ("a", (0.1, 0.0, 0.0, 0.0)), ("b", (3.0, 0.6, 0.3, 0.1)), ("m", 2.0), ("hbar_tilde", 0.5),
+    ("N", 200), ("sigma2_0", 0.25), ("sigma2_values", (0.25, 1.0)),
+    ("sigma1_0", (1.0, 0.1, 0.2, 0.3)), ("C", 1.5), ("branch", -1), ("seed", 3),
+    ("operator_N", 8), ("n_perturbations", 5), ("n_phase_perturbations", 4),
+    ("n_lambda_sets", 6), ("amplitude", 0.1),
+    *[(f"tolerances.{name}", Tolerances(**{name: 1e-3})) for name in TOLERANCE_KEYS],
+]
+
+
+@pytest.mark.parametrize("name, value", CHANGED, ids=[name for name, _ in CHANGED])
+def test_a_report_config_loads_back_to_the_same_fields(tmp_path, name, value):
+    # run_report.json's "config" is as_dict(), which tells every field apart
+    config = RunConfig(**{name.partition(".")[0]: value}).validate()
+    written = config.as_dict()
+    assert written != RunConfig().as_dict()
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(written))
+    assert load_config(path).as_dict() == written
+    assert len(CHANGED) == len(RUN_CONFIG_KEYS) - 1 + len(TOLERANCE_KEYS)
 
 
 def test_unknown_field_is_a_type_error_and_a_config_error(tmp_path):
