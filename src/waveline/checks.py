@@ -33,8 +33,7 @@ from .phase_flow import (
     sample_closed_form,
 )
 from .phase_functional import (
-    consistency_gap,
-    phase_difference,  # no caller here: perfbench/spans.py wraps it at this site
+    phase_difference,
     phase_expansion,
     phase_geometry,
     predicted_phase_offset,
@@ -166,8 +165,7 @@ def flow_suite(cfg):
         # the trace runs the run's sigma2_0 over the benchmark's duration,
         # which may reach a pole that the run's own C does not
         trace_error = FlowSingularity(
-            f"{trace_error} over the flow trace's fixed duration C={FLOW_BENCH_C!r}",
-            c_star=trace_error.c_star,
+            f"{trace_error} over the flow trace's fixed duration C={FLOW_BENCH_C!r}"
         )
 
     # rung by rung, then the trace riding along on the top rung
@@ -321,11 +319,12 @@ def _curved_sigma2(cfg):
     """The run's sigma2_0, or 0.5 when it is zero, and a detail note on the swap.
 
     A flat flow leaves the frozen control nothing to violate and collapses
-    the logarithmic clock, so those measurements run on a curved one.
+    the logarithmic clock, so those measurements run on a curved one.  Any
+    |sigma2_0| up to 1e-9 counts as zero, and the note names it.
     """
     if abs(cfg.sigma2_0) > 1e-9:
         return cfg.sigma2_0, ""
-    return 0.5, "sigma2_0=0 replaced by 0.5"
+    return 0.5, f"sigma2_0={cfg.sigma2_0 or 0!r} replaced by 0.5"
 
 
 def _noted(detail, note):
@@ -377,13 +376,6 @@ class _RunRungs:
         if self._stack is None or len(self._stack) < count:
             self._stack = _displacements(self._cfg, count)
         return self._stack[:count]
-
-    def keep_only(self, n, rows):
-        """Release every rung but the one of ``n`` steps, and the stack's rows past ``rows``."""
-        self._lines = {k: v for k, v in self._lines.items() if k == n}
-        self._modes = {k: v for k, v in self._modes.items() if k == n}
-        if self._stack is not None and len(self._stack) > rows:
-            self._stack = self._stack[:rows].copy()  # a view would keep every row
 
 
 def _independence_ladder(cfg, coefficients_for, displacements, rungs):
@@ -453,7 +445,7 @@ def violation_control_checks(cfg, displacements, rungs):
 def lambda_suite(cfg, with_control=False, rungs=None):
     """Eigenvalue agreement, world-line independence and its control, and the breakdown.
 
-    ``rungs`` is a :class:`_RunRungs` to build on and leave the N rung in,
+    ``rungs`` is a :class:`_RunRungs` to build on and leave every rung in,
     else the suite builds its own.
     """
     checks = []
@@ -486,7 +478,6 @@ def lambda_suite(cfg, with_control=False, rungs=None):
                 artifacts.update(written)
             except WavelineError as exc:
                 checks.append(failed_check("lambda_violation_detected", exc))
-    rungs.keep_only(cfg.N, cfg.n_phase_perturbations)  # what the phase suite reads
 
     try:
         c_run = cfg.run_duration()
@@ -647,23 +638,30 @@ def phase_suite(cfg, rungs=None):
         amp = _amplitude(cfg)
         base = rungs.line(cfg.N)
         modes = rungs.modes(cfg.N)
-        # the perturbed line is built for this one check and gone after it
-        gap = consistency_gap(perturb_interior(base, amp, cfg.seed + 1, modes), s2)
+        # the perturbed line is built for this one check and gone after it;
+        # its difference is taken first, so its failures are the ones named
+        measured = phase_difference(perturb_interior(base, amp, cfg.seed + 1, modes), s2)
+        offset = predicted_phase_offset(s2, cfg.a, cfg.b, c_run)
+        gap = abs(measured - offset)
         checks.append(threshold_check("phase_two_clock_consistency", gap, tol, detail=note))
 
         # Every trajectory's difference comes from the exact quadratic
         # expansion around the base line, anchored at its direct value.
         anchor, g, q = phase_expansion(base, s2, modes)
         diffs = anchor + expansion_deltas(g, q, rungs.displacements(cfg.n_phase_perturbations))
-        mean = float(diffs.mean())
         name = "phase_trajectory_independence"
+        mean = None  # reported as null when the differences sum past the float range
         try:
-            if np.ptp(diffs) == 0:
-                # One trajectory, or perturbations that move nothing, measure
-                # nothing; the std of equal values is only the mean's roundoff.
-                raise NotMeasured(f"phase_q - phase_c has zero spread over {diffs.size} seed(s)")
-            # differences near 1e200 (a far endpoint) square past the float range
+            # differences near 1e200 (a far endpoint) square past the float
+            # range, and near 1e308 sum past it
             with float_errors_as(NumericalOverflow, f"spread of {diffs.size} phase differences"):
+                mean = float(diffs.mean())
+                if np.ptp(diffs) == 0:
+                    # One trajectory, or perturbations that move nothing, measure
+                    # nothing; the std of equal values is only the mean's roundoff.
+                    raise NotMeasured(
+                        f"phase_q - phase_c has zero spread over {diffs.size} seed(s)"
+                    )
                 rel_std = float(diffs.std()) / (1.0 + abs(mean))
         except WavelineError as err:
             checks.append(failed_check(name, err))
@@ -681,7 +679,7 @@ def phase_suite(cfg, rungs=None):
             "Q": geo.Q,
             "x_tilde": [float(v) for v in geo.x_tilde],
             "measured_mean_difference": mean,
-            "predicted_offset": float(predicted_phase_offset(s2, cfg.a, cfg.b, c_run)),
+            "predicted_offset": float(offset),
         }
     except WavelineError as exc:
         checks.append(failed_check("phase_consistency", exc))

@@ -104,12 +104,7 @@ def main(argv=None):
     started = time.perf_counter()
     suite = SUITES[args.command](cfg)
     wall = time.perf_counter() - started
-    report = RunReport(
-        command=args.command,
-        config=cfg.as_dict(),
-        checks=tuple(suite.checks),
-        wall_clock_s=wall,
-    )
+    report = RunReport(command=args.command, config=cfg.as_dict(), checks=tuple(suite.checks))
 
     n_pass = sum(c.passed for c in report.checks)
     # the reports are written even when stdout is gone

@@ -26,12 +26,7 @@ import numpy as np
 
 from .errors import NumericalOverflow, NumericalUnderflow, ZeroDuration, float_errors_as
 from .minkowski import METRIC_DIAG, as_four_vector, dot
-from .phase_flow import (
-    FlowInitialData,
-    checked_denominator,
-    require_shared_grid,
-    sample_closed_form,
-)
+from .phase_flow import checked_denominator, require_shared_grid, sample_closed_form
 from .values import REQUIRED, Frozen, Record, set_field
 from .worldline import velocities
 
@@ -324,9 +319,7 @@ def apply_action_operator(params, w):
             raise NumericalOverflow(f"a probe step scales |Psi| by exp({first:.3g})")
         half = np.sin(0.5 * de.imag)
         re = np.expm1(de.real) * np.cos(de.imag) - 2.0 * half * half
-        grow, turn = np.exp(de.real), np.sin(de.imag)
-        with np.errstate(over="ignore", invalid="ignore"):
-            plus, minus = re + 1j * grow * turn
+        plus, minus = re + 1j * np.exp(de.real) * np.sin(de.imag)
 
         d1 = (plus - minus) / (2.0 * h) / dc
         d2 = (plus + minus) / (h * h) / (dc * dc)

@@ -37,14 +37,7 @@ class GridMismatch(WavelineError):
 
 
 class FlowSingularity(WavelineError):
-    """Coefficient flow evaluated at or beyond its finite-time pole.
-
-    ``c_star`` carries the pole location when it is known, else None.
-    """
-
-    def __init__(self, message, c_star=None):
-        super().__init__(message)
-        self.c_star = c_star
+    """Coefficient flow evaluated at or beyond its finite-time pole; the message names the pole c*."""
 
 
 class NumericalUnderflow(WavelineError):

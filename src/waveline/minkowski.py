@@ -32,14 +32,11 @@ def as_four_vector(v):
 def dot(u, v):
     """Invariant product u0*v0 - u.v of raised components.
 
-    Accepts single vectors or (..., 4) stacks and broadcasts; a pair of
-    (4,) inputs yields a plain Python number.  Integer and list input is
-    promoted to float, and complex input stays complex.
+    Takes float64 arrays, single vectors or (..., 4) stacks, and
+    broadcasts; a pair of (4,) inputs yields a plain Python number.  A
+    complex array promotes the product to complex.
     """
-    floats = (
-        type(u) is np.ndarray and type(v) is np.ndarray and u.dtype == v.dtype == np.float64
-    )
-    if floats and u.shape == v.shape == (4,):
+    if u.shape == v.shape == (4,) and u.dtype == v.dtype == np.float64:
         # the same IEEE operations on Python floats; those ignore np.errstate,
         # so a result that left the float range is redone on arrays below
         u0, u1, u2, u3 = u.tolist()
@@ -47,12 +44,6 @@ def dot(u, v):
         out = u0 * v0 - (u1 * v1 + u2 * v2 + u3 * v3)
         if math.isfinite(out):
             return out
-    if not floats:  # two float64 arrays are already of the result type
-        u = np.asarray(u)
-        v = np.asarray(v)
-        dtype = np.result_type(u, v, float)
-        u = u.astype(dtype, copy=False)
-        v = v.astype(dtype, copy=False)
     # the space sum in np.sum's left-to-right order, without its 3-long inner loops
     out = u[..., 1] * v[..., 1]
     if out.ndim == 0:  # one pair of vectors: numpy scalars, as before

@@ -12,9 +12,10 @@ the square around the shifted center x_tilde, as the purely geometric
 
 Because sigma1(c)/sigma2(c) is constant along the flow, the two differ by
 the *trajectory-independent* constant (Q/4) x_tilde.x_tilde, where
-Q = ln D(C) is the total logarithmic duration.  The consistency gap
-measured here is the failure of that identity on a sampled world line; it
-should vanish at second order in the lattice spacing for any trajectory.
+Q = ln D(C) is the total logarithmic duration.  The consistency gap,
+|phase_difference - predicted_phase_offset|, is the failure of that
+identity on a sampled world line; it should vanish at second order in the
+lattice spacing for any trajectory.
 """
 
 import numpy as np
@@ -293,11 +294,3 @@ def predicted_phase_offset(sigma2_0, a, b, C):
     """The trajectory-independent constant (Q/4) x_tilde.x_tilde."""
     geo = phase_geometry(sigma2_0, a, b, C)
     return 0.25 * geo.Q * dot(geo.x_tilde, geo.x_tilde)
-
-
-def consistency_gap(w, sigma2_0):
-    """|measured (phase_q - phase_c) - predicted offset| for one world line."""
-    return abs(
-        phase_difference(w, sigma2_0)
-        - predicted_phase_offset(sigma2_0, w.a, w.b, w.C)
-    )

@@ -1,8 +1,8 @@
 """Check results, run reports, and deterministic serialization.
 
 Reports are written so that re-running the same configuration produces a
-byte-identical run_report.json: wall-clock time is kept on the in-memory
-report (and echoed to the terminal) but deliberately left out of the file.
+byte-identical run_report.json: the wall-clock time is only echoed to the
+terminal, never kept on the report.
 """
 
 import json
@@ -83,7 +83,7 @@ def failed_check(name, exc):
 
 
 class RunReport(Record):
-    FIELDS = dict.fromkeys(("command", "config", "checks", "wall_clock_s"), REQUIRED)
+    FIELDS = dict.fromkeys(("command", "config", "checks"), REQUIRED)
     __slots__ = tuple(FIELDS)
 
     @property
@@ -91,7 +91,6 @@ class RunReport(Record):
         return "pass" if all(c.passed for c in self.checks) else "fail"
 
     def as_json_dict(self):
-        # wall_clock_s intentionally omitted: the file must be reproducible.
         return {
             "command": self.command,
             "overall": self.overall,

@@ -60,15 +60,20 @@ def optimal_sigma1(sigma2_0, a, b, C):
     """The sigma1_0 that makes lambda stationary at fixed sigma2_0 and C.
 
     Solving d lambda / d sigma1_0 = 0 gives (b - a D) / (2 C) with
-    D = 1 + 2 sigma2_0 C.
+    D = 1 + 2 sigma2_0 C.  An infinite D raises no floating-point flag
+    where every component of a is nonzero, so the result is tested too.
     """
     if C == 0:
         raise ZeroDuration("stationary sigma1_0 needs C != 0")
     a = as_four_vector(a)
     b = as_four_vector(b)
     d = checked_denominator(sigma2_0, C)
-    with float_errors_as(NumericalOverflow, f"stationary sigma1_0 over C={C!r}"):
-        return (b - a * d) / (2.0 * C)
+    context = f"stationary sigma1_0 over C={C!r}"
+    with float_errors_as(NumericalOverflow, context):
+        s1 = (b - a * d) / (2.0 * C)
+    if not np.isfinite(s1).all():
+        raise NumericalOverflow(f"{context}: D={d!r} carries a component past the float range")
+    return s1
 
 
 def reduced_lambda(C, a, b, m):
@@ -120,42 +125,28 @@ def _fd_gradient(f, z):
 def _fd_hessian(f, z):
     """Central second differences of ``f`` at ``z``, the whole stencil in one call of ``f``.
 
-    The stencil is z, then for each pair i <= j in turn z stepped by +h_i
-    and -h_i when i == j, else by (+h_i, +h_j), (+h_i, -h_j), (-h_i, +h_j)
-    and (-h_i, -h_j): the order of one call per point, whose bits every
-    entry keeps.
+    The stencil is z, then for each i in turn z stepped by +h_i and -h_i,
+    then for each j > i by h_i + h_j, h_i - h_j, h_j - h_i and -h_i - h_j:
+    the order of one call per point, whose bits every entry keeps, since
+    z - h is z + (-h) and z + 0 is z (a -0.0 turns +0.0, which the
+    closed form's values do not read).
     """
     n = z.size
     hs = HESS_STEP * (1.0 + np.abs(z))
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    rows, cols, signs = [], [], []  # one (row, col) cell per step taken
-    row = 1
-    for i, j in pairs:
-        if i == j:
-            rows += [row, row + 1]
-            cols += [i, i]
-            signs += [1.0, -1.0]
-            row += 2
-        else:
-            rows += [row, row, row + 1, row + 1, row + 2, row + 2, row + 3, row + 3]
-            cols += [i, j] * 4
-            signs += [1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0]
-            row += 4
-    points = np.repeat(z[None], row, axis=0)
-    points[rows, cols] += np.multiply(signs, hs[cols])  # z - h is z + (-h) in IEEE
-    values = f(points)
-    f0 = values[0]
+    e = np.diag(hs)
+    moves = [np.zeros(n)]
+    for i in range(n):
+        moves += [e[i], -e[i]]
+        for j in range(i + 1, n):
+            moves += [e[i] + e[j], e[i] - e[j], e[j] - e[i], -e[i] - e[j]]
+    values = iter(f(z + np.array(moves)))
+    f0 = next(values)
     hess = np.empty((n, n))
-    row = 1
-    for i, j in pairs:
-        if i == j:
-            hess[i, i] = (values[row] - 2.0 * f0 + values[row + 1]) / hs[i] ** 2
-            row += 2
-        else:
-            hess[i, j] = hess[j, i] = (
-                values[row] - values[row + 1] - values[row + 2] + values[row + 3]
-            ) / (4.0 * hs[i] * hs[j])
-            row += 4
+    for i in range(n):
+        hess[i, i] = (next(values) - 2.0 * f0 + next(values)) / hs[i] ** 2
+        for j in range(i + 1, n):
+            pp, pm, mp, mm = next(values), next(values), next(values), next(values)
+            hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * hs[i] * hs[j])
     return hess
 
 

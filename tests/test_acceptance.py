@@ -27,7 +27,7 @@ from waveline.phase_flow import (
     integrate_flow,
     sample_closed_form,
 )
-from waveline.phase_functional import consistency_gap, phase_difference
+from waveline.phase_functional import phase_difference, predicted_phase_offset
 from waveline.stationarity import (
     numeric_stationary_search,
     optimal_C,
@@ -230,7 +230,8 @@ def test_phase_functional_consistency():
     c_run = optimal_C(A, B, 1.0)
     amp = 0.3 * np.sqrt(interval_squared(A, B))
     base = straight_line(A, B, c_run, 10000)
-    gap = consistency_gap(perturb_interior(base, amp, seed=1), 0.5)
+    measured = phase_difference(perturb_interior(base, amp, seed=1), 0.5)
+    gap = abs(measured - predicted_phase_offset(0.5, A, B, c_run))
     diffs = np.array(
         [phase_difference(perturb_interior(base, amp, seed=k), 0.5) for k in range(1, 21)]
     )

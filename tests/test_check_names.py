@@ -5,7 +5,7 @@ prints it.  Every name a run reports must match a declared pattern (``*``
 stands for a swept parameter), and every declared pattern, the names that
 only appear on failure included, must be reported by some run below.
 The same runs reach every function and method of the package: code no
-command runs has no place in it.
+command runs has no place in it.  Nor has an import no module reads.
 """
 
 import ast
@@ -126,6 +126,23 @@ def test_every_module_function_is_reached(emitted):
     assert NOT_REACHED <= set(functions.values())
     unreached = {name for where, name in functions.items() if where not in reached}
     assert unreached == NOT_REACHED
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the package declares no linter, so this walk is the unused-import
+    # check: every imported name must appear as a name in its module's code
+    unused = {}
+    for path in sorted(Path(waveline.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - read:
+            unused[path.stem] = sorted(imported - read)
+    assert unused == {}
 
 
 def test_every_csv_cell_is_a_python_scalar(emitted):

@@ -39,6 +39,10 @@ C_STAR = 0.9407443861113389
 # the checks verify fails at every small sigma2_0 from 1e-5 to 1e-8
 SMALL_CURVATURE = ("lambda_violation_detected", "phase_trajectory_independence")
 
+# An endpoint geometry with every component of a nonzero
+AWAY = {"a": [0.1, -0.2, 0.05, 0.3], "b": [2.1, 0.4, 0.35, 0.4]}
+INFINITE_SIGMA1 = "stationary sigma1_0 over C="
+
 # Zero, subnormal, at and near the pole at c* = C = 1, and past the float
 # range; RK4 takes 5.0 past it on N = 4 and 5 steps, but not on twice as many
 EDGE_CURVATURES = (
@@ -335,13 +339,10 @@ class TestReport:
             command="flow",
             config={"N": 10},
             checks=(threshold_check("a", 0.1, 1.0), threshold_check("b", 2.0, 1.0)),
-            wall_clock_s=1.23,
         )
         assert report.overall == "fail"
-        payload = report.as_json_dict()
-        assert set(payload) == {"command", "overall", "checks", "config"}
-        # wall clock must not leak into the file payload
-        assert "wall_clock_s" not in json.dumps(payload)
+        # no wall clock, so the file is reproducible
+        assert set(report.as_json_dict()) == {"command", "overall", "checks", "config"}
 
 
 def write_quick_config(tmp_path, **extra):
@@ -688,6 +689,30 @@ class TestCli:
         assert sorted(failed) == sorted(failures)
         assert code == (1 if failures else 0)
 
+    def test_near_pole_search_stalls_above_its_tolerance(self, tmp_path):
+        # D(C*) = 0.0028: the finite-difference gradient of a closed form
+        # with 1/D terms stalls above stationarity_tol 1e-8, and the Newton
+        # search spends every one of its 60 iterations
+        out = tmp_path / "out"
+        assert main(["stationary", "--sigma2=-0.53", "--out", str(out)]) == 1
+        checks = json.loads((out / "run_report.json").read_text())["checks"]
+        assert [(c["name"], c.get("detail")) for c in checks] == [
+            ("stationary_search", "NoConvergence: gradient norm 8.114e-08 after 60 iterations")
+        ]
+
+    def test_near_pole_flow_and_order_miss_their_bounds(self, tmp_path):
+        # D(1) = 0.02 on the fixed FLOW_BENCH_C = 1.0: the exact flow grows
+        # 50-fold and the 1000-step RK4 error with it, against the absolute
+        # flow_tol 1e-10; the independence order sits just under its floor 2.0
+        out = tmp_path / "out"
+        assert main(["verify", "--sigma2=-0.49", "--out", str(out)]) == 1
+        checks = json.loads((out / "run_report.json").read_text())["checks"]
+        failed = {c["name"]: c["value"] for c in checks if c["status"] == "fail"}
+        assert failed == {
+            "flow_accuracy[sigma2_0=-0.49]": pytest.approx(3.9886e-6, rel=1e-4),
+            "lambda_worldline_independence_order": pytest.approx(1.9697, rel=1e-4),
+        }
+
     @pytest.mark.parametrize(
         "sigma2, failures",
         [
@@ -751,6 +776,17 @@ class TestCli:
         assert details["phase_two_clock_consistency"] == "sigma2_0=0 replaced by 0.5"
         phase = json.loads((out / "phase_report.json").read_text())
         assert phase["sigma2_0"] == 0.5
+
+    @pytest.mark.parametrize(
+        "flag, named", [("1e-10", "1e-10"), ("-1e-10", "-1e-10"), ("-0", "0")]
+    )
+    def test_curvature_substitution_names_the_configured_value(self, tmp_path, flag, named):
+        # every |sigma2_0| up to 1e-9 runs on 0.5, and the note says which
+        # value it replaced; a zero of either sign reads 0
+        out = tmp_path / "out"
+        assert main(["phase", f"--sigma2={flag}", "--out", str(out)]) == 0
+        checks = json.loads((out / "run_report.json").read_text())["checks"]
+        assert checks[0]["detail"] == f"sigma2_0={named} replaced by 0.5"
 
     def test_bad_sigma2_flag_exits_2(self):
         assert main(["flow", "--sigma2", "zero"]) == 2
@@ -885,21 +921,40 @@ class TestCli:
                 "NumericalOverflow: squared interval between the endpoints"
             ), (name, details[name])
 
-    def test_far_endpoint_phase_spread_fails_by_name(self, tmp_path, capsys):
-        # at b = (1e100, 0, 0, 0) the interval is finite, but the phase
-        # differences are near 1e200 and their std squares past the float
-        # range; the other phase checks still report
-        cfgp = write_quick_config(tmp_path, b=[1e100, 0, 0, 0])
+    @pytest.mark.parametrize(
+        "argv, config, count, summed",
+        [
+            # the interval is finite, but the phase differences are near
+            # 1e200 and their std squares past the float range
+            ("phase --sigma2=0.5 --N 10", {**QUICK, "b": [1e100, 0, 0, 0]}, 4, False),
+            # differences near 1e307 sum past it in their mean, which the
+            # phase report then holds as null
+            ("phase", {"b": [1e154, 1e153, 0, 0], "N": 64}, 20, True),
+            ("verify", {"b": [1e154, 1e153, 0, 0], "N": 64}, 20, True),
+        ],
+        ids=["spread-phase", "mean-phase", "mean-verify"],
+    )
+    def test_far_endpoint_phase_spread_fails_by_name(
+        self, tmp_path, capsys, argv, config, count, summed
+    ):
+        # the other phase checks still report, and the phase report is JSON
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        argv = ["phase", "--sigma2=0.5", "--N", "10", "--config", cfgp, "--out", str(out)]
-        assert main(argv) == 1
+        assert main(argv.split() + ["--config", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == ""
         report = json.loads((out / "run_report.json").read_text())
         details = {c["name"]: c.get("detail", "") for c in report["checks"]}
         assert details["phase_trajectory_independence"].startswith(
-            "NumericalOverflow: spread of 4 phase differences"
+            f"NumericalOverflow: spread of {count} phase differences"
         )
         assert "phase_center_identity" in details
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        phase = json.loads((out / "phase_report.json").read_text(), parse_constant=refuse)
+        assert (phase["measured_mean_difference"] is None) == summed
 
     @pytest.mark.parametrize(
         "argv, config, error",
@@ -915,6 +970,21 @@ class TestCli:
             ("lambda --sigma2=0,1e-320 --N 10", {"amplitude": 1e200, "C": 1e200, "m": 1e200},
              {"lambda_worldline_independence_order":
               "lattice expansion at sigma2_0=0.5: an eigenvalue leaves the float range"}),
+            # D(C) = inf with every component of a nonzero: (b - a D) / (2C)
+            # is infinite without a floating-point flag
+            ("verify --sigma2=1.7e308", AWAY,
+             {"lambda_worldline_independence_order": f"{INFINITE_SIGMA1}0.9407443861113389",
+              "lambda_breakdown": f"{INFINITE_SIGMA1}0.9407443861113389",
+              "stationary_search": f"{INFINITE_SIGMA1}1.0",
+              "phase_consistency": f"{INFINITE_SIGMA1}0.9407443861113389"}),
+            ("verify", {**AWAY, "sigma2_0": 5e307, "C": 2.0},
+             {"lambda_worldline_independence_order": f"{INFINITE_SIGMA1}2.0",
+              "lambda_breakdown": f"{INFINITE_SIGMA1}2.0",
+              "phase_consistency": f"{INFINITE_SIGMA1}2.0"}),
+            ("verify", {**AWAY, "sigma2_0": 1e300, "C": 1e9},
+             {"lambda_worldline_independence_order": f"{INFINITE_SIGMA1}1000000000.0",
+              "lambda_breakdown": f"{INFINITE_SIGMA1}1000000000.0",
+              "phase_consistency": f"{INFINITE_SIGMA1}1000000000.0"}),
         ],
     )
     def test_eigenvalues_past_the_float_range_fail_by_name(

@@ -78,7 +78,7 @@ class TestClosedForm:
         # growing one has no pole on c >= 0
         with pytest.raises(FlowSingularity) as info:
             checked_denominator(-0.5, lattice(2.0, 4))
-        assert info.value.c_star == pytest.approx(1.0)
+        assert str(info.value).endswith("pole at c*=1.0)")
         grid = lattice(100.0, 4)
         assert np.array_equal(checked_denominator(0.25, grid), denominator(0.25, grid))
 
@@ -92,14 +92,14 @@ class TestClosedForm:
         if s2_0 < 0:
             with pytest.raises(FlowSingularity) as info:
                 checked_denominator(s2_0, lattice(1.0, 1000))
-            assert info.value.c_star == -0.5 / s2_0 > 0.0
+            c_star = -0.5 / s2_0
+            assert c_star > 0.0 and str(info.value).endswith(f"pole at c*={c_star!r})")
             assert str(info.value).startswith("flow is singular at c=0.001 ")
 
     def test_checked_denominator_prints_a_plain_c(self):
         with pytest.raises(FlowSingularity) as info:
             checked_denominator(-0.5, np.float64(1.0))
         assert str(info.value) == "flow is singular at c=1.0 (D=0.0, pole at c*=1.0)"
-        assert info.value.c_star == 1.0
         d = checked_denominator(-0.25, np.float64(1.0))
         assert type(d) is float and d == 0.5
 
@@ -113,13 +113,12 @@ class TestClosedForm:
         assert str(info.value) == (
             "flow is singular at c=1.5 (D=-0.20000000000000018, pole at c*=1.25)"
         )
-        assert type(info.value.c_star) is float
 
     def test_raises_at_pole_with_location(self):
         init = FlowInitialData(S1, -0.5)
         with pytest.raises(FlowSingularity) as info:
             sample_closed_form(init, np.linspace(0.0, 1.0, 11))
-        assert info.value.c_star == pytest.approx(1.0)
+        assert str(info.value).endswith("pole at c*=1.0)")
         with pytest.raises(FlowSingularity):
             sample_closed_form(init, np.linspace(0.0, 1.5, 11))
 
@@ -206,7 +205,7 @@ class TestIntegrator:
         init = FlowInitialData(S1, -0.5)
         with pytest.raises(FlowSingularity) as info:
             integrate_flow([init], 2.0, 100)
-        assert info.value.c_star == pytest.approx(1.0)
+        assert str(info.value).endswith("pole at c*=1.0)")
 
     def test_near_pole_guard(self):
         # pole sits just past C: the up-front check passes, the running
@@ -306,7 +305,7 @@ class TestBatchedIntegrator:
         inits = [FlowInitialData(S1, 0.5), FlowInitialData(S1, -0.7)]
         with pytest.raises(FlowSingularity) as info:
             integrate_flow(inits, 1.0, 100)
-        assert info.value.c_star == pytest.approx(1.0 / 1.4)
+        assert str(info.value).endswith(f"pole at c*={-0.5 / -0.7!r})")
 
     def test_closed_form_refuses_the_grids_the_integrator_refuses(self):
         # c* inside the lattice, D within the floor at C, and a regular lattice
@@ -337,7 +336,6 @@ class TestBatchedIntegrator:
         assert str(info.value) == (
             f"flow is singular at c=1.0 (D=3.9968028886505635e-14, pole at c*={c_star!r})"
         )
-        assert info.value.c_star == c_star
 
     def test_closed_form_pole_message_prints_a_plain_c(self):
         # the closed form refuses the grids the integrator refuses, in its words
@@ -427,7 +425,7 @@ class TestFoldedWeights:
             integrate_flow(inits, 1.0, 10, steps)
         assert str(info.value) == message
         first = next(s2 for s2 in s2s if s2 < -0.5)
-        assert info.value.c_star == -0.5 / first
+        assert message.endswith(f"pole at c*={-0.5 / first!r})")
 
 
 class TestContainersAndControls:

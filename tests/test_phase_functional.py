@@ -7,7 +7,6 @@ from waveline import phase_functional
 from waveline.errors import BadGrid, DegenerateQ, FlowSingularity
 from waveline.phase_flow import FlowInitialData, sample_closed_form
 from waveline.phase_functional import (
-    consistency_gap,
     log_duration,
     phase_difference,
     phase_eval_c,
@@ -199,6 +198,11 @@ class TestLogClockSpline:
         w, inputs = spline_inputs(100)
         for values in inputs[1:]:
             assert worst_spline_gap(w, 0.5, values) > 1e6 * spline_bound(100)
+
+
+def consistency_gap(w, sigma2_0):
+    """|phase_difference - predicted offset| for one world line, as the phase suite takes it."""
+    return abs(phase_difference(w, sigma2_0) - predicted_phase_offset(sigma2_0, w.a, w.b, w.C))
 
 
 class TestConsistency:

@@ -52,7 +52,6 @@ class TestOptimalSigma1:
         # C < 0 meets the pole of a growing curvature at c* = -1/(2 sigma2_0)
         with pytest.raises(FlowSingularity) as info:
             optimal_sigma1(0.5, A, B1, -1.5)
-        assert info.value.c_star == -0.5 / 0.5
         assert str(info.value) == "flow is singular at c=-1.5 (D=-0.5, pole at c*=-1.0)"
 
     @given(st.floats(-0.3, 1.5), st.floats(0.3, 1.5))
@@ -218,7 +217,7 @@ class TestNumericSearch:
     def test_guess_past_the_pole_is_refused(self):
         with pytest.raises(FlowSingularity) as info:
             numeric_stationary_search(A, B1, 1.0, sigma2_0=-0.5, guess_C=1.5)
-        assert info.value.c_star == 1.0
+        assert str(info.value).endswith("pole at c*=1.0)")
         with pytest.raises(FlowSingularity) as info:
             numeric_stationary_search(A, B1, 1.0, sigma2_0=0.5, guess_C=1.5, branch=-1)
-        assert info.value.c_star == -1.0
+        assert str(info.value).endswith("pole at c*=-1.0)")

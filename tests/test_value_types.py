@@ -24,7 +24,7 @@ VALUES = [
     Tolerances(),
     RunConfig(),
     CheckResult("x", True, 0.5, 1.0),
-    RunReport("flow", {"N": 10}, (), 0.1),
+    RunReport("flow", {"N": 10}, ()),
     WaveParameters(INIT, 1.0),
     LambdaBreakdown(1.0, 2.0, 3.0),
     INIT,
