@@ -47,10 +47,6 @@ class WaveParameters(Frozen):
     def __init__(self, flow_init, m, hbar_tilde=1.0, r1_0=(0.0, 0.0, 0.0, 0.0), r2_0=0.0):
         r1 = as_four_vector(r1_0)
         r1.setflags(write=False)
-        if m < 0:
-            raise ValueError("mass must be non-negative")
-        if not (hbar_tilde > 0):
-            raise ValueError("hbar_tilde must be positive")
         set_field(self, "flow_init", flow_init)
         set_field(self, "m", m)
         set_field(self, "hbar_tilde", hbar_tilde)
@@ -287,16 +283,16 @@ def apply_action_operator(params, w):
     s1, s2 = flow.sigma1, flow.sigma2
     r1, r2 = params.r1_0, params.r2_0
 
-    # Modulus exponent of Psi at the base point; differences divide by Psi.
-    r_exponent = float(trapezoid(dot(r1, x) + 0.5 * r2 * dot(x, x), w.grid))
-    if r_exponent < np.log(MODULUS_FLOOR):
-        raise NumericalUnderflow(
-            f"|Psi| ~ exp({r_exponent:.1f}) is below {MODULUS_FLOOR:g}"
-        )
-
-    # 1/dc**2 leaves the float range on a tiny lattice (C ~ 1e-300), and
-    # the velocity stencil's 1/dc can on a subnormal one
+    # x.x leaves the float range at a far endpoint, 1/dc**2 on a tiny
+    # lattice (C ~ 1e-300), and the velocity stencil's 1/dc on a subnormal one
     with float_errors_as(NumericalOverflow, f"operator probe at dc={dc!r}"):
+        # Modulus exponent of Psi at the base point; differences divide by Psi.
+        r_exponent = float(trapezoid(dot(r1, x) + 0.5 * r2 * dot(x, x), w.grid))
+        if r_exponent < np.log(MODULUS_FLOOR):
+            raise NumericalUnderflow(
+                f"|Psi| ~ exp({r_exponent:.1f}) is below {MODULUS_FLOOR:g}"
+            )
+
         v = velocities(w)
         # Every interior node's + and - probe of each coordinate at once, as
         # (2, N-1, 4) arrays of (sign, node, component).  Moving x[i, mu] by

@@ -20,12 +20,8 @@ class NullSeparation(WavelineError):
     """Endpoint pair on the light cone where a strictly timelike pair is required."""
 
 
-class ZeroMass(WavelineError):
-    """Mass is zero where a strictly positive mass is required."""
-
-
 class ZeroDuration(WavelineError):
-    """Invariant duration is zero or has the wrong sign for the requested branch."""
+    """Invariant duration is zero where the eigenvalue divides by it."""
 
 
 class BadGrid(WavelineError):

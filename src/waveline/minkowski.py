@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import NullSeparation, NumericalOverflow, SpacelikeSeparation, ZeroMass, float_errors_as
+from .errors import NullSeparation, NumericalOverflow, SpacelikeSeparation, float_errors_as
 
 # Diagonal of the metric tensor (+, -, -, -).
 METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
@@ -89,8 +89,4 @@ def classical_action(a, b, m, branch=1):
     ``branch`` picks the sign.  Spacelike and (within NULL_TOL) null
     separations have no timelike extremal and raise.
     """
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    if m <= 0:
-        raise ZeroMass("classical action needs m > 0")
     return branch * m * np.sqrt(timelike_interval_squared(a, b))

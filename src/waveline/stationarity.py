@@ -16,7 +16,7 @@ solver's main physics check.
 
 import numpy as np
 
-from .errors import NoConvergence, NumericalOverflow, ZeroDuration, ZeroMass, float_errors_as
+from .errors import NoConvergence, NumericalOverflow, ZeroDuration, float_errors_as
 from .eigenvalue import lambda_closed_form
 from .minkowski import as_four_vector, timelike_interval_squared
 from .phase_flow import DENOMINATOR_FLOOR, FlowInitialData, checked_denominator, denominator
@@ -24,6 +24,7 @@ from .values import REQUIRED, Record
 
 GRAD_STEP = 1e-6  # relative finite-difference step for gradients
 HESS_STEP = 1e-4  # relative finite-difference step for Hessians
+MAX_ITER = 60
 MAX_BACKTRACK = 30
 
 
@@ -63,8 +64,6 @@ def optimal_sigma1(sigma2_0, a, b, C):
     D = 1 + 2 sigma2_0 C.  An infinite D raises no floating-point flag
     where every component of a is nonzero, so the result is tested too.
     """
-    if C == 0:
-        raise ZeroDuration("stationary sigma1_0 needs C != 0")
     a = as_four_vector(a)
     b = as_four_vector(b)
     d = checked_denominator(sigma2_0, C)
@@ -90,14 +89,14 @@ def reduced_lambda(C, a, b, m):
 
 
 def optimal_C(a, b, m, branch=1):
-    """Stationary invariant duration: branch * sqrt((b-a).(b-a)) / (2 m)."""
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    if m <= 0:
-        raise ZeroMass("stationary duration needs m > 0")
+    """Stationary invariant duration: branch * sqrt((b-a).(b-a)) / (2 m).
+
+    The numerator is halved, not the mass doubled: past m = DBL_MAX / 2,
+    2 m is an unflagged inf that would make the duration 0.
+    """
     ds2 = timelike_interval_squared(a, b)
     with float_errors_as(NumericalOverflow, f"stationary duration for m={m!r}"):
-        return branch * np.sqrt(ds2) / (2.0 * m)
+        return branch * np.sqrt(ds2) * 0.5 / m
 
 
 def stationary_lambda(a, b, m, branch=1):
@@ -155,10 +154,8 @@ def numeric_stationary_search(
     b,
     m,
     sigma2_0=0.0,
-    guess_C=None,
     tol=1e-9,
     branch=1,
-    max_iter=60,
     sigma2_scan=(),
 ):
     """Find the stationary (sigma1_0, C) by damped Newton on the gradient.
@@ -168,30 +165,25 @@ def numeric_stationary_search(
     checked separately through ``sigma2_scan``).  Steps are halved until the
     candidate keeps branch * C > 0 and D(C) above DENOMINATOR_FLOOR, up to
     MAX_BACKTRACK times.  Once the gradient norm reaches ``tol`` the search
-    takes one more Newton step and stops; running past ``max_iter`` steps
+    takes one more Newton step and stops; running past MAX_ITER steps
     without reaching it raises NoConvergence.  The report's ``newton_trace``
-    holds one :class:`NewtonStep` per step taken.
+    holds one :class:`NewtonStep` per step taken.  The endpoints are taken
+    as strictly timelike, ``m`` as positive and ``branch`` as +1 or -1, as
+    :func:`optimal_C` and ``RunConfig.validate`` ensure; none is tested here.
 
     ``sigma2_scan`` values are evaluated *analytically* around the found
     point: for each value the stationary sigma1_0 is re-solved at C_star and
     the closed-form eigenvalue recorded, exposing the degeneracy.
     """
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    if m <= 0:
-        raise ZeroMass("stationary search needs m > 0")
     a = as_four_vector(a)
     b = as_four_vector(b)
-    timelike_interval_squared(a, b)  # fail early on bad endpoint pairs
     sigma2_0 = float(sigma2_0)
-    if guess_C is None:
-        guess_C = 0.5 * abs(b[0] - a[0])
-        # The heuristic guess must keep D(C) above the floor; when the pole
-        # sits on this branch's side, start three quarters of the way toward it.
-        if denominator(sigma2_0, branch * guess_C) <= DENOMINATOR_FLOOR:
-            guess_C = 0.75 * abs(0.5 / sigma2_0)
-    if not (guess_C > 0) or not np.isfinite(guess_C):
-        raise ZeroDuration(f"guess_C must be positive and finite, got {guess_C!r}")
+    # Start at half the time separation.  The start must keep D(C) above the
+    # floor; when the pole sits on this branch's side, start three quarters
+    # of the way toward it.
+    c0 = branch * float(0.5 * abs(b[0] - a[0]))
+    if denominator(sigma2_0, c0) <= DENOMINATOR_FLOOR:
+        c0 = branch * 0.75 * abs(0.5 / sigma2_0)
 
     def objective(z):
         # one point (5,) or a stack (P, 5) of them, as lambda_closed_form takes
@@ -202,11 +194,9 @@ def numeric_stationary_search(
         c = z[4]
         return branch * c > 0 and denominator(sigma2_0, c) > DENOMINATOR_FLOOR
 
-    c0 = branch * float(guess_C)
     # Warm-start sigma1_0 at its conditional stationary point for the
-    # guessed C, which also refuses a guess at or past the pole.  Starting
-    # from sigma1_0 = 0 instead leaves the Hessian exactly singular when
-    # sigma2_0 = 0 (lambda is linear in C there).
+    # starting C.  Starting from sigma1_0 = 0 instead leaves the Hessian
+    # exactly singular when sigma2_0 = 0 (lambda is linear in C there).
     z = np.concatenate([optimal_sigma1(sigma2_0, a, b, c0), [c0]])
 
     grad = _fd_gradient(objective, z)
@@ -218,9 +208,9 @@ def numeric_stationary_search(
         # d2 lambda/dC2, more than tol where that curvature is small (m << 1);
         # one more Newton step takes the error to second order.
         final = gradient_norm <= tol
-        if not final and len(trace) >= max_iter:
+        if not final and len(trace) >= MAX_ITER:
             raise NoConvergence(
-                f"gradient norm {gradient_norm:.3e} after {max_iter} iterations"
+                f"gradient norm {gradient_norm:.3e} after {MAX_ITER} iterations"
             )
         hess = _fd_hessian(objective, z)
         try:

@@ -5,7 +5,8 @@ prints it.  Every name a run reports must match a declared pattern (``*``
 stands for a swept parameter), and every declared pattern, the names that
 only appear on failure included, must be reported by some run below.
 The same runs reach every function and method of the package: code no
-command runs has no place in it.  Nor has an import no module reads.
+command runs has no place in it.  Nor has an import no module reads, or a
+parameter no function reads.
 """
 
 import ast
@@ -47,6 +48,10 @@ RUNS = (
 # (tests/test_cli_process.py), and no command sets a value type's field
 # after __init__, which the read-only guard refuses (tests/test_value_types.py).
 NOT_REACHED = {"cli.entry", "cli._keep_freed_memory_mapped", "values.Frozen.__setattr__"}
+
+# Parameters their function need not read: the read-only guard refuses any
+# value, and its __delattr__ alias calls it with none.
+UNREAD_PARAMETERS = {"values.Frozen.__setattr__": {"value"}}
 
 
 def module_functions():
@@ -143,6 +148,37 @@ def test_no_module_imports_a_name_it_never_reads():
         if imported - read:
             unused[path.stem] = sorted(imported - read)
     assert unused == {}
+
+
+def _functions(node, owner):
+    """``(owner.name, node)`` for every function and lambda under ``node``, nested ones too."""
+    for child in ast.iter_child_nodes(node):
+        name = owner
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{owner}.{child.name}"
+        elif isinstance(child, ast.Lambda):
+            name = f"{owner}.<lambda>"
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            yield name, child
+        yield from _functions(child, name)
+
+
+def test_every_function_reads_each_of_its_parameters():
+    # a deleted use must not leave a dead option behind: every parameter,
+    # self included, is read somewhere in its function's code
+    unread = {}
+    for path in sorted(Path(waveline.__file__).resolve().parent.glob("*.py")):
+        for name, node in _functions(ast.parse(path.read_text()), path.stem):
+            args = node.args
+            params = {
+                arg.arg for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                    args.vararg, args.kwarg] if arg is not None
+            }
+            read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            if params - read:
+                unread[name] = params - read
+    assert unread == UNREAD_PARAMETERS
 
 
 def test_every_csv_cell_is_a_python_scalar(emitted):

@@ -813,15 +813,20 @@ class TestCli:
         # search's mass term.  sigma2_0 = 1e12 (a trace row) and 1e300 (every
         # row, as --sigma2=1e300 sets it) carry RK4 past the float range, and
         # 1e300 the lattice expansion too; amplitude = 1e200 squares the
-        # perturbed events past it.  Every suite must report that as a named
-        # failed check, write the report and print no warning.  The frozen
-        # control passes only where the flowing ladder measured something: at
-        # C = 1e200 its spreads are roundoff of a 1e200-sized eigenvalue while
-        # the flowing ones are exactly zero.
+        # perturbed events past it, and 1e308 the amplitude itself.  m = 8.9e307
+        # and 1e308 put the curvature scan's 1/C* past the float range, C*
+        # staying nonzero where 2 m is a silent inf.  A far b carries x.x in
+        # the operator probe's modulus exponent past it.  Every suite must
+        # report that as a named failed check, write the report and print no
+        # warning.  The frozen control passes only where the flowing ladder
+        # measured something: at C = 1e200 its spreads are roundoff of a
+        # 1e200-sized eigenvalue while the flowing ones are exactly zero.
         unmeasured = "NotMeasured: the flowing ladder measured nothing"
         no_duration = "NumericalOverflow: stationary duration for m=1e-320"
         rk4 = "NumericalOverflow: RK4 flow for sigma2_0="
         far = "NumericalOverflow: expansion deltas leave the float range"
+        huge_m = "NumericalOverflow: stationary search for m="
+        huge_amp = "NumericalOverflow: perturbation amplitude 1e+308"
         expected = {
             ("C", 1e200): {
                 "lambda_worldline_independence_order": "NotMeasured: perturbation spreads",
@@ -869,9 +874,29 @@ class TestCli:
                 "lambda_violation_detected": f"{unmeasured} ({far}",
                 "phase_consistency": "NumericalOverflow: phase difference over C=",
             },
+            ("m", 1e308): {
+                "lambda_breakdown": "NumericalOverflow: boundary form over C=9.407443861113387e-309",
+                "stationary_search": f"{huge_m}1e+308: overflow encountered in scalar divide",
+                "phase_consistency": "DegenerateQ",
+            },
+            ("m", 8.9e307): {
+                "stationary_search": f"{huge_m}8.9e+307: overflow encountered in scalar divide",
+            },
+            ("amplitude", 1e308): {
+                "lambda_worldline_independence_order": huge_amp,
+                "lambda_violation_detected": f"{unmeasured} ({huge_amp}",
+                "phase_consistency": huge_amp,
+            },
         }
-        for k, ((key, value), failures) in enumerate(expected.items()):
-            cfgp = write_quick_config(tmp_path, **{key: value}, N=200)
+        cases = [({key: value}, failures) for (key, value), failures in expected.items()]
+        cases += [
+            ({"b": [1e200, 0.6, 0.3, 0.1], "C": 3.0},
+             {"operator_oracle": "NumericalOverflow: operator probe at dc=0.3"}),
+            ({"m": 1e-12, "hbar_tilde": 1e-12, "b": [1e100, 0.6, 0.3, 0.1]},
+             {"operator_oracle": "NumericalOverflow: operator probe at dc=5e+110"}),
+        ]
+        for k, (case, failures) in enumerate(cases):
+            cfgp = write_quick_config(tmp_path, **case, N=200)
             out = tmp_path / f"out-{k}"
             proc = subprocess.run(
                 [sys.executable, "-m", "waveline.cli", "verify", "--config", cfgp,
@@ -880,7 +905,6 @@ class TestCli:
                 text=True,
                 env=child_env(),
             )
-            case = (key, value)
             assert proc.returncode == 1, case
             assert proc.stderr == "", case
             checks = json.loads((out / "run_report.json").read_text())["checks"]

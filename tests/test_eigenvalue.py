@@ -164,10 +164,3 @@ class TestContainers:
         init = FlowInitialData(np.zeros(4), 0.0)
         with pytest.raises(ValueError):
             WaveParameters(init, m=1.0, r1_0=np.zeros(3))
-
-    def test_wave_parameters_validate(self):
-        init = FlowInitialData(np.zeros(4), 0.0)
-        with pytest.raises(ValueError):
-            WaveParameters(init, m=-1.0)
-        with pytest.raises(ValueError):
-            WaveParameters(init, m=1.0, hbar_tilde=0.0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from waveline.errors import NullSeparation, SpacelikeSeparation, ZeroMass
+from waveline.errors import NullSeparation, SpacelikeSeparation
 from waveline.minkowski import (
     METRIC_DIAG,
     as_four_vector,
@@ -126,14 +126,6 @@ class TestClassicalAction:
     def test_rejects_null(self):
         with pytest.raises(NullSeparation):
             classical_action([0, 0, 0, 0], [1, 1, 0, 0], 1.0)
-
-    def test_rejects_zero_mass(self):
-        with pytest.raises(ZeroMass):
-            classical_action([0, 0, 0, 0], [1, 0, 0, 0], 0.0)
-
-    def test_rejects_bad_branch(self):
-        with pytest.raises(ValueError):
-            classical_action([0, 0, 0, 0], [1, 0, 0, 0], 1.0, branch=2)
 
 
 class TestTimelikeIntervalSquared:

@@ -10,12 +10,12 @@ from waveline.errors import (
     NumericalOverflow,
     SpacelikeSeparation,
     ZeroDuration,
-    ZeroMass,
 )
 from waveline.eigenvalue import lambda_closed_form
 from waveline.minkowski import classical_action
 from waveline.phase_flow import FlowInitialData
 from waveline.stationarity import (
+    MAX_ITER,
     numeric_stationary_search,
     optimal_C,
     optimal_sigma1,
@@ -40,8 +40,9 @@ class TestOptimalSigma1:
         out = optimal_sigma1(0.5, a, B1, 1.0)  # D = 2
         np.testing.assert_allclose(out, (B1 - 2.0 * a) / 2.0)
 
-    def test_rejects_zero_duration(self):
-        with pytest.raises(ZeroDuration):
+    def test_zero_duration_fails_by_name(self):
+        # no command reaches C = 0, but a library caller's 1/(2C) is named
+        with pytest.raises(NumericalOverflow, match="stationary sigma1_0 over C=0.0"):
             optimal_sigma1(0.0, A, B1, 0.0)
 
     def test_rejects_singular_denominator(self):
@@ -113,27 +114,29 @@ class TestAnalyticStationaryPoint:
             optimal_C(A, np.array([0.5, 1.0, 0.0, 0.0]), 1.0)
         with pytest.raises(NullSeparation):
             optimal_C(A, np.array([1.0, 1.0, 0.0, 0.0]), 1.0)
-        with pytest.raises(ZeroMass):
-            optimal_C(A, B1, 0.0)
-        with pytest.raises(ValueError):
-            optimal_C(A, B1, 1.0, branch=0)
         with pytest.raises(ZeroDuration):
             reduced_lambda(0.0, A, B1, 1.0)
         # sqrt(6) / 2e-320 leaves the float range
         with pytest.raises(NumericalOverflow, match="stationary duration for m=1e-320"):
             optimal_C(A, B2, 1e-320)
 
+    def test_huge_mass_keeps_a_nonzero_duration(self):
+        # 2 m leaves the float range past DBL_MAX / 2 without a flag, which
+        # put C* at 0.0; the halved numerator keeps it subnormal but nonzero
+        assert optimal_C(A, B3, 1e308) == np.sqrt(3.54) * 0.5 / 1e308 > 0.0
+        assert optimal_C(A, B3, 1e308, branch=-1) < 0.0
+
 
 class TestNumericSearch:
     def test_rest_frame_recovery(self):
-        report = numeric_stationary_search(A, B1, 1.0, sigma2_0=0.5, guess_C=0.3)
+        report = numeric_stationary_search(A, B1, 1.0, sigma2_0=0.5)
         assert report.converged
         assert report.C_star == pytest.approx(0.5, abs=1e-8)
         assert report.lambda_star == pytest.approx(1.0, abs=1e-8)
         assert report.gradient_norm <= 1e-9
 
     def test_negative_branch(self):
-        report = numeric_stationary_search(A, B1, 1.0, branch=-1, guess_C=0.3)
+        report = numeric_stationary_search(A, B1, 1.0, branch=-1)
         assert report.C_star == pytest.approx(-0.5, abs=1e-8)
         assert report.lambda_star == pytest.approx(-1.0, abs=1e-8)
 
@@ -143,10 +146,6 @@ class TestNumericSearch:
             assert abs(report.C_star - optimal_C(A, B2, 2.0, branch=branch)) <= 1e-8
             assert abs(report.lambda_star - classical_action(A, B2, 2.0, branch=branch)) <= 1e-8
             assert report.branch == branch
-
-    def test_far_initial_guess_still_converges(self):
-        report = numeric_stationary_search(A, B1, 1.0, guess_C=5.0)
-        assert report.C_star == pytest.approx(0.5, abs=1e-8)
 
     def test_sigma1_star_matches_analytic(self):
         report = numeric_stationary_search(A, B2, 2.0, sigma2_0=0.3)
@@ -192,20 +191,10 @@ class TestNumericSearch:
         }
 
     def test_iteration_budget_enforced(self):
-        with pytest.raises(NoConvergence):
-            numeric_stationary_search(A, B1, 1.0, guess_C=5.0, max_iter=1)
-
-    def test_bad_inputs(self):
-        with pytest.raises(NullSeparation):
-            numeric_stationary_search(A, np.array([1.0, 1.0, 0.0, 0.0]), 1.0)
-        with pytest.raises(SpacelikeSeparation):
-            numeric_stationary_search(A, np.array([0.2, 1.0, 0.0, 0.0]), 1.0)
-        with pytest.raises(ZeroMass):
-            numeric_stationary_search(A, B1, 0.0)
-        with pytest.raises(ZeroDuration):
-            numeric_stationary_search(A, B1, 1.0, guess_C=-2.0)
-        with pytest.raises(ValueError):
-            numeric_stationary_search(A, B1, 1.0, branch=3)
+        # near the pole at C = 1/1.06 the gradient stalls around 1e-7, over
+        # tol, and the search stops when its step budget runs out
+        with pytest.raises(NoConvergence, match=f"after {MAX_ITER} iterations$"):
+            numeric_stationary_search(A, B3, 1.0, sigma2_0=-0.53, tol=1e-8)
 
     def test_guess_within_the_floor_of_the_pole_is_moved(self):
         # D(1.5) = 5e-13 is positive but under DENOMINATOR_FLOOR: the heuristic
@@ -213,11 +202,3 @@ class TestNumericSearch:
         s2 = -(1.0 - 5e-13) / 3.0
         report = numeric_stationary_search(A, B2, 1.0, sigma2_0=s2)
         assert report.C_star == pytest.approx(optimal_C(A, B2, 1.0), abs=1e-8)
-
-    def test_guess_past_the_pole_is_refused(self):
-        with pytest.raises(FlowSingularity) as info:
-            numeric_stationary_search(A, B1, 1.0, sigma2_0=-0.5, guess_C=1.5)
-        assert str(info.value).endswith("pole at c*=1.0)")
-        with pytest.raises(FlowSingularity) as info:
-            numeric_stationary_search(A, B1, 1.0, sigma2_0=0.5, guess_C=1.5, branch=-1)
-        assert str(info.value).endswith("pole at c*=-1.0)")
