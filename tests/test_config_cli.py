@@ -485,6 +485,27 @@ class TestCli:
         path.write_text(json.dumps({"nope": 1}))
         assert main(["flow", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"m": 0.0}, "m must be positive, got 0.0"),
+            ({"m": -1.0}, "m must be positive, got -1.0"),
+            ({"hbar_tilde": 0.0}, "hbar_tilde must be positive, got 0.0"),
+            ({"hbar_tilde": -1.0}, "hbar_tilde must be positive, got -1.0"),
+            ({"branch": 0}, "branch must be +1 or -1, got 0"),
+            ({"branch": 3}, "branch must be +1 or -1, got 3"),
+        ],
+    )
+    def test_input_the_kernels_trust_exits_2_by_name(self, tmp_path, payload, message, capsys):
+        # optimal_C, classical_action, the search and WaveParameters no longer
+        # test m, hbar_tilde or branch: every command refuses them here first
+        cfgp = write_quick_config(tmp_path, **payload)
+        for command in checks.SUITES:
+            out = tmp_path / command
+            assert main([command, "--config", cfgp, "--out", str(out)]) == 2, command
+            assert capsys.readouterr().err == f"config error: {message}\n", command
+            assert not out.exists(), command
+
     def test_removed_negative_control_key_exits_2(self, tmp_path, capsys):
         # the frozen-coefficient control runs in verify as lambda_violation_detected
         cfgp = write_quick_config(tmp_path, negative_control=True)

@@ -147,6 +147,12 @@ class TestNumericSearch:
             assert abs(report.lambda_star - classical_action(A, B2, 2.0, branch=branch)) <= 1e-8
             assert report.branch == branch
 
+    def test_far_initial_guess_still_converges(self):
+        # the start, half the time separation (0.5), is ten times C* = 0.05
+        for branch in (1, -1):
+            report = numeric_stationary_search(A, B1, 10.0, branch=branch)
+            assert report.C_star == pytest.approx(branch * 0.05, abs=1e-8)
+
     def test_sigma1_star_matches_analytic(self):
         report = numeric_stationary_search(A, B2, 2.0, sigma2_0=0.3)
         expected = optimal_sigma1(0.3, A, B2, report.C_star)
@@ -202,3 +208,11 @@ class TestNumericSearch:
         s2 = -(1.0 - 5e-13) / 3.0
         report = numeric_stationary_search(A, B2, 1.0, sigma2_0=s2)
         assert report.C_star == pytest.approx(optimal_C(A, B2, 1.0), abs=1e-8)
+
+    def test_guess_past_the_pole_is_moved(self):
+        # the heuristic start 1.5 lies past the pole at |C| = 1, where the
+        # warm start's sigma1_0 would raise FlowSingularity; the search starts
+        # at 0.75 instead and reaches C* = sqrt(6)/4 on each branch
+        for branch in (1, -1):
+            report = numeric_stationary_search(A, B2, 2.0, sigma2_0=-0.5 * branch, branch=branch)
+            assert report.C_star == pytest.approx(optimal_C(A, B2, 2.0, branch=branch), abs=1e-8)
