@@ -15,8 +15,6 @@ agreement (and the RK4 error contracting like h^4) is one of the levers
 the verification suite pulls.
 """
 
-import math
-
 import numpy as np
 
 from .errors import BadGrid, FlowSingularity, GridMismatch
@@ -103,31 +101,19 @@ def denominator(sigma2_0, c):
 def denominator_minus_one(sigma2_0, c):
     """2 sigma2_0 c, the D(c) - 1 of :func:`denominator`, before the 1 rounds it.
 
-    Past |sigma2_0| = DBL_MAX / 2 the factor 2 sigma2_0 is infinite, and
-    infinity times c = 0 is NaN; there the product is formed as
-    2 (sigma2_0 c), so D(0) is exactly 1 and a D past the float range is an
-    infinity of its sign, without a warning.  So is D wherever 2 sigma2_0 c
-    leaves the range (sigma2_0 ~ 1e300 at c ~ 1e200): the product of the
-    largest |2 sigma2_0| and |c|, taken in Python floats, which round alike
-    and never warn, tells in advance.  Both forms give the same bits
-    wherever the first is finite.  Two floats give a Python float.
+    Formed one way, as 2 (sigma2_0 c), entry by entry: past |sigma2_0| =
+    DBL_MAX / 2 the factor 2 sigma2_0 would be infinite, and infinity times
+    c = 0 NaN.  So D(0) is exactly 1, and a D past the float range is an
+    infinity of its sign, without a warning.  Doubling is exact, so this is
+    (2 sigma2_0) c to the bit wherever sigma2_0 c is a normal double.  Two
+    floats give a Python float.
     """
     if isinstance(sigma2_0, float) and isinstance(c, float):
-        s, c = float(sigma2_0), float(c)
-        return (2.0 * s) * c if math.isfinite(2.0 * abs(s) * abs(c)) else 2.0 * (s * c)
-    c = np.asarray(c, dtype=float)
-    s = np.asarray(sigma2_0, dtype=float)
-    if math.isfinite(2.0 * _reach(s) * _reach(c)):
-        return (2.0 * s) * c
+        return 2.0 * (float(sigma2_0) * float(c))
     with np.errstate(over="ignore"):
-        return 2.0 * (s * c)
-
-
-def _reach(x):
-    """The largest |x| as a Python float, NaN if x holds one."""
-    if x.ndim == 0:
-        return abs(float(x))
-    return max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
+        out = np.multiply(sigma2_0, np.asarray(c, dtype=float))
+        out *= 2.0
+    return out
 
 
 def checked_denominator(sigma2_0, c):

@@ -182,17 +182,21 @@ def resample_on_log_clock(w, sigma2_0, values=None):
 
     Returns (q_grid, points) on as many q nodes as the lattice has c nodes;
     ``points`` is C-ordered.  The map c(q) = expm1(q) / (2 sigma2_0) sends
-    [0, Q] onto [0, C] monotonically for either sign of sigma2_0.  Given
-    ``values``, an (N+1, k) array of samples on the lattice of ``w``, those
-    are resampled in place of ``w.points``.  The spline is linear in the
-    samples, column by column.  Past the samples, at most three arrays of
-    their size are live at once.
+    [0, Q] onto [0, C] monotonically for either sign of sigma2_0; it halves
+    expm1(q) rather than double sigma2_0, which past DBL_MAX / 2 would put
+    every node at c = 0.  Given ``values``, an (N+1, k) array of samples on
+    the lattice of ``w``, those are resampled in place of ``w.points``.
+    The spline is linear in the samples, column by column.  Past the
+    samples, at most three arrays of their size are live at once.
     """
     q_total = log_duration(sigma2_0, w.C)
     if abs(q_total) < Q_FLOOR:
         raise DegenerateQ("sigma2_0 = 0 collapses the logarithmic clock")
     q_grid = np.linspace(0.0, q_total, w.N + 1)
-    c_of_q = np.clip(np.expm1(q_grid) / (2.0 * float(sigma2_0)), 0.0, w.C)
+    c_of_q = np.expm1(q_grid)
+    c_of_q /= 2.0
+    c_of_q /= float(sigma2_0)
+    np.clip(c_of_q, 0.0, w.C, out=c_of_q)
     y = (w.points if values is None else np.asarray(values, dtype=float)).T
     if y.ndim != 2 or y.shape[1] != w.N + 1:
         raise BadGrid(f"samples of shape {y.T.shape} do not match N={w.N}")

@@ -82,10 +82,12 @@ def reduced_lambda(C, a, b, m):
     the flat direction the scan in the report is checking.  ``C`` is one
     duration or an array of them; an array gives each entry's value, bit
     for bit as one call per entry would, and the endpoints are checked once.
+    The interval is quartered, not C quadrupled: past C = DBL_MAX / 4, 4 C
+    is an unflagged inf that would zero the first term.
     """
     if np.any(C == 0):
         raise ZeroDuration("reduced eigenvalue needs C != 0")
-    return timelike_interval_squared(a, b) / (4.0 * C) + m * m * C
+    return timelike_interval_squared(a, b) / 4.0 / C + m * m * C
 
 
 def optimal_C(a, b, m, branch=1):

@@ -174,6 +174,18 @@ def operator_mass_with_m(monkeypatch):
         monkeypatch.setattr(module, "apply_action_operator", slipped)
 
 
+def metric_x3_sign(monkeypatch):
+    # the invariant product u0 v0 - u1 v1 - u2 v2 + u3 v3: the metric's x3
+    # sign flipped, at every lookup site
+    dot = minkowski.dot
+
+    def slipped(u, v):
+        return dot(u, v) + 2.0 * u[..., 3] * v[..., 3]
+
+    for module in (minkowski, eigenvalue, phase_functional):
+        monkeypatch.setattr(module, "dot", slipped)
+
+
 def flowing_control(monkeypatch):
     # the negative control's ladder fed the flowing coefficients it should freeze
     monkeypatch.setattr(checks, "frozen_coefficients", phase_flow.sample_closed_form)
@@ -243,6 +255,12 @@ CASES = {
     "operator-mass-m": (
         operator_mass_with_m, checks.operator_suite,
         ("operator_exact_free", "operator_phase_only", "operator_phase_and_modulus"), GENERIC,
+    ),
+    # only the operator's value checks see a wrong metric: the three-form,
+    # classical-limit and stationary checks take dot on both of their sides
+    "metric-x3-sign": (
+        metric_x3_sign, checks.operator_suite,
+        ("operator_phase_only", "operator_phase_and_modulus", "operator_imaginary_part"), {},
     ),
     "flowing-control": (
         flowing_control, functools.partial(checks.lambda_suite, with_control=True),

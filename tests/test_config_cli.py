@@ -376,6 +376,17 @@ class TestCli:
         assert report["C_star"] < 0
         assert report["lambda_star"] < 0
 
+    def test_lambda_sweep_past_a_quarter_of_the_float_range(self, tmp_path, capsys):
+        # at m = 5e-308 the sweep runs out to 2.5 C* ~ 4.7e307, where 4 C
+        # overflows; lambda(C) quarters the interval instead, so nothing warns
+        # and every row keeps its branch's sign, none reading 0
+        cfgp = write_quick_config(tmp_path, m=5e-308)
+        out = tmp_path / "out"
+        assert main(["stationary", "--config", cfgp, "--out", str(out)]) in (0, 1)
+        assert capsys.readouterr().err == ""
+        rows = np.loadtxt(out / "sweep_lambda_vs_C.csv", delimiter=",", skiprows=1)
+        assert (rows[:, 0] * rows[:, 2] > 0).all()
+
     def test_lambda_quick_config_passes(self, tmp_path):
         cfgp = write_quick_config(tmp_path)
         out = tmp_path / "out"

@@ -1,4 +1,4 @@
-"""The flow, verify and phase commands' files, byte for byte.
+"""The flow, verify, phase and stationary commands' files, byte for byte.
 
 A change to the RK4 kernel or to the flow suite's bookkeeping that claims
 identical results must leave these files identical.  Each SHA-256 in PINS
@@ -6,8 +6,10 @@ was taken from ``waveline flow`` on the named config before the step
 weights carried the right-hand side's -2, and each in RUN_PINS from the
 named command before the operator probe ran on whole-lattice arrays (the
 default verify and the phase workload) or before it ran in numpy's own
-complex arithmetic (the rest); a change that moves one on purpose says why
-in CHANGES.md and takes the new pin.
+complex arithmetic (the rest), except the three runs at the float range's
+edges, taken once D - 1 was formed one way and c(q) and lambda(C) halved
+rather than doubled; a change that moves one on purpose says why in
+CHANGES.md and takes the new pin.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ import pytest
 
 from waveline.cli import main
 
-from conftest import GENERIC
+from conftest import GENERIC, QUICK
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,6 +56,13 @@ CONFIGS = {
     "GENERIC": GENERIC,
     "hbar_tilde=1e-6": {"hbar_tilde": 1e-6},
     "hbar_tilde=1e-100": {"hbar_tilde": 1e-100},
+    # sigma2_0 C = 5e-309 is subnormal, where 2 (sigma2_0 C) and
+    # (2 sigma2_0) C may round apart
+    "C=1e-308": {**QUICK, "C": 1e-308},
+    # 2 sigma2_0 is past the float range
+    "sigma2_0=1e308,C=0.5": {**QUICK, "sigma2_0": 1e308, "C": 0.5},
+    # the lambda(C) sweep runs out to 4.7e307, past DBL_MAX / 4
+    "m=5e-308": {**QUICK, "m": 5e-308},
 }
 
 # the exit code and every file a run writes, the report included, by
@@ -134,6 +143,24 @@ RUN_PINS = {
         "stationarity_report.json":
             "b3f0989bcec99f4f66729600032e505943c35a8d3b8ff5714420107c388d51d9",
         "sweep_lambda_vs_C.csv": "dadd16939556495680e04ebe890b218b1ef8f9ea6d75a23dc050e32913b48e47",
+    }),
+    # Q = 1e-308 is under Q_FLOOR, so the one check reads DegenerateQ
+    ("phase", "C=1e-308", ()): (1, {
+        "run_report.json": "5ef8396103ab688e24705b884901035f988426f15356a27f6c5b676bee705364",
+    }),
+    # Q ~ 709 is too steep for a uniform q grid: two phase checks miss
+    ("phase", "sigma2_0=1e308,C=0.5", ()): (1, {
+        "run_report.json": "b1a546dced128794261931391cde19034e3107353334110a49bf806588b0c9a1",
+        "phase_report.json": "806cd8b284be1686cafb6211ea67203fb2b2258792d9745a8d1a2285279aec16",
+    }),
+    # the Newton search meets its absolute gradient bound at C ~ 1e8, far
+    # short of C* ~ 1.9e307, so stationary_duration misses
+    ("stationary", "m=5e-308", ()): (1, {
+        "run_report.json": "6fe6f6478d39e2ae83bacae14992aab0357006f847b4086acd0f3b3a24ed9578",
+        "sigma2_scan.csv": "a46dd18fec90bfb5aefc2554c56be25cb0792372ee4a01ecfe3f8960952f8494",
+        "stationarity_report.json":
+            "cc9365e070e767ce06639fc9be5d4a552591116adbf84aaf6ad8af75b812d972",
+        "sweep_lambda_vs_C.csv": "a8136e0d1cf55517628d8c90302a49a6d8a4341ee41876ab8143d13b4d91c43d",
     }),
 }
 

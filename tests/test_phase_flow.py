@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from waveline.errors import BadGrid, FlowSingularity, GridMismatch
+from waveline.errors import (
+    BadGrid, FlowSingularity, GridMismatch, NumericalOverflow, float_errors_as,
+)
 from waveline.phase_flow import (
     DENOMINATOR_FLOOR,
     FlowCoefficients,
@@ -45,13 +47,16 @@ class TestRhs:
 
 class TestClosedForm:
     def test_denominator_minus_one_on_floats_is_the_array_form(self):
-        # the Python-float path gives the array path's bits, its overflow-safe
-        # form included (2 sigma2_0 c past the float range at 1e300 and 1e200,
-        # 2 sigma2_0 itself past it at 1e308), and a Python float
+        # the Python-float path gives the array path's bits, past the float
+        # range too (2 sigma2_0 c at 1e300 and 1e200, 2 sigma2_0 itself at
+        # 1e308), and a Python float; an array's entry is its own pair's
+        # float call, whatever its neighbours hold: at 0.5 against
+        # 3 * 2**-1074, 2 (sigma2_0 c) reads 4 * 2**-1074 where (2 sigma2_0) c
+        # reads 3, and the 1e308 beside it must not switch the entry's order
         rng = np.random.default_rng(11)
         curvatures = [0.0, -0.0, 0.5, -0.4, 1e-320, -1e-320, 1e300, -1e300, 1e308, -1.7e308,
                       *rng.standard_normal(12).tolist()]
-        durations = [0.0, 1e-320, 1e-300, 0.3, 1.0, 1e200, 1e308,
+        durations = [0.0, 3 * 2.0**-1074, 1e-320, 1e-300, 0.3, 1.0, 1e200, 1e308,
                      *rng.uniform(0.0, 5.0, 12).tolist()]
         for s2 in curvatures:
             for c in durations:
@@ -60,6 +65,9 @@ class TestClosedForm:
                             denominator_minus_one(np.float64(s2), np.float64(c))):
                     assert type(got) is float
                     assert np.float64(got).tobytes() == want.tobytes(), (s2, c)
+        want = np.array([[denominator_minus_one(s2, c) for c in durations] for s2 in curvatures])
+        got = denominator_minus_one(np.array(curvatures)[:, None], np.array(durations))
+        assert got.tobytes() == want.tobytes()
 
     def test_halving_at_unit_time(self):
         init = FlowInitialData(S1, 0.5)
@@ -82,12 +90,14 @@ class TestClosedForm:
         grid = lattice(100.0, 4)
         assert np.array_equal(checked_denominator(0.25, grid), denominator(0.25, grid))
 
-    @pytest.mark.parametrize("s2_0", [1e308, -1e308, 9e307, -9e307])
+    @pytest.mark.parametrize("s2_0", [1e308, -1e308, 9e307, -9e307, 1.7e308, -1.7e308])
     def test_curvature_past_half_the_float_range(self, s2_0):
         # 2 sigma2_0 overflows here: D(0) stays exactly 1, a D past the float
-        # range is an infinity of its sign, and nothing warns
-        d = denominator(s2_0, np.array([0.0, 1e-3, 1.0]))
-        assert d[0] == 1.0 and d[1] == 1.0 + 2.0 * (s2_0 * 1e-3)
+        # range is an infinity of its sign, and nothing warns, nor raises
+        # where numpy's overflow does
+        with float_errors_as(NumericalOverflow, "D past the float range"):
+            d = denominator(s2_0, np.array([0.0, 1e-3, 1.0]))
+        assert d[0] == 1.0 == denominator(s2_0, 0.0) and d[1] == 1.0 + 2.0 * (s2_0 * 1e-3)
         assert d[2] == np.copysign(np.inf, s2_0)
         if s2_0 < 0:
             with pytest.raises(FlowSingularity) as info:

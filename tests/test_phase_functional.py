@@ -125,6 +125,13 @@ class TestResampling:
         _, pts = resample_on_log_clock(w, s2)
         assert np.abs(pts[-1] - B).max() <= 4 * np.finfo(float).eps * np.abs(B).max()
 
+    def test_the_clock_map_leaves_a_past_half_the_float_range(self):
+        # 2 sigma2_0 is an unflagged inf at 1e308; c(q) halves expm1(q)
+        # instead, so the nodes still run from a to b
+        _, pts = resample_on_log_clock(straight_line(A, B, 0.5, 64), 1e308)
+        np.testing.assert_allclose(pts[0], A, atol=1e-12)
+        np.testing.assert_allclose(pts[-1], B, rtol=1e-12)
+
     def test_respects_requested_resolution(self):
         # the q grid has as many nodes as the lattice
         w = straight_line(A, B, 1.0, 37)
